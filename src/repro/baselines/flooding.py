@@ -99,12 +99,10 @@ class FloodingNetwork:
             self.publish(key)
 
     def total_matches(self, query) -> int:
-        q = self.space.as_query(query)
+        # Stored keys were normalized at publish, as the matcher requires.
+        match = self.space.matcher(query)
         return sum(
-            1
-            for store in self.stores.values()
-            for key, _ in store
-            if self.space.matches(key, q)
+            1 for store in self.stores.values() for key, _ in store if match(key)
         )
 
     # ------------------------------------------------------------------
@@ -120,6 +118,7 @@ class FloodingNetwork:
         duplicate arrivals still cost their message.
         """
         q = self.space.as_query(query)
+        match = self.space.matcher(q)
         if origin is None:
             origin = int(self.rng.integers(0, len(self)))
         horizon = ttl if ttl is not None else self.graph.number_of_nodes()
@@ -129,9 +128,7 @@ class FloodingNetwork:
         frontier = deque([(origin, 0)])
         while frontier:
             node, depth = frontier.popleft()
-            matches += sum(
-                1 for key, _ in self.stores[node] if self.space.matches(key, q)
-            )
+            matches += sum(1 for key, _ in self.stores[node] if match(key))
             if depth >= horizon:
                 continue
             for neighbor in self.graph.neighbors(node):

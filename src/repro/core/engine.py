@@ -146,6 +146,7 @@ class EngineRun:
     __slots__ = (
         "query",
         "region",
+        "matcher",
         "origin_id",
         "stats",
         "matches",
@@ -167,6 +168,8 @@ class EngineRun:
     def __init__(self) -> None:
         self.query = None
         self.region = None
+        #: ``space.matcher(query)``: the data-node post-filter, bound once.
+        self.matcher = None
         self.origin_id = 0
         self.stats = QueryStats()
         self.matches: list = []
@@ -373,22 +376,34 @@ class QueryEngine(ABC):
         return ids[int(gen.integers(0, len(ids)))]
 
     @staticmethod
-    def _scan_cluster(system: "SquidSystem", node_id: int, cluster_ranges, query) -> list:
+    def _bind_query(system: "SquidSystem", run: EngineRun, query):
+        """Bind ``query`` to the system's space once for the whole run:
+        the type-checked AST, its covering region, and the post-filter."""
+        bound = system.space.bind(query)
+        run.query = bound.query
+        run.region = bound.region
+        run.matcher = system.space.matcher(bound)
+        return bound.query, bound.region
+
+    @staticmethod
+    def _filter_scan(store, ranges, match) -> list:
+        """The data-node step: scan ``store`` over sorted, disjoint index
+        ranges (one pass over its sorted index list) and keep the elements
+        whose key satisfies the run's matcher.  Stored keys were normalized
+        at publish, which is all the matcher requires."""
+        return [
+            element for element in store.scan_ranges(ranges) if match(element.key)
+        ]
+
+    @classmethod
+    def _scan_cluster(cls, system: "SquidSystem", node_id: int, cluster_ranges, match) -> list:
         """Search one node's store over the cluster's index ranges.
 
         Timed under the ``engine.scan`` phase when profiling is enabled.
         """
         prof = obs_profile._PROFILER
         start = perf_counter() if prof is not None else 0.0
-        store = system.stores[node_id]
-        matches = system.space.matches
-        # Cluster piece ranges arrive sorted and disjoint, so the whole
-        # batch is one pass over the store's sorted index list.
-        found = [
-            element
-            for element in store.scan_ranges(cluster_ranges)
-            if matches(element.key, query)
-        ]
+        found = cls._filter_scan(system.stores[node_id], cluster_ranges, match)
         if prof is not None:
             prof.record("engine.scan", perf_counter() - start)
         return found
@@ -499,8 +514,7 @@ class OptimizedEngine(QueryEngine):
             raise EngineError(f"limit must be >= 1, got {limit}")
         run = EngineRun()
         run.priority = priority_rank(priority)
-        q = run.query = system.space.as_query(query)
-        region = run.region = system.space.region(q)
+        q, region = self._bind_query(system, run, query)
         curve = system.curve
         run.limit = limit
         stats = run.stats
@@ -647,13 +661,13 @@ class OptimizedEngine(QueryEngine):
         ranges = _clip_ranges(
             cluster.iter_index_ranges(curve), arrival_key, window_high
         )
-        found = self._scan_cluster(system, node_id, ranges, run.query)
+        found = self._scan_cluster(system, node_id, ranges, run.matcher)
         if replica_of is not None:
             # Failover visit: this node stands in for an unreachable
             # peer.  Its replica store restores the peer's share of the
             # data; without replication that share is truthfully
             # reported as unresolved (the fan-out continues regardless).
-            served, ok = self._scan_replicas(system, node_id, ranges, run.query)
+            served, ok = self._scan_replicas(node_id, ranges, run.matcher)
             if ok:
                 found = found + served
             elif ranges:
@@ -1226,9 +1240,7 @@ class OptimizedEngine(QueryEngine):
         if trace is not None:
             trace.emit(span, BranchShed(dest, cluster.level, len(ranges)))
 
-    def _scan_replicas(
-        self, system: "SquidSystem", node_id: int, ranges, query
-    ) -> tuple[list, bool]:
+    def _scan_replicas(self, node_id: int, ranges, match) -> tuple[list, bool]:
         """Serve an unreachable peer's share from this node's replica store.
 
         Returns ``(matches, served)``; ``served`` is False when no replica
@@ -1241,13 +1253,7 @@ class OptimizedEngine(QueryEngine):
         store = manager.replicas.get(node_id)
         if store is None:
             return [], False
-        matches = system.space.matches
-        found = [
-            element
-            for element in store.scan_ranges(ranges)
-            if matches(element.key, query)
-        ]
-        return found, True
+        return self._filter_scan(store, ranges, match), True
 
     def _path_latency(self, path: tuple[int, ...]) -> float:
         if self.latency_model is None:
@@ -1336,8 +1342,7 @@ class NaiveEngine(QueryEngine):
         run.priority = priority_rank(priority)
         guard = self.guard
         run.guard = guard if guard is not None and guard.active else None
-        q = run.query = system.space.as_query(query)
-        region = run.region = system.space.region(q)
+        q, region = self._bind_query(system, run, query)
         curve = system.curve
         run.limit = limit
         stats = run.stats
@@ -1460,7 +1465,7 @@ class NaiveEngine(QueryEngine):
         stats.record_processing(node_id, curve.order)
         window_high = min(high, node_id) if position <= node_id else high
         found = self._scan_cluster(
-            system, node_id, [(position, window_high)], run.query
+            system, node_id, [(position, window_high)], run.matcher
         )
         if trace is not None:
             trace.emit(span, LocalScan(node_id, 1, len(found)))

@@ -36,7 +36,7 @@ from repro.core.metrics import QueryResult, QueryStats
 from repro.core.plancache import PlanCache
 from repro.core.resultcache import ResultCache, default_result_cache, result_key
 from repro.errors import DuplicateNodeError, OverlayError
-from repro.keywords.space import KeywordSpace
+from repro.keywords.space import BoundQuery, KeywordSpace
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs.trace import KeyMoved, NodeJoined, NodeLeft, Tracer
@@ -393,6 +393,9 @@ class SquidSystem:
                         None,
                         complete=True,
                     )
+                # A miss hands the engine what the probe just built, so it
+                # does not parse, check and cover the text a second time.
+                query = BoundQuery(q, region)
         result = eng.execute(
             self,
             query,

@@ -16,7 +16,7 @@ from repro.keywords.query import (
     Wildcard,
     parse_terms,
 )
-from repro.keywords.space import Key, KeywordSpace
+from repro.keywords.space import BoundQuery, Key, KeywordSpace
 
 __all__ = [
     "Dimension",
@@ -31,6 +31,7 @@ __all__ = [
     "NumericRange",
     "parse_terms",
     "KeywordSpace",
+    "BoundQuery",
     "Key",
     "extract_keywords",
     "tokenize",

@@ -8,17 +8,21 @@ the two translations the rest of the system is built on:
   a point of the discrete cube (then Hilbert-encoded to its index);
 * **query path** — ``region(query)``: a flexible query → the axis-aligned
   coordinate region whose curve clusters drive distributed resolution, plus
-  ``matches(key, query)``: the exactness post-filter applied at data nodes.
+  the exactness post-filter applied at data nodes: ``matcher(query)`` binds
+  the query once and returns the per-element predicate the engines run over
+  *normalized* keys; ``matches(key, query)`` is its validating reference.
 
-Exactness invariant (property-tested): for every key and query,
+Exactness invariants (property-tested): for every key and query,
 ``matches(key, query)`` implies ``region(query).contains_point(coordinates(key))``
 — covering regions never lose true matches; quantization only ever adds
-candidates that the post-filter removes.
+candidates that the post-filter removes — and
+``matcher(query)(validate_key(key)) == matches(key, query)``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -27,9 +31,43 @@ from repro.keywords.dimensions import Dimension, NumericDimension, WordDimension
 from repro.keywords.query import Exact, NumericRange, Prefix, Query, Term, Wildcard, parse_terms
 from repro.sfc.regions import Region
 
-__all__ = ["KeywordSpace", "Key"]
+__all__ = ["KeywordSpace", "Key", "BoundQuery"]
 
 Key = tuple[Any, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class BoundQuery:
+    """A query already type-checked against one space, with its region.
+
+    Produced by :meth:`KeywordSpace.bind` and accepted wherever a query is
+    (:meth:`KeywordSpace.as_query` unwraps it without re-checking), so a
+    request that needs the region before it reaches an engine — the
+    result-cache probe — parses, checks and covers its query once.
+    """
+
+    query: Query
+    region: Region
+
+
+def _equals(position: int, constant: Any) -> Callable[[Key], bool]:
+    return lambda key: key[position] == constant
+
+
+def _starts_with(position: int, prefix: str) -> Callable[[Key], bool]:
+    return lambda key: key[position].startswith(prefix)
+
+
+def _between(position: int, low: float, high: float) -> Callable[[Key], bool]:
+    return lambda key: low <= key[position] <= high
+
+
+def _always(key: Key) -> bool:
+    return True
+
+
+def _both(first: Callable[[Key], bool], second: Callable[[Key], bool]) -> Callable[[Key], bool]:
+    return lambda key: first(key) and second(key)
 
 
 class KeywordSpace:
@@ -105,8 +143,10 @@ class KeywordSpace:
     # ------------------------------------------------------------------
     # Query path
     # ------------------------------------------------------------------
-    def as_query(self, query: "Query | str | Sequence[Term]") -> Query:
+    def as_query(self, query: "Query | BoundQuery | str | Sequence[Term]") -> Query:
         """Coerce a query given as AST, text, or term sequence; type-check it."""
+        if isinstance(query, BoundQuery):
+            return query.query
         if isinstance(query, str):
             q = parse_terms(query)
         elif isinstance(query, Query):
@@ -163,11 +203,69 @@ class KeywordSpace:
         assert isinstance(term, Exact)
         return dim.interval_for_exact(term.value, self.bits)
 
+    def bind(self, query: "Query | BoundQuery | str | Sequence[Term]") -> BoundQuery:
+        """Type-check a query and build its region, once (see :class:`BoundQuery`)."""
+        if isinstance(query, BoundQuery):
+            return query
+        q = self.as_query(query)
+        return BoundQuery(q, self.region(q))
+
     # ------------------------------------------------------------------
     # Exactness post-filter
     # ------------------------------------------------------------------
-    def matches(self, key: Sequence[Any], query: "Query | str | Sequence[Term]") -> bool:
-        """Does a stored keyword tuple satisfy the query exactly?"""
+    def matcher(
+        self, query: "Query | BoundQuery | str | Sequence[Term]"
+    ) -> Callable[[Key], bool]:
+        """Bind ``query`` once; return the per-element match predicate.
+
+        The query is type-checked here (the errors :meth:`as_query` raises)
+        and every term constant is normalized through its dimension, so the
+        returned predicate does nothing per key but ``==`` /
+        ``str.startswith`` / float comparison on the constrained dimensions.
+        Precondition: keys are *normalized* (:meth:`validate_key` /
+        :meth:`pad_key`, as every publish entry point does) — the predicate
+        neither validates nor normalizes them.  On such keys it agrees with
+        :meth:`matches`, the validating reference (property-tested).
+        """
+        q = self.as_query(query)
+        match = None
+        for position, (dim, term) in enumerate(zip(self.dimensions, q.terms)):
+            test = self._term_test(position, dim, term)
+            if test is not None:
+                match = test if match is None else _both(match, test)
+        return match if match is not None else _always
+
+    @staticmethod
+    def _term_test(position: int, dim: Dimension, term: Term) -> Callable[[Key], bool] | None:
+        """Predicate of one term on normalized keys; None when it admits all."""
+        if isinstance(term, Wildcard):
+            return None
+        if isinstance(term, Prefix):
+            return _starts_with(position, dim.validate(term.prefix))
+        if isinstance(term, NumericRange):
+            assert isinstance(dim, NumericDimension)
+            # Stored values lie in [minimum, maximum], so a bound at or
+            # beyond that end (or absent) constrains nothing.
+            low, high = dim.minimum, dim.maximum
+            if term.low is not None:
+                low = max(low, float(term.low))
+            if term.high is not None:
+                high = min(high, float(term.high))
+            if low == dim.minimum and high == dim.maximum:
+                return None
+            return _between(position, low, high)
+        assert isinstance(term, Exact)
+        return _equals(position, dim.validate(term.value))
+
+    def matches(
+        self, key: Sequence[Any], query: "Query | BoundQuery | str | Sequence[Term]"
+    ) -> bool:
+        """Does a stored keyword tuple satisfy the query exactly?
+
+        The validating reference of :meth:`matcher`: re-checks the query and
+        normalizes the key on every call, so it is the oracle's filter
+        (``SquidSystem.brute_force_matches``), not the engines'.
+        """
         q = self.as_query(query)
         if len(key) != self.dims:
             raise DimensionMismatchError(self.dims, len(key))

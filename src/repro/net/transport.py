@@ -65,6 +65,7 @@ from repro.core.engine import drive_sync
 from repro.core.metrics import QueryResult, QueryStats
 from repro.core.resultcache import result_key
 from repro.errors import EngineError
+from repro.keywords.space import BoundQuery
 from repro.util.rng import RandomLike
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -123,14 +124,19 @@ class Transport(ABC):
     # Result-cache fast path (mirrors SquidSystem.query exactly)
     # ------------------------------------------------------------------
     def _cache_probe(self, query, limit):
-        """Return ``(hit, key, region)``: a cached result, or the put key."""
+        """Return ``(hit, key, bound)``: a cached result, or the put key.
+
+        On a miss ``bound`` is the query to hand to ``begin_run``: what the
+        probe built (so the engine does not parse, check and cover the text
+        again), or ``query`` unchanged when the cache was not consulted.
+        """
         system = self.system
         cache = system.result_cache
         if cache is None or limit is not None:
-            return None, None, None
+            return None, None, query
         params = self.engine.result_cache_params()
         if params is None:
-            return None, None, None
+            return None, None, query
         q = system.space.as_query(query)
         region = system.space.region(q)
         key = result_key(system.curve, region, self.engine.name, params, query=q)
@@ -143,12 +149,14 @@ class Transport(ABC):
                 None,
                 complete=True,
             )
-            return hit, key, region
-        return None, key, region
+            return hit, key, None
+        return None, key, BoundQuery(q, region)
 
-    def _cache_store(self, key, region, result: QueryResult) -> None:
+    def _cache_store(self, key, bound, result: QueryResult) -> None:
         if key is not None:
-            self.system.result_cache.put(key, result, self.system.curve, region)
+            self.system.result_cache.put(
+                key, result, self.system.curve, bound.region
+            )
 
     def _request_rng(self, rng: RandomLike):
         return rng if rng is not None else self.system._rng
@@ -170,16 +178,16 @@ class SyncTransport(Transport):
         limit: int | None = None,
         priority=None,
     ) -> QueryResult:
-        hit, key, region = self._cache_probe(query, limit)
+        hit, key, bound = self._cache_probe(query, limit)
         if hit is not None:
             self.queries_served += 1
             return hit
         run = self.engine.begin_run(
-            self.system, query, origin=origin,
+            self.system, bound, origin=origin,
             rng=self._request_rng(rng), limit=limit, priority=priority,
         )
         result = drive_sync(self.engine, self.system, run)
-        self._cache_store(key, region, result)
+        self._cache_store(key, bound, result)
         self.queries_served += 1
         return result
 
@@ -335,12 +343,12 @@ class AsyncioTransport(Transport):
     ) -> QueryResult:
         if not self._started:
             await self.start()
-        hit, key, region = self._cache_probe(query, limit)
+        hit, key, bound = self._cache_probe(query, limit)
         if hit is not None:
             self.queries_served += 1
             return hit
         run = self.engine.begin_run(
-            self.system, query, origin=origin,
+            self.system, bound, origin=origin,
             rng=self._request_rng(rng), limit=limit, priority=priority,
         )
         qid = next(self._qids)
@@ -354,7 +362,7 @@ class AsyncioTransport(Transport):
             # drop envelopes of unknown runs (abandoned discovery-mode
             # branches), so nothing leaks into a later run with this qid.
             self._runs.pop(qid, None)
-        self._cache_store(key, region, result)
+        self._cache_store(key, bound, result)
         self.queries_served += 1
         return result
 

@@ -81,5 +81,6 @@ class DocumentWorkload:
 
     def count_matching(self, query) -> int:
         """Oracle count of keys matching a query (workload-side, no system)."""
-        q = self.space.as_query(query)
-        return sum(1 for key in self.keys if self.space.matches(key, q))
+        match = self.space.matcher(query)
+        normalize = self.space.validate_key
+        return sum(1 for key in self.keys if match(normalize(key)))

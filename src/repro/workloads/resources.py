@@ -85,5 +85,6 @@ class ResourceWorkload:
 
     def count_matching(self, query) -> int:
         """Oracle count of resources matching a query."""
-        q = self.space.as_query(query)
-        return sum(1 for key in self.keys if self.space.matches(key, q))
+        match = self.space.matcher(query)
+        normalize = self.space.validate_key
+        return sum(1 for key in self.keys if match(normalize(key)))

@@ -200,3 +200,136 @@ class TestMixedSpace:
         assert space.matches(key, query)
         assert space.region(query).contains_point(space.coordinates(key))
         assert not space.matches(("webserver", 512, "linux"), query)
+
+
+def mixed_space(bits=10):
+    """Word + linear numeric + log numeric + categorical, one of each."""
+    return KeywordSpace(
+        [
+            WordDimension("name"),
+            NumericDimension("memory", 0, 1024),
+            NumericDimension("bandwidth", 1, 4096, log_scale=True),
+            CategoricalDimension("os", ["linux", "windows", "mac"]),
+        ],
+        bits=bits,
+    )
+
+
+mixed_case_words = st.text(
+    alphabet="abcxyzABCXYZ", min_size=1, max_size=6
+)
+
+
+def numbers(low, high):
+    """In-domain values, as ints and as floats (both are publishable)."""
+    return st.one_of(
+        st.integers(min_value=low, max_value=high),
+        st.floats(min_value=low, max_value=high, allow_nan=False),
+    )
+
+
+def range_terms(low, high):
+    """Ranges with open ends and bounds beyond the dimension's domain."""
+    span = high - low
+    bound = st.one_of(
+        st.none(),
+        st.floats(min_value=low - span, max_value=high + span, allow_nan=False),
+    )
+    return st.tuples(bound, bound).map(
+        lambda ends: NumericRange(*ends)
+        if None in ends
+        else NumericRange(min(ends), max(ends))
+    )
+
+
+@st.composite
+def keys_and_queries(draw):
+    word = draw(mixed_case_words)
+    memory = draw(numbers(0, 1024))
+    bandwidth = draw(numbers(1, 4096))
+    os_name = draw(st.sampled_from(["linux", "windows", "mac"]))
+    # Terms are drawn near the key so that matches are common, not just
+    # possible: the key's own value in another case / another numeric type,
+    # one of its prefixes, or an unrelated constant.
+    word_term = draw(st.one_of(
+        st.just(Wildcard()),
+        st.sampled_from([Exact(word), Exact(word.swapcase())]),
+        st.integers(1, len(word)).map(lambda n: Prefix(word[:n].swapcase())),
+        mixed_case_words.map(Exact),
+        mixed_case_words.map(Prefix),
+    ))
+
+    def numeric_term(value, low, high):
+        return st.one_of(
+            st.just(Wildcard()),
+            st.sampled_from([Exact(value), Exact(float(value))]),
+            numbers(low, high).map(Exact),
+            range_terms(low, high),
+        )
+
+    os_term = draw(st.one_of(
+        st.just(Wildcard()),
+        st.sampled_from(["linux", "windows", "mac"]).map(Exact),
+    ))
+    query = Query((
+        word_term,
+        draw(numeric_term(memory, 0, 1024)),
+        draw(numeric_term(bandwidth, 1, 4096)),
+        os_term,
+    ))
+    return (word, memory, bandwidth, os_name), query
+
+
+class TestMatcher:
+    """matcher(q)(validate_key(k)) == matches(k, q): bound once, same answer."""
+
+    @given(keys_and_queries())
+    @settings(max_examples=500)
+    def test_agrees_with_reference(self, key_and_query):
+        space = mixed_space()
+        key, query = key_and_query
+        assert space.matcher(query)(space.validate_key(key)) == space.matches(key, query)
+
+    def test_text_ast_and_bound_forms_agree(self):
+        space = storage_space()
+        key = space.validate_key(("Computer", "network"))
+        text = "(comp*, network)"
+        for form in (text, space.as_query(text), space.bind(text),
+                     (Prefix("COMP"), Exact("Network"))):
+            assert space.matcher(form)(key)
+            assert not space.matcher(form)(("docs", "network"))
+
+    def test_all_wildcards_match_everything(self):
+        space = grid_space()
+        match = space.matcher("(*, *-*, -5-2000)")
+        assert match(space.validate_key((0, 1000, 100)))
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "(a, b, c, d, e)",  # wrong arity
+            Query((Wildcard(), Prefix("ab"), Wildcard(), Wildcard())),
+            Query((NumericRange(1.0, 2.0), Wildcard(), Wildcard(), Wildcard())),
+            Query((Wildcard(), Wildcard(), Wildcard(), Exact("beos"))),
+            Query((Wildcard(), Exact(4096), Wildcard(), Wildcard())),  # out of domain
+            Query((Exact("no digits 4"), Wildcard(), Wildcard(), Wildcard())),
+        ],
+    )
+    def test_raises_the_bind_time_errors_of_as_query(self, query):
+        space = mixed_space()
+        with pytest.raises((DimensionMismatchError, KeywordError)) as expected:
+            space.as_query(query)
+        with pytest.raises(type(expected.value)) as got:
+            space.matcher(query)
+        assert str(got.value) == str(expected.value)
+
+
+class TestBind:
+    def test_bound_query_carries_query_and_region(self):
+        space = storage_space()
+        bound = space.bind("(comp*, *)")
+        assert bound.query == space.as_query("(comp*, *)")
+        assert bound.region == space.region("(comp*, *)")
+        # Rebinding and re-checking a bound query are free.
+        assert space.bind(bound) is bound
+        assert space.as_query(bound) is bound.query
