@@ -2,7 +2,8 @@
 
 These are the paths the guides' profiling methodology identified as hot:
 bulk Hilbert indexing (vectorized NumPy), Chord routing, cluster
-resolution, and end-to-end query execution.  Unlike the figure benchmarks
+resolution, one engine-sized refinement step, and end-to-end query
+execution.  Unlike the figure benchmarks
 (single-shot regenerations), these run repeated rounds for stable timing.
 """
 
@@ -10,7 +11,15 @@ import numpy as np
 import pytest
 
 from repro import SquidSystem
-from repro.sfc import HilbertCurve, Region, resolve_clusters
+from repro.sfc import (
+    Cell,
+    Cluster,
+    HilbertCurve,
+    Region,
+    clusters_at_level,
+    refine_cluster,
+    resolve_clusters,
+)
 from repro.sfc.hilbert_vec import hilbert_encode_vec
 from repro.overlay.chord import ChordRing
 from repro.workloads.documents import DocumentWorkload
@@ -88,3 +97,59 @@ def test_bulk_publish_10k(benchmark, populated_system):
 
     count = benchmark.pedantic(publish, rounds=2, iterations=1)
     assert count == 10_000
+
+
+def _engine_sized_clusters(curve, region, level, n_cells, want=64):
+    """Clusters of exactly ``n_cells`` partial cells cut from a real level.
+
+    The boundary cells of ``region`` at ``level``, in curve order, chunked:
+    the shape a node refines per visit (1–10 cells) up to a whole small
+    level (64), each with a ``min_index`` just past its first index, as the
+    engine passes ``covered + 1``.
+    """
+    cells = [
+        piece
+        for cluster in clusters_at_level(curve, region, level)
+        for piece in cluster.pieces
+        if isinstance(piece, Cell)
+    ]
+    chunks = [
+        Cluster(level=level, pieces=tuple(cells[i : i + n_cells]))
+        for i in range(0, len(cells) - n_cells + 1, n_cells)
+    ][:want]
+    return [(chunk, chunk.min_index(curve) + 1) for chunk in chunks]
+
+
+@pytest.mark.parametrize("n_cells", [1, 8, 64])
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        (HilbertCurve(2, 16), Region.from_bounds([(1234, 51234), (20000, 61000)]), 9),
+        (HilbertCurve(3, 8), Region.from_bounds([(13, 201), (40, 230), (7, 180)]), 5),
+    ],
+    ids=["2d-order16", "3d-order8"],
+)
+def test_refine_step_engine_sized(benchmark, geometry, n_cells):
+    """One ``refine_cluster(..., min_index=…)`` step at engine batch sizes.
+
+    The full-resolution benchmark above never exercises this shape; it is
+    what ``sfc.refine_ms_per_query`` is made of.  Reports µs per expanded
+    cell (``extra_info``) — the unit of the crossover table in
+    ``docs/performance.md`` §2.
+    """
+    curve, region, level = geometry
+    work = _engine_sized_clusters(curve, region, level, n_cells)
+    assert work
+
+    def step():
+        produced = 0
+        for cluster, min_index in work:
+            produced += len(refine_cluster(curve, cluster, region, min_index=min_index))
+        return produced
+
+    produced = benchmark(step)
+    assert produced >= len(work)
+    if benchmark.stats is not None:  # absent under --benchmark-disable
+        per_cell = benchmark.stats.stats.min / (len(work) * n_cells)
+        benchmark.extra_info["us_per_cell"] = round(per_cell * 1e6, 2)
+        print(f"\nrefine step {curve.dims}-D x{n_cells}: {per_cell * 1e6:.2f} us/cell")

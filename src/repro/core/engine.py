@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
+from operator import itemgetter
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -827,30 +828,31 @@ class OptimizedEngine(QueryEngine):
         curve = system.curve
         overlay = system.overlay
 
-        def route_key(cluster: Cluster) -> int:
-            return max(cluster.min_index(curve), floor)
-
         def child_span(dest: int, cluster: Cluster) -> int:
             if trace is None:
                 return 0
             return trace.new_span(parent_span, dest, cluster.level)
 
-        ordered = sorted(clusters, key=route_key)
-        groups: dict[int, tuple[int, list[Cluster]]] = {}
-        for cluster in ordered:
-            key = route_key(cluster)
-            dest = overlay.owner(key)
+        # Each cluster's routing key is computed once and carried, as a
+        # (key, cluster) pair, through the sort, the grouping and the
+        # posted work entry.  The sort is stable on the key alone.
+        keyed = [(max(c.min_index(curve), floor), c) for c in clusters]
+        keyed.sort(key=itemgetter(0))
+        groups: dict[int, list[tuple[int, Cluster]]] = {}
+        for pair in keyed:
+            dest = overlay.owner(pair[0])
             if dest in groups:
-                groups[dest][1].append(cluster)
+                groups[dest].append(pair)
             else:
-                groups[dest] = (key, [cluster])
-        multiple = len(ordered) > 1
-        for dest, (first_key, group) in groups.items():
+                groups[dest] = [pair]
+        multiple = len(keyed) > 1
+        for dest, group in groups.items():
+            first_key = group[0][0]
             if dest == sender_id:
                 # Remainder that stays local (wrapped first node): no message.
-                for cluster in group:
+                for key, cluster in group:
                     work.append(
-                        (dest, cluster, route_key(cluster), now,
+                        (dest, cluster, key, now,
                          child_span(dest, cluster), dest, None, sender_id)
                     )
                 continue
@@ -858,13 +860,12 @@ class OptimizedEngine(QueryEngine):
                 if self.aggregate:
                     self._dispatch_group_resilient(
                         system, stats, sender_id, dest, first_key, group,
-                        work, route_key, now, multiple, trace, parent_span,
-                        unresolved,
+                        work, now, multiple, trace, parent_span, unresolved,
                     )
                 else:
                     self._dispatch_singles_resilient(
                         system, stats, sender_id, dest, group, work,
-                        route_key, now, trace, parent_span, unresolved,
+                        now, trace, parent_span, unresolved,
                     )
                 continue
             if self.aggregate:
@@ -879,7 +880,7 @@ class OptimizedEngine(QueryEngine):
                 # The probe carries the first cluster; batched siblings wait
                 # one sender<->dest round trip (reply + batch).
                 batch_arrival = probe_arrival + 2 * self._pair_latency(sender_id, dest)
-                for i, cluster in enumerate(group):
+                for i, (key, cluster) in enumerate(group):
                     arrival = probe_arrival if i == 0 else batch_arrival
                     span = child_span(dest, cluster)
                     if trace is not None and i == 0:
@@ -891,7 +892,7 @@ class OptimizedEngine(QueryEngine):
                             ),
                         )
                     work.append(
-                        (dest, cluster, route_key(cluster), arrival, span,
+                        (dest, cluster, key, arrival, span,
                          dest, None, sender_id)
                     )
                 if trace is not None:
@@ -909,8 +910,8 @@ class OptimizedEngine(QueryEngine):
                             parent_span, Aggregated(sender_id, dest, len(group))
                         )
             else:
-                for cluster in group:
-                    route = overlay.route(sender_id, route_key(cluster))
+                for key, cluster in group:
+                    route = overlay.route(sender_id, key)
                     stats.record_path(route.path)
                     span = child_span(dest, cluster)
                     if trace is not None:
@@ -922,7 +923,7 @@ class OptimizedEngine(QueryEngine):
                             ),
                         )
                     work.append(
-                        (dest, cluster, route_key(cluster),
+                        (dest, cluster, key,
                          now + self._path_latency(route.path), span,
                          dest, None, sender_id)
                     )
@@ -932,7 +933,7 @@ class OptimizedEngine(QueryEngine):
     # ------------------------------------------------------------------
     def _dispatch_group_resilient(
         self, system, stats, sender_id, dest, first_key, group, work,
-        route_key, now, multiple, trace, parent_span, unresolved,
+        now, multiple, trace, parent_span, unresolved,
     ) -> None:
         """Aggregated dispatch of one destination group through the plane.
 
@@ -952,7 +953,7 @@ class OptimizedEngine(QueryEngine):
             system, stats, sender_id, dest, first_key, trace, parent_span
         )
         if delivery is None:
-            for i, cluster in enumerate(group):
+            for i, (key, cluster) in enumerate(group):
                 span = (
                     trace.new_span(parent_span, dest, cluster.level)
                     if trace is not None else 0
@@ -964,7 +965,7 @@ class OptimizedEngine(QueryEngine):
                                     hops=probe_hops, path=probe.path),
                     )
                 self._record_lost(
-                    curve, cluster, route_key(cluster), unresolved, stats,
+                    curve, cluster, key, unresolved, stats,
                     trace, span, dest,
                 )
             return
@@ -988,7 +989,7 @@ class OptimizedEngine(QueryEngine):
             + 2 * self._pair_latency(sender_id, processor)
             + batch_penalty
         )
-        for i, cluster in enumerate(group):
+        for i, (key, cluster) in enumerate(group):
             # Siblings ride the batch message, which is faulted independently
             # of the probe: when the destination crashed mid-batch the
             # redelivery re-resolved to a new owner, and the sibling spans
@@ -1006,17 +1007,17 @@ class OptimizedEngine(QueryEngine):
                 )
             if i == 0:
                 work.append(
-                    (processor, cluster, route_key(cluster), probe_arrival,
+                    (processor, cluster, key, probe_arrival,
                      span, covered, replica_of, sender_id)
                 )
             elif batch is None:
                 self._record_lost(
-                    curve, cluster, route_key(cluster), unresolved, stats,
+                    curve, cluster, key, unresolved, stats,
                     trace, span, processor,
                 )
             else:
                 work.append(
-                    (batch[0], cluster, route_key(cluster), batch_arrival,
+                    (batch[0], cluster, key, batch_arrival,
                      span, batch[1], batch[2], sender_id)
                 )
         if trace is not None:
@@ -1033,15 +1034,14 @@ class OptimizedEngine(QueryEngine):
                 )
 
     def _dispatch_singles_resilient(
-        self, system, stats, sender_id, dest, group, work, route_key, now,
+        self, system, stats, sender_id, dest, group, work, now,
         trace, parent_span, unresolved,
     ) -> None:
         """Unaggregated dispatch through the plane: one routed message per
         cluster, each retried/failed-over independently."""
         curve = system.curve
         overlay = system.overlay
-        for cluster in group:
-            key = route_key(cluster)
+        for key, cluster in group:
             route = overlay.route(sender_id, key)
             stats.record_path(route.path)
             delivery = self._deliver_resilient(

@@ -13,8 +13,8 @@ polling discovery loops) can skip cluster generation entirely.
 (:meth:`~repro.sfc.regions.Region.canonical_key`, order-insensitive over the
 region's boxes), the curve identity, and the engine parameters that shape
 the plan (``local_depth`` for the optimized engine, ``max_level`` for the
-naive one).  Values are the engines' own plan objects — tuples of frozen
-:class:`~repro.sfc.clusters.Cluster` dataclasses or resolved index ranges —
+naive one).  Values are the engines' own plan objects — tuples of immutable
+:class:`~repro.sfc.clusters.Cluster` values or resolved index ranges —
 so sharing a cached plan across queries is safe by construction.
 
 Because plans are pure functions of their key, **no invalidation is ever

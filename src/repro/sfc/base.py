@@ -69,9 +69,9 @@ class SpaceFillingCurve(ABC):
         """True when every curve index fits a NumPy ``int64``.
 
         This is the single gate shared by all vectorized fast paths
-        (bulk encode/decode and the refinement kernel of
+        (bulk encode/decode and the array-resident resolver of
         :mod:`repro.sfc.refine_vec`); wider curves fall back to the exact
-        scalar implementations on Python ints.
+        implementations on Python ints.
         """
         return self.index_bits <= 63
 

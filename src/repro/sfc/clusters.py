@@ -28,10 +28,10 @@ cluster semantics (maximal contiguous intersecting runs) are unchanged.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
-
+from functools import cache
+from operator import add
 from time import perf_counter
+from typing import Iterator, NamedTuple, Union
 
 from repro.errors import SFCError
 from repro.obs import metrics as obs_metrics
@@ -54,22 +54,22 @@ __all__ = [
     "vectorized_refinement",
 ]
 
-#: Process-wide switch for the NumPy refinement kernel.  On by default;
-#: the scalar path still applies per call whenever a curve's indices do
-#: not fit ``int64`` or a batch is too small to amortize array overhead.
+#: Process-wide switch for the array-resident resolver
+#: (:func:`repro.sfc.refine_vec.resolve_ranges_vec`).  On by default; the
+#: level-by-level resolver still applies whenever a curve's indices do not
+#: fit ``int64``.  One-step refinement (:func:`refine_cluster`,
+#: :func:`refine_level`) has a single kernel and ignores the switch.
 _VEC_ENABLED = True
-
-#: Minimum partial cells in a batch before the vectorized kernel pays off
-#: (below this, NumPy call overhead exceeds the per-child Python cost).
-_VEC_MIN_CELLS = 8
 
 
 def set_vectorized_refinement(enabled: bool) -> bool:
-    """Enable/disable the vectorized refinement kernel; returns the old value.
+    """Enable/disable the array-resident resolver; returns the old value.
 
-    Used by the benchmark harness to measure the scalar baseline; normal
-    callers never need this (the kernel is exact — property-tested
-    equivalent to the scalar path — and falls back automatically).
+    Gates only :func:`resolve_clusters`' use of
+    :func:`~repro.sfc.refine_vec.resolve_ranges_vec`.  Used by the benchmark
+    harness to measure the level-by-level baseline; normal callers never
+    need this (the resolver is exact — property-tested equivalent — and
+    falls back automatically for wide curves).
     """
     global _VEC_ENABLED
     previous = _VEC_ENABLED
@@ -79,7 +79,7 @@ def set_vectorized_refinement(enabled: bool) -> bool:
 
 @contextmanager
 def vectorized_refinement(enabled: bool) -> Iterator[None]:
-    """Scope with the vectorized kernel forced on/off; restores on exit."""
+    """Scope with the array-resident resolver forced on/off; restores on exit."""
     previous = set_vectorized_refinement(enabled)
     try:
         yield
@@ -87,8 +87,12 @@ def vectorized_refinement(enabled: bool) -> Iterator[None]:
         set_vectorized_refinement(previous)
 
 
-@dataclass(frozen=True)
-class Cell:
+#: The kernel builds its (already valid) outputs without the Python-level
+#: ``__new__`` of the value types: ``_new(FullRange, (low, high))``.
+_new = tuple.__new__
+
+
+class Cell(NamedTuple):
     """A level-``level`` subcube that partially intersects the query region.
 
     ``prefix`` holds the cell's ``level * dims`` leading index bits (the
@@ -112,23 +116,28 @@ class Cell:
         return lows, highs
 
 
-@dataclass(frozen=True)
-class FullRange:
-    """An inclusive index interval fully contained in the query region."""
-
+# ``typing.NamedTuple`` forbids overriding ``__new__`` in the class body, so
+# the validating constructor lives on a subclass of the bare field tuple.
+class _FullRangeFields(NamedTuple):
     low: int
     high: int
 
-    def __post_init__(self) -> None:
-        if self.low > self.high:
-            raise ValueError(f"empty range [{self.low}, {self.high}]")
+
+class FullRange(_FullRangeFields):
+    """An inclusive index interval fully contained in the query region."""
+
+    __slots__ = ()
+
+    def __new__(cls, low: int, high: int) -> "FullRange":
+        if low > high:
+            raise ValueError(f"empty range [{low}, {high}]")
+        return _new(cls, (low, high))
 
 
 Piece = Union[Cell, FullRange]
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """A maximal contiguous curve segment intersecting the query region.
 
     ``pieces`` are ordered by curve index and gap-free: each piece starts at
@@ -148,13 +157,13 @@ class Cluster:
         first = self.pieces[0]
         if isinstance(first, FullRange):
             return first.low
-        return first.index_range(curve)[0]
+        return first.prefix << ((curve.order - first.level) * curve.dims)
 
     def max_index(self, curve: SpaceFillingCurve) -> int:
         last = self.pieces[-1]
         if isinstance(last, FullRange):
             return last.high
-        return last.index_range(curve)[1]
+        return ((last.prefix + 1) << ((curve.order - last.level) * curve.dims)) - 1
 
     def identifier(self, curve: SpaceFillingCurve) -> int:
         """Routing identifier: the digital-causality prefix padded with zeros.
@@ -227,101 +236,157 @@ def refine_cluster(
 
     This is the hot refinement path; when a profiler is enabled
     (:func:`repro.obs.profile.enable_profiling`) each call is timed under
-    the ``sfc.refine`` phase.  Clusters carrying enough partial cells are
-    expanded by the NumPy kernel (:mod:`repro.sfc.refine_vec`) when the
-    curve's indices fit ``int64``; the result is identical either way.
+    the ``sfc.refine`` phase.
     """
+    reg = obs_metrics.active()
+    if reg is not None:
+        reg.counter("sfc.refine.scalar_cells").inc(cluster.cell_count())
     prof = obs_profile._PROFILER
     if prof is None:
-        return _refine_dispatch(curve, cluster, region, min_index)
+        return _refine(curve, cluster, region, min_index)
     start = perf_counter()
     try:
-        return _refine_dispatch(curve, cluster, region, min_index)
+        return _refine(curve, cluster, region, min_index)
     finally:
         prof.record("sfc.refine", perf_counter() - start)
 
 
-def _refine_dispatch(
+@cache
+def _label_tables(
+    dims: int,
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """Per-dimensionality tables over the ``2**dims`` child labels.
+
+    ``halves[j]`` is a pair of bitmasks over labels (bit ``label`` set)
+    selecting the children in the lower / upper half of dimension ``j``;
+    ``bits[label]`` is the label's per-dimension bit tuple.
+    """
+    labels = range(1 << dims)
+    every = (1 << (1 << dims)) - 1
+    halves = []
+    for j in range(dims):
+        upper = sum(1 << label for label in labels if (label >> j) & 1)
+        halves.append((every ^ upper, upper))
+    bits = tuple(tuple((label >> j) & 1 for j in range(dims)) for label in labels)
+    return tuple(halves), bits
+
+
+def _refine(
     curve: SpaceFillingCurve,
     cluster: Cluster,
     region: Region,
-    min_index: int = 0,
+    min_index: int,
 ) -> list[Cluster]:
-    """Route one cluster to the vectorized or scalar refinement path."""
-    if _VEC_ENABLED and curve.fits_int64:
-        n_cells = cluster.cell_count()
-        if n_cells >= _VEC_MIN_CELLS:
-            from repro.sfc.refine_vec import refine_clusters_vec
+    """The refinement kernel: plain integers, one pass, output built in place.
 
-            return refine_clusters_vec(curve, [cluster], region, min_index)[0]
-    reg = obs_metrics.active()
-    if reg is not None:
-        reg.counter("sfc.refine.scalar_cells").inc(cluster.cell_count())
-    return _refine_cluster(curve, cluster, region, min_index)
+    Per partial cell the region test is done once per *dimension*, not per
+    child: each box contributes two bitmasks over the ``2**dims`` child
+    labels (children it overlaps, children it contains), assembled from the
+    relation of the cell's lower and upper half to the box's interval in
+    every dimension.  A child's containment is then two bit tests.
+    """
+    dims = curve.dims
+    next_level = cluster.level + 1
+    # Coordinate / index bits below the child level.  Negative only for a
+    # cluster at the maximum order, which may hold FullRanges but no Cell.
+    shift = curve.order - next_level
+    span_bits = max(shift, 0) * dims
+    span_mask = (1 << span_bits) - 1
+    half = 1 << max(shift, 0)
+    n_children = 1 << dims
+    children = curve.children
+    halves, label_bits = _label_tables(dims)
+    boxes = region.box_bounds
 
-
-def _refine_cluster(
-    curve: SpaceFillingCurve,
-    cluster: Cluster,
-    region: Region,
-    min_index: int = 0,
-) -> list[Cluster]:
     runs: list[Cluster] = []
     current: list[Piece] = []
-    next_level = cluster.level + 1
-
-    def append_piece(piece: Piece) -> None:
-        # Coalesce adjacent FullRanges to keep piece lists short.
-        if current and isinstance(piece, FullRange) and isinstance(current[-1], FullRange):
-            last = current[-1]
-            if last.high + 1 == piece.low:
-                current[-1] = FullRange(last.low, piece.high)
-                return
-        current.append(piece)
+    append = current.append
 
     def flush() -> None:
+        runs.append(_new(Cluster, (next_level, tuple(current))))
+        current.clear()
+
+    def append_full(low: int, high: int) -> None:
+        # Coalesce adjacent FullRanges to keep piece lists short.
         if current:
-            runs.append(Cluster(level=next_level, pieces=tuple(current)))
-            current.clear()
+            last = current[-1]
+            if isinstance(last, FullRange) and last[1] + 1 == low:
+                current[-1] = _new(FullRange, (last[0], high))
+                return
+        append(_new(FullRange, (low, high)))
 
     for piece in cluster.pieces:
         if isinstance(piece, FullRange):
-            if piece.high < min_index:
-                flush()
-                continue
-            low = max(piece.low, min_index)
-            append_piece(FullRange(low, piece.high))
-            continue
-        # Partial cell: expand children in curve order.
-        if piece.level >= curve.order:
-            raise SFCError("cannot refine a cell at maximum order")
-        cell_range_span = curve.order - next_level
-        for rank, (label, child_state) in enumerate(curve.children(piece.state)):
-            child_coords = tuple(
-                (piece.coords[j] << 1) | ((label >> j) & 1) for j in range(curve.dims)
-            )
-            child_prefix = (piece.prefix << curve.dims) | rank
-            child_low, child_high = curve.index_range_of_cell(next_level, child_prefix)
-            if child_high < min_index:
-                flush()
-                continue
-            span = 1 << cell_range_span
-            lows = tuple(c * span for c in child_coords)
-            highs = tuple(c * span + span - 1 for c in child_coords)
-            relation = region.classify_cell(lows, highs)
-            if relation is Containment.DISJOINT:
-                flush()
-            elif relation is Containment.FULL:
-                append_piece(FullRange(max(child_low, min_index), child_high))
+            low, high = piece
+            if high < min_index:
+                if current:
+                    flush()
             else:
-                child = Cell(
-                    level=next_level,
-                    prefix=child_prefix,
-                    coords=child_coords,
-                    state=child_state,
+                append_full(low if low > min_index else min_index, high)
+            continue
+        if shift < 0:
+            raise SFCError("cannot refine a cell at maximum order")
+        _, prefix, coords, state = piece
+        base = prefix << dims
+        first = 0
+        cell_low = base << span_bits
+        if min_index > cell_low:
+            # Children entirely below the window split the run; they are a
+            # rank prefix, so skip them before touching any geometry.
+            first = (min_index - cell_low) >> span_bits
+            if first:
+                if current:
+                    flush()
+                if first >= n_children:
+                    continue
+        overlap = full = 0
+        for box in boxes:
+            box_overlap = box_full = -1
+            for c, (box_low, box_high), (lower_j, upper_j) in zip(coords, box, halves):
+                # The cell spans [lo, hi] on this axis; its upper half starts at mid.
+                mid = ((c << 1) | 1) << shift
+                lo = mid - half
+                hi = mid + half - 1
+                axis_overlap = axis_full = 0
+                if box_low < mid and lo <= box_high:
+                    axis_overlap = lower_j
+                    if box_low <= lo and mid - 1 <= box_high:
+                        axis_full = lower_j
+                if mid <= box_high and box_low <= hi:
+                    axis_overlap |= upper_j
+                    if box_low <= mid and hi <= box_high:
+                        axis_full |= upper_j
+                if not axis_overlap:
+                    break  # the box misses the cell on this axis
+                box_overlap &= axis_overlap
+                box_full &= axis_full
+            else:
+                overlap |= box_overlap
+                full |= box_full
+        doubled = tuple(map(add, coords, coords))
+        for rank, (label, child_state) in enumerate(children(state)[first:], first):
+            if (full >> label) & 1:
+                child_low = (base | rank) << span_bits
+                append_full(
+                    child_low if child_low > min_index else min_index,
+                    child_low | span_mask,
                 )
-                append_piece(child)
-    flush()
+            elif (overlap >> label) & 1:
+                append(
+                    _new(
+                        Cell,
+                        (
+                            next_level,
+                            base | rank,
+                            tuple(map(add, doubled, label_bits[label])),
+                            child_state,
+                        ),
+                    )
+                )
+            elif current:
+                flush()
+    if current:
+        flush()
     return runs
 
 
@@ -332,59 +397,33 @@ def refine_level(
     min_index: int = 0,
     bump_resolved: bool = True,
 ) -> list[Cluster]:
-    """One refinement step across a whole level's clusters at once.
+    """One refinement step across a whole level's clusters.
 
-    The batched entry point of the vectorized kernel: all partial cells of
-    all ``clusters`` are expanded in a single set of array operations, so
-    per-call NumPy overhead amortizes over the level instead of over one
-    cluster.  Resolved clusters (pure index ranges) need no geometry; with
+    Resolved clusters (pure index ranges) need no geometry; with
     ``bump_resolved`` they are carried to the next level unchanged (the
     identity refinement used by the level-by-level drivers), otherwise
     they pass through as-is (the engine's local expansion semantics).
 
-    Equivalent to calling :func:`refine_cluster` per cluster, in order.
+    Equivalent to calling :func:`refine_cluster` per unresolved cluster, in
+    order, but timed as one ``sfc.refine`` phase per batch.
     """
-    unresolved = [c for c in clusters if not c.is_resolved]
-    use_vec = (
-        _VEC_ENABLED
-        and curve.fits_int64
-        and unresolved
-        and sum(c.cell_count() for c in unresolved) >= _VEC_MIN_CELLS
-    )
-    if use_vec:
-        from repro.sfc.refine_vec import refine_clusters_vec
-
-        prof = obs_profile._PROFILER
-        if prof is None:
-            refined = refine_clusters_vec(curve, unresolved, region, min_index)
-        else:
-            start = perf_counter()
-            try:
-                refined = refine_clusters_vec(curve, unresolved, region, min_index)
-            finally:
-                prof.record("sfc.refine", perf_counter() - start)
-        refined_iter = iter(refined)
-        out: list[Cluster] = []
-        for cluster in clusters:
-            if cluster.is_resolved:
-                out.append(
-                    Cluster(level=cluster.level + 1, pieces=cluster.pieces)
-                    if bump_resolved
-                    else cluster
-                )
-            else:
-                out.extend(next(refined_iter))
-        return out
-    out = []
+    reg = obs_metrics.active()
+    if reg is not None:
+        reg.counter("sfc.refine.scalar_cells").inc(
+            sum(c.cell_count() for c in clusters)
+        )
+    prof = obs_profile._PROFILER
+    start = perf_counter() if prof is not None else 0.0
+    out: list[Cluster] = []
     for cluster in clusters:
-        if cluster.is_resolved:
-            out.append(
-                Cluster(level=cluster.level + 1, pieces=cluster.pieces)
-                if bump_resolved
-                else cluster
-            )
+        if not cluster.is_resolved:
+            out.extend(_refine(curve, cluster, region, min_index))
+        elif bump_resolved:
+            out.append(Cluster(level=cluster.level + 1, pieces=cluster.pieces))
         else:
-            out.extend(refine_cluster(curve, cluster, region, min_index=min_index))
+            out.append(cluster)
+    if prof is not None:
+        prof.record("sfc.refine", perf_counter() - start)
     return out
 
 

@@ -25,8 +25,8 @@ shell — while staying a recursive, prefix-causal curve behind the
   ``1 + trailing_set_bits(r)`` so successive peels rotate through all axes.
 
 The state space is finite (at most ``2**dims · dims`` reachable states), so
-the generic transition-table machinery (``refine_vec.CurveTable``) and both
-query engines work unchanged.  Measured with ``sfc/analysis.py``, the
+the refinement kernel, the dense transition table of the array-resident
+resolver (``refine_vec.CurveTable``) and both query engines work unchanged.  Measured with ``sfc/analysis.py``, the
 adaptation's mean cluster count sits strictly between Hilbert and Gray in
 2-D and beats Gray in 3-D — the ablation ordering asserted by the tests is
 ``hilbert <= onion <= zorder``.

@@ -1,16 +1,14 @@
-"""NumPy-vectorized cluster refinement — the query hot path, batched.
+"""Array-resident cluster resolution in NumPy.
 
-The scalar refinement (:func:`repro.sfc.clusters.refine_cluster`) visits
-each partial cell's ``2**d`` children one at a time: a transition-table
-lookup, a coordinate assembly, and a region classification per child, all
-in pure Python.  For broad queries (wildcards, ranges) a refinement level
-carries hundreds to thousands of boundary cells, so the per-child Python
-overhead dominates query cost — exactly the term the paper's analysis says
-should be bounded by the region's *boundary*, not by interpreter overhead.
+One-step refinement — what a node does per visit, on a handful of cells —
+is the pure-Python-int kernel of :func:`repro.sfc.clusters.refine_cluster`:
+at that size, building the output ``Cell`` / ``FullRange`` objects bounds
+the cost and arrays cannot help.  *Full resolution* is different: only the
+final index ranges are needed, so the whole frontier of partial cells can
+stay in arrays from the root to the leaves.  :func:`resolve_ranges_vec`
+does exactly that:
 
-This module expands **all partial cells of a refinement level at once**:
-
-* child labels and successor states for the whole batch come from an
+* child labels and successor states for the whole frontier come from an
   integer-indexed transition table (:class:`CurveTable`) built once per
   curve by BFS over :meth:`~repro.sfc.base.SpaceFillingCurve.children`
   (for the Hilbert curve this is the ``(entry, direction)`` state machine;
@@ -19,17 +17,14 @@ This module expands **all partial cells of a refinement level at once**:
   arithmetic;
 * region containment is classified for every child in one call
   (:meth:`~repro.sfc.regions.Region.classify_cells`);
-* consecutive fully-contained children are run-length compressed in
-  NumPy, so the Python reassembly creates one :class:`FullRange` per
-  *run* instead of one per child (interior-heavy queries see most of
-  their children collapse this way).
+* fully-contained children accumulate as raw index intervals and only the
+  final sorted, merged range list surfaces as Python objects.
 
-The final reassembly replays the scalar control flow event-by-event, so
-the result is **identical** to the scalar path — the same run splitting,
-``min_index`` clipping, and FullRange coalescing, property-tested in
-``tests/sfc/test_refine_vec.py``.  The kernel requires curve indices that
-fit in ``int64`` (``index_bits <= 63``); callers fall back to the scalar
-path otherwise (see :func:`repro.sfc.clusters.refine_level`).
+The result is **identical** to resolving level by level with the kernel
+(property-tested in ``tests/sfc/test_refine_vec.py``).  It requires curve
+indices that fit in ``int64`` (``index_bits <= 63``);
+:func:`repro.sfc.clusters.resolve_clusters` falls back to the kernel
+otherwise.
 """
 
 from __future__ import annotations
@@ -44,22 +39,14 @@ from repro.errors import SFCError
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.sfc.base import CurveState, SpaceFillingCurve
-from repro.sfc.clusters import Cell, Cluster, FullRange, Piece
 from repro.sfc.regions import Region
 
 __all__ = [
     "CurveTable",
     "curve_table",
-    "refine_clusters_vec",
     "resolve_ranges_vec",
     "supports_vectorized",
 ]
-
-# Per-child event kinds produced by the compression stage (rank order):
-_SKIP = 0  # covered by a preceding run (full) or flush (disjoint) event
-_PARTIAL = 1  # child partially intersects: emit a Cell piece
-_FULL_RUN = 2  # first child of a maximal fully-contained run: emit one FullRange
-_FLUSH = 3  # first child of a disjoint/clipped run: split the cluster here
 
 
 class CurveTable:
@@ -113,58 +100,8 @@ def curve_table(curve: SpaceFillingCurve) -> CurveTable:
 
 
 def supports_vectorized(curve: SpaceFillingCurve) -> bool:
-    """True when the vectorized kernel applies (indices fit in ``int64``)."""
+    """True when the array-resident resolver applies (indices fit ``int64``)."""
     return curve.fits_int64
-
-
-def refine_clusters_vec(
-    curve: SpaceFillingCurve,
-    clusters: list[Cluster],
-    region: Region,
-    min_index: int = 0,
-) -> list[list[Cluster]]:
-    """One refinement step for a batch of clusters, vectorized.
-
-    All partial cells across all ``clusters`` are expanded in one set of
-    array operations; the per-cluster outputs (list of refined clusters,
-    exactly what :func:`~repro.sfc.clusters.refine_cluster` returns) come
-    back positionally.  Clusters may sit at different levels; cells are
-    batched per level internally.  Requires ``curve.fits_int64``.
-
-    When a profiler is active the array stage is timed under the
-    ``sfc.refine_vec`` phase (the surrounding ``sfc.refine`` phase, if
-    any, is recorded by the caller).
-    """
-    if not supports_vectorized(curve):
-        raise SFCError("vectorized refinement requires index_bits <= 63")
-    # Gather every partial cell, remembering its position in the batch.
-    cells: list[Cell] = []
-    levels: set[int] = set()
-    for cluster in clusters:
-        for piece in cluster.pieces:
-            if isinstance(piece, Cell):
-                if piece.level >= curve.order:
-                    raise SFCError("cannot refine a cell at maximum order")
-                cells.append(piece)
-                levels.add(piece.level)
-    if not cells:
-        # Pure-FullRange clusters: only clipping/splitting work remains.
-        return [_rebuild(curve, cluster, min_index, {}) for cluster in clusters]
-
-    prof = obs_profile._PROFILER
-    start = perf_counter() if prof is not None else 0.0
-    per_cell: dict[int, _CellEvents] = {}
-    for level in levels:
-        batch = [c for c in cells if c.level == level]
-        _expand_level(curve, batch, region, level, min_index, per_cell)
-    if prof is not None:
-        prof.record("sfc.refine_vec", perf_counter() - start)
-    reg = obs_metrics.active()
-    if reg is not None:
-        reg.counter("sfc.refine.vec_calls").inc()
-        reg.counter("sfc.refine.vec_cells").inc(len(cells))
-
-    return [_rebuild(curve, cluster, min_index, per_cell) for cluster in clusters]
 
 
 def resolve_ranges_vec(
@@ -183,6 +120,9 @@ def resolve_ranges_vec(
     (the maximal disjoint decomposition of the region's curve image is
     unique); ``max_level`` caps refinement the same way, counting the
     still-partial frontier cells at their full index spans.
+
+    When a profiler is active the array stage is timed under the
+    ``sfc.refine_vec`` phase.
     """
     if not supports_vectorized(curve):
         raise SFCError("vectorized resolution requires index_bits <= 63")
@@ -265,162 +205,3 @@ def resolve_ranges_vec(
     start_pos = np.flatnonzero(starts)
     end_pos = np.append(start_pos[1:] - 1, lows.size - 1)
     return list(zip(lows[start_pos].tolist(), highs[end_pos].tolist()))
-
-
-class _CellEvents:
-    """Compressed per-cell expansion: one entry per event, not per child."""
-
-    __slots__ = ("kinds", "lows", "run_highs", "row", "coords", "next_ids", "table")
-
-    def __init__(self, kinds, lows, run_highs, row, coords, next_ids, table):
-        self.kinds = kinds  # (C,) event-kind list
-        self.lows = lows  # (C,) child low-index list
-        self.run_highs = run_highs  # (C,) high of the run starting here
-        self.row = row  # row index into the level's coordinate arrays
-        self.coords = coords  # (n, C, d) child coordinates (lazy reads)
-        self.next_ids = next_ids  # (n, C) child state ids (lazy reads)
-        self.table = table
-
-
-def _expand_level(
-    curve: SpaceFillingCurve,
-    batch: list[Cell],
-    region: Region,
-    level: int,
-    min_index: int,
-    per_cell: dict[int, "_CellEvents"],
-) -> None:
-    """Expand all level-``level`` cells of the batch with array arithmetic."""
-    table = curve_table(curve)
-    dims = curve.dims
-    n_children = 1 << dims
-    next_level = level + 1
-    shift = curve.order - next_level  # coordinate bits below the child level
-    span_bits = shift * dims
-
-    n = len(batch)
-    state_ids = np.fromiter(
-        (table.ids[c.state] for c in batch), dtype=np.int64, count=n
-    )
-    coords = np.asarray([c.coords for c in batch], dtype=np.int64)  # (n, d)
-    prefixes = np.fromiter((c.prefix for c in batch), dtype=np.int64, count=n)
-
-    labels = table.labels[state_ids]  # (n, C)
-    next_ids = table.next_ids[state_ids]  # (n, C)
-    # bit j of each child label, broadcast per dimension -> (n, C, d)
-    bits = (labels[:, :, None] >> np.arange(dims, dtype=np.int64)) & 1
-    child_coords = (coords[:, None, :] << 1) | bits  # (n, C, d)
-    ranks = np.arange(n_children, dtype=np.int64)
-    child_lows = (prefixes[:, None] << dims | ranks) << span_bits  # (n, C)
-    child_highs = child_lows + ((1 << span_bits) - 1)
-
-    cell_lows = child_coords << shift
-    cell_highs = cell_lows + ((1 << shift) - 1)
-    codes = region.classify_cells(
-        cell_lows.reshape(-1, dims), cell_highs.reshape(-1, dims)
-    ).reshape(n, n_children)
-    if min_index > 0:
-        # A child entirely below the window flushes, exactly like DISJOINT.
-        codes[child_highs < min_index] = 0
-
-    # Run-length compress: consecutive FULL children collapse to one
-    # FullRange event; consecutive flushes to one split event (flushing an
-    # empty run is a no-op, so only the first of a run matters).
-    full = codes == 2
-    zero = codes == 0
-    kinds = (codes == 1).astype(np.int8)  # PARTIAL events stay per child
-    kinds[full] = _SKIP
-    kinds[zero] = _SKIP
-    run_start = full.copy()
-    run_start[:, 1:] &= ~full[:, :-1]
-    kinds[run_start] = _FULL_RUN
-    flush_start = zero.copy()
-    flush_start[:, 1:] &= ~zero[:, :-1]
-    kinds[flush_start] = _FLUSH
-    run_end = full.copy()
-    run_end[:, :-1] &= ~full[:, 1:]
-    # Pair each run's start with its end (runs never span rows, so the
-    # flattened nonzero positions line up 1:1 in order).
-    run_highs = np.zeros_like(child_highs)
-    starts_flat = np.flatnonzero(run_start.ravel())
-    ends_flat = np.flatnonzero(run_end.ravel())
-    run_highs.ravel()[starts_flat] = child_highs.ravel()[ends_flat]
-
-    kinds_l = kinds.tolist()
-    lows_l = child_lows.tolist()
-    highs_l = run_highs.tolist()
-    for i, cell in enumerate(batch):
-        per_cell[id(cell)] = _CellEvents(
-            kinds=kinds_l[i],
-            lows=lows_l[i],
-            run_highs=highs_l[i],
-            row=i,
-            coords=child_coords,
-            next_ids=next_ids,
-            table=table,
-        )
-
-
-def _rebuild(
-    curve: SpaceFillingCurve,
-    cluster: Cluster,
-    min_index: int,
-    per_cell: dict[int, _CellEvents],
-) -> list[Cluster]:
-    """Reassemble one cluster's refinement from the compressed events.
-
-    This pass replays the exact control flow of the scalar
-    ``_refine_cluster``: runs split on disjoint children and on pieces
-    clipped away by ``min_index``; adjacent FullRanges coalesce.
-    """
-    runs: list[Cluster] = []
-    current: list[Piece] = []
-    next_level = cluster.level + 1
-    dims = curve.dims
-
-    def append_full(low: int, high: int) -> None:
-        if current:
-            last = current[-1]
-            if isinstance(last, FullRange) and last.high + 1 == low:
-                current[-1] = FullRange(last.low, high)
-                return
-        current.append(FullRange(low, high))
-
-    def flush() -> None:
-        if current:
-            runs.append(Cluster(level=next_level, pieces=tuple(current)))
-            current.clear()
-
-    for piece in cluster.pieces:
-        if isinstance(piece, FullRange):
-            if piece.high < min_index:
-                flush()
-                continue
-            append_full(max(piece.low, min_index), piece.high)
-            continue
-        events = per_cell[id(piece)]
-        kinds = events.kinds
-        lows = events.lows
-        base_prefix = piece.prefix << dims
-        for rank, kind in enumerate(kinds):
-            if kind == _SKIP:
-                continue
-            if kind == _FULL_RUN:
-                append_full(max(lows[rank], min_index), events.run_highs[rank])
-            elif kind == _FLUSH:
-                flush()
-            else:  # _PARTIAL
-                current.append(
-                    Cell(
-                        level=next_level,
-                        prefix=base_prefix | rank,
-                        coords=tuple(
-                            int(c) for c in events.coords[events.row, rank]
-                        ),
-                        state=events.table.states[
-                            int(events.next_ids[events.row, rank])
-                        ],
-                    )
-                )
-    flush()
-    return runs

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -135,6 +136,18 @@ class Region:
     def dims(self) -> int:
         return self.boxes[0].dims
 
+    @cached_property
+    def box_bounds(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per box, its ``(low, high)`` pair per dimension — compiled once.
+
+        The flat form the refinement kernel
+        (:func:`repro.sfc.clusters.refine_cluster`) compares against, so a
+        visit does not walk ``Box`` / ``Interval`` objects per cell.
+        """
+        return tuple(
+            tuple((iv.low, iv.high) for iv in box.intervals) for box in self.boxes
+        )
+
     def contains_point(self, point: Sequence[int]) -> bool:
         return any(box.contains_point(point) for box in self.boxes)
 
@@ -162,8 +175,8 @@ class Region:
 
         Mirrors the scalar trichotomy exactly, including the conservative
         union semantics (FULL only when a *single* box contains the cell).
-        This is the classification kernel of the vectorized refinement path
-        (:mod:`repro.sfc.refine_vec`).
+        This is the classification kernel of the array-resident resolver
+        (:func:`repro.sfc.refine_vec.resolve_ranges_vec`).
         """
         codes = self.boxes[0].classify_cells(cell_lows, cell_highs)
         for box in self.boxes[1:]:

@@ -1,10 +1,12 @@
-"""Property tests: the NumPy refinement kernel ≡ the scalar path.
+"""Property tests: the array-resident resolver ≡ level-by-level refinement.
 
-The vectorized kernel (:mod:`repro.sfc.refine_vec`) must be *structurally*
-identical to the scalar refinement — same clusters, same piece lists, same
-run splitting, ``min_index`` clipping, and FullRange coalescing — for every
-curve family, geometry, and region.  These tests compare the two paths on
-randomized inputs (hypothesis) and on targeted fixtures.
+``resolve_ranges_vec`` (:mod:`repro.sfc.refine_vec`) must return exactly
+the ranges the refinement kernel produces level by level, for every curve
+family, geometry, and region; the level drivers must not depend on the
+``vectorized_refinement`` gate at all; and the batched entry point
+``refine_level`` must equal the readable per-cluster reference
+(``tests/sfc/reference_refine.py``) — same clusters, same piece lists, same
+run splitting, ``min_index`` clipping, and FullRange coalescing.
 """
 
 import numpy as np
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 from repro.errors import SFCError
 from repro.sfc import CURVES as CURVE_REGISTRY
 from repro.sfc.clusters import (
+    Cell,
+    Cluster,
     clusters_at_level,
     count_clusters_per_level,
     refine_cluster,
@@ -26,11 +30,11 @@ from repro.sfc.clusters import (
 from repro.sfc.hilbert import HilbertCurve
 from repro.sfc.refine_vec import (
     curve_table,
-    refine_clusters_vec,
     resolve_ranges_vec,
     supports_vectorized,
 )
 from repro.sfc.regions import Box, Region
+from tests.sfc.reference_refine import reference_refine_cluster
 
 # Every registered family must satisfy scalar ≡ vectorized, so derive the
 # sweep from the registry rather than a hand-maintained list.
@@ -86,7 +90,7 @@ class TestScalarEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_clusters_at_level_identical(self, curve_cls, dims, order, data):
-        """Structural equality: same Cluster dataclasses, piece by piece."""
+        """Structural equality: same Cluster values, piece by piece."""
         curve = curve_cls(dims, order)
         region = data.draw(region_strategy(dims, order))
         level = data.draw(st.integers(0, order))
@@ -109,7 +113,7 @@ class TestScalarEquivalence:
 
 
 class TestMinIndexClipping:
-    """The engine's trim semantics must survive vectorization exactly."""
+    """The engine's trim semantics, batched: ``refine_level`` ≡ reference."""
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -119,13 +123,16 @@ class TestMinIndexClipping:
         min_index = data.draw(st.integers(0, curve.size - 1))
         root = root_cluster(curve, region)
         # Walk two levels so clusters carry mixed FullRange/Cell pieces.
-        with vectorized_refinement(False):
-            level1 = refine_cluster(curve, root, region)
-            scalar = [
-                refine_cluster(curve, c, region, min_index=min_index) for c in level1
-            ]
-        vectorized = refine_clusters_vec(curve, level1, region, min_index=min_index)
-        assert scalar == vectorized
+        level1 = [
+            c for c in reference_refine_cluster(curve, root, region)
+            if not c.is_resolved
+        ]
+        expected = [
+            out
+            for c in level1
+            for out in reference_refine_cluster(curve, c, region, min_index)
+        ]
+        assert refine_level(curve, level1, region, min_index=min_index) == expected
 
 
 class TestBatchedEntryPoints:
@@ -133,15 +140,16 @@ class TestBatchedEntryPoints:
         curve = HilbertCurve(2, 8)
         region = Region.from_bounds([(10, 200), (30, 170)])
         clusters = clusters_at_level(curve, region, 3)
-        with vectorized_refinement(False):
-            expected = []
-            for c in clusters:
-                if c.is_resolved:
-                    expected.append(type(c)(level=c.level + 1, pieces=c.pieces))
-                else:
-                    expected.extend(refine_cluster(curve, c, region))
-        batched = refine_level(curve, clusters, region)
-        assert batched == expected
+        expected = []
+        for c in clusters:
+            if c.is_resolved:
+                expected.append(type(c)(level=c.level + 1, pieces=c.pieces))
+            else:
+                expected.extend(reference_refine_cluster(curve, c, region))
+        assert refine_level(curve, clusters, region) == expected
+        assert [
+            out for c in clusters for out in refine_cluster(curve, c, region)
+        ] == [out for c in clusters for out in reference_refine_cluster(curve, c, region)]
 
     def test_resolve_ranges_vec_direct(self):
         curve = HilbertCurve(2, 8)
@@ -167,11 +175,9 @@ class TestGating:
         assert supports_vectorized(HilbertCurve(2, 10))
         assert not supports_vectorized(HilbertCurve(2, 32))
 
-    def test_wide_curve_raises_from_kernel(self):
+    def test_wide_curve_raises_from_resolver(self):
         curve = HilbertCurve(2, 32)
         region = Region.from_bounds([(0, 5), (0, 5)])
-        with pytest.raises(SFCError):
-            refine_clusters_vec(curve, [root_cluster(curve, region)], region)
         with pytest.raises(SFCError):
             resolve_ranges_vec(curve, region)
 
@@ -187,12 +193,9 @@ class TestGating:
     def test_refine_at_max_order_raises(self):
         curve = HilbertCurve(2, 3)
         region = Region.from_bounds([(0, 3), (0, 3)])
-        clusters = clusters_at_level(curve, region, curve.order)
-        unresolved = [c for c in clusters if not c.is_resolved]
-        if unresolved:  # pragma: no branch - region chosen to leave cells
-            with pytest.raises(SFCError):
-                refine_clusters_vec(curve, unresolved, region)
-
+        leaf = Cell(level=3, prefix=0, coords=(0, 0), state=curve.root_state())
+        with pytest.raises(SFCError):
+            refine_level(curve, [Cluster(level=3, pieces=(leaf,))], region)
 
 class TestCurveTable:
     @pytest.mark.parametrize("curve_cls", CURVES)
