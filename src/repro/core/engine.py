@@ -56,7 +56,13 @@ from repro.obs.trace import (
     Pruned,
     QueryTrace,
 )
-from repro.sfc.clusters import Cluster, refine_cluster, resolve_clusters, root_cluster
+from repro.sfc.clusters import (
+    Cluster,
+    FullRange,
+    refine_cluster,
+    resolve_clusters,
+    root_cluster,
+)
 from repro.util.rng import RandomLike, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -115,10 +121,10 @@ def _report_query_metrics(engine_name: str, stats: QueryStats) -> None:
         reg.counter("query.shed_branches.total").inc(stats.shed_branches)
 
 
-def _clip_ranges(ranges, low: int, high: int):
-    """Intersect inclusive index ranges with the window ``[low, high]``."""
+def _window(curve, cluster: Cluster, low: int, high: int):
+    """The cluster's inclusive index ranges within the window ``[low, high]``."""
     out = []
-    for lo, hi in ranges:
+    for lo, hi in cluster.iter_index_ranges(curve):
         clipped_lo = max(lo, low)
         clipped_hi = min(hi, high)
         if clipped_lo <= clipped_hi:
@@ -247,12 +253,52 @@ def drive_sync(engine: "QueryEngine", system: "SquidSystem", run: EngineRun) -> 
     return engine.finish_run(system, run)
 
 
+# What one node visit (:meth:`QueryEngine._visit`) came to; each engine
+# reacts to these in its own ``process_message``.
+_SHED = "shed"  # the node's load guard refused the work
+_LOST = "lost"  # hop budget spent, or a dead processor could not be replaced
+_LIMIT = "limit"  # scanned; the discovery limit is now reached
+_OWNED = "owned"  # scanned; the covered node owns the rest of the cluster
+_CONTINUE = "continue"  # scanned; part of the cluster lies beyond the node
+
+
 class QueryEngine(ABC):
-    """Strategy interface for resolving one query on a Squid system."""
+    """One query-resolution core; the engines are two strategies over it.
+
+    The core is what every engine does the same way: open a run
+    (:meth:`begin_run`), handle one node visit (:meth:`_visit`), fight the
+    fault plane for one message (:meth:`_deliver_resilient`), seal the
+    result (:meth:`finish_run`).  An engine supplies *plan* (:meth:`_plan`:
+    what the initiator resolves before the first message) and *continue*
+    (:meth:`_start`, :meth:`process_message`: where a visit's unresolved
+    remainder goes, and what a shed, lost or limit-stopped visit means).
+    """
 
     name: str = "abstract"
 
-    @abstractmethod
+    # Switched on only by OptimizedEngine's constructor (documented there);
+    # the shared visit and delivery code reads them from the instance.
+    latency_model = retry = replication = None
+    processing_delay = 0.0
+
+    def __init__(self, hop_budget: int | None = None, guard: "GuardPlane | None" = None) -> None:
+        #: Per-query cap on node visits; ``None`` derives
+        #: :func:`default_hop_budget` from the ring size at query time (the
+        #: naive engine adds its cluster count).  Routing cycles (post-crash,
+        #: pre-stabilization stale pointers) exhaust the budget and degrade
+        #: to ``complete=False`` with the abandoned windows in
+        #: ``unresolved_ranges`` — never a hang.
+        if hop_budget is not None and hop_budget < 1:
+            raise EngineError(f"hop_budget must be >= 1, got {hop_budget}")
+        self.hop_budget = hop_budget
+        #: Optional :class:`~repro.guard.GuardPlane` enforcing per-node
+        #: bounded work queues and token-bucket throttles.  ``None`` — or
+        #: an *inactive* plane (no limits configured) — leaves execution
+        #: bit-identical to an unguarded engine; an active plane sheds
+        #: branch work at overloaded nodes, honestly reported via
+        #: ``complete=False`` / ``unresolved_ranges`` / ``shed_branches``.
+        self.guard = guard
+
     def execute(
         self,
         system: "SquidSystem",
@@ -290,6 +336,11 @@ class QueryEngine(ABC):
         * ``completion_time`` is the completion of the last *processed*
           sub-query (abandoned branches are never waited on).
         """
+        run = self.begin_run(
+            system, query, origin=origin, rng=rng, limit=limit,
+            priority=priority,
+        )
+        return drive_sync(self, system, run)
 
     # ------------------------------------------------------------------
     # Transport-facing run API (engine logic without message delivery)
@@ -308,11 +359,72 @@ class QueryEngine(ABC):
         Returns an :class:`EngineRun` whose ``outbox`` holds the initial
         work entries; the transport delivers each entry (in post order) to
         :meth:`process_message` and calls :meth:`finish_run` once no entry
-        is outstanding.  Engines that do not implement the run API cannot
-        be served over a transport.
+        is outstanding.
         """
-        raise EngineError(f"engine {self.name!r} does not support transports")
+        if limit is not None and limit < 1:
+            raise EngineError(f"limit must be >= 1, got {limit}")
+        run = EngineRun()
+        run.priority = priority_rank(priority)
+        run.limit = limit
+        # Inertness contract: a plane is carried by the run only when it can
+        # actually do something.  An absent or inactive guard (here) or
+        # fault plane (OptimizedEngine._start) is never consulted, so such
+        # runs are bit-identical — results, stats, metrics, RNG consumption
+        # — to runs of an engine built without one.
+        guard = self.guard
+        run.guard = guard if guard is not None and guard.active else None
+        q, region = self._bind_query(system, run, query)
+        curve = system.curve
+        stats = run.stats
+        origin_id = run.origin_id = self._pick_origin(system, origin, rng)
+        run.budget = (
+            self.hop_budget
+            if self.hop_budget is not None
+            else default_hop_budget(len(system.overlay.nodes))
+        )
+        tracer = system.tracer
+        trace = run.trace = (
+            tracer.begin(str(q), origin_id) if tracer is not None else None
+        )
+        # The initiator performs the first step of the query tree (paper
+        # Figure 8) but holds none of the clusters itself yet.  Its plan is
+        # pure geometry — a function of (curve, region, plan parameter)
+        # only — so repeated queries reuse it from the system's plan cache;
+        # clusters are immutable, making the shared plan safe.
+        stats.record_processing(origin_id, 0)
+        root_span = run.root_span = (
+            trace.new_span(None, origin_id, 0) if trace is not None else 0
+        )
+        cache = system.plan_cache
+        plan = None
+        if cache is not None:
+            cache_key = plan_key(curve, region, self.name, self._plan_param())
+            cached = cache.get(cache_key)
+            if cached is not None:
+                plan = list(cached)
+                stats.plan_cache_hit = True
+        if plan is None:
+            plan = self._plan(curve, region)
+            if cache is not None:
+                cache.put(cache_key, tuple(plan))
+        if trace is not None:
+            trace.emit(root_span, ClusterRefined(origin_id, 0, len(plan)))
+        self._start(system, run, plan)
+        return run
 
+    @abstractmethod
+    def _plan_param(self):
+        """The engine parameter that, with curve and region, fixes the plan."""
+
+    @abstractmethod
+    def _plan(self, curve, region) -> list:
+        """*Plan*: what the initiator resolves before sending anything."""
+
+    @abstractmethod
+    def _start(self, system: "SquidSystem", run: EngineRun, plan: list) -> None:
+        """Post the run's first work entries for ``plan`` to its outbox."""
+
+    @abstractmethod
     def process_message(self, system: "SquidSystem", run: EngineRun, entry) -> bool:
         """Handle one delivered work entry, posting follow-ups to the outbox.
 
@@ -320,11 +432,10 @@ class QueryEngine(ABC):
         reached); the transport then records the outstanding entry count as
         ``stats.aborted_in_flight`` and discards the queue.
         """
-        raise EngineError(f"engine {self.name!r} does not support transports")
 
     def entry_node(self, run: EngineRun, entry) -> int:
         """The node whose inbox should receive ``entry`` (transport routing)."""
-        raise EngineError(f"engine {self.name!r} does not support transports")
+        return entry[0]  # work entries lead with their processing node
 
     def finish_run(self, system: "SquidSystem", run: EngineRun) -> QueryResult:
         """Seal a run: report metrics and assemble the :class:`QueryResult`."""
@@ -386,6 +497,153 @@ class QueryEngine(ABC):
         run.matcher = system.space.matcher(bound)
         return bound.query, bound.region
 
+    # ------------------------------------------------------------------
+    # The node visit (shared by both engines)
+    # ------------------------------------------------------------------
+    def _visit(self, system: "SquidSystem", run: EngineRun, entry) -> tuple[str, int, int, float]:
+        """One node handles one delivered sub-query: the per-node step of the
+        protocol, the same for every engine.
+
+        ``entry`` is ``(node_id, cluster, low, arrival_time, span, covered,
+        replica_of, sender_id)``: ``cluster`` reaches ``node_id``, routed by
+        ``low`` (its first index of interest), at ``arrival_time`` under
+        trace span ``span``.  ``covered`` is the identifier whose key range
+        this visit resolves — the processor's own id normally, or the
+        unreachable peer's id on a failover visit (served from replicas;
+        ``replica_of`` names the peer); the scan window and the ownership
+        test use the *covered* range.  ``sender_id`` allows redelivery when
+        the processor crashes while the entry is still queued.
+
+        Returns ``(outcome, node_id, covered, arrival_time)``: one of the
+        ``_SHED`` … ``_CONTINUE`` constants, then who processed the entry
+        for whom and when, once any redelivery is done.
+        """
+        (node_id, cluster, low, arrival_time, span,
+         covered, replica_of, sender_id) = entry
+        curve = system.curve
+        overlay = system.overlay
+        stats = run.stats
+        trace = run.trace
+        if run.guard is not None and self._refused(run, node_id):
+            # The node's load guard refused the work: the entry's remaining
+            # window is shed — deliberately and honestly — into
+            # ``unresolved_ranges``.  Shedding a branch is cheap by design:
+            # no scan, no refinement, no dispatch.
+            rest = _window(curve, cluster, low, curve.size - 1)
+            self._abandon(run, rest, cluster.level, span, node_id, shed=True)
+            return _SHED, node_id, covered, arrival_time
+        # Two ways to lose the branch before anyone handles it.  The hop
+        # budget is exhausted: a routing cycle (or a pathological plan)
+        # regenerated work beyond any healthy query's size …
+        lost = not run._charge_hop()
+        if not lost and run.plane is not None and node_id not in overlay.nodes:
+            # … or the processor crashed (a fault on some other branch)
+            # after this sub-query was sent but before it was handled.  The
+            # sender times out and re-routes to whoever owns the key now;
+            # without a retry policy the branch is simply lost.
+            src = sender_id if sender_id in overlay.nodes else run.origin_id
+            delivery = self._deliver_resilient(
+                system, run, src, node_id, low, span, charge_route=True
+            )
+            if delivery is None:
+                lost = True
+            else:
+                node_id, covered, replica_of, penalty = delivery
+                arrival_time += penalty
+                if trace is not None:
+                    trace.reassign(span, node_id)
+        if lost:
+            # The entry's remaining window is honestly abandoned; with no
+            # new dispatches the queue drains and the query returns
+            # ``complete=False`` instead of looping forever.
+            rest = _window(curve, cluster, low, curve.size - 1)
+            self._abandon(run, rest, cluster.level, span, node_id)
+            return _LOST, node_id, covered, arrival_time
+        stats.record_processing(node_id, cluster.level)
+        model = self.latency_model
+        if model is not None:
+            # Completion time of this processing event, results back at origin.
+            done_time = (
+                arrival_time
+                + self._local_delay(run, node_id)
+                + model.latency(node_id, run.origin_id)
+            )
+            stats.record_completion(done_time)
+        # The node searches the slice of the cluster it is responsible
+        # for on this arrival: up to the covered identifier, or to the
+        # end of the index space when the delivery wrapped around the
+        # ring (a first-node visit for the tail segment).  Windowing
+        # keeps the chain's scans disjoint even when it wraps past 0.
+        window_high = covered if low <= covered else curve.size - 1
+        ranges = _window(curve, cluster, low, window_high)
+        found = self._scan_cluster(system, node_id, ranges, run.matcher)
+        if replica_of is not None:
+            # Failover visit: this node stands in for an unreachable
+            # peer.  Its replica store restores the peer's share of the
+            # data; without replication that share is truthfully
+            # reported as unresolved (the fan-out continues regardless).
+            served, ok = self._scan_replicas(node_id, ranges, run.matcher)
+            if ok:
+                found = found + served
+            elif ranges:
+                run.unresolved.extend(ranges)
+        if trace is not None:
+            trace.emit(span, LocalScan(node_id, len(ranges), len(found)))
+        if found:
+            run.matches.extend(found)
+            stats.record_data_node(node_id)
+            if model is not None:
+                stats.record_match_time(done_time)
+            if run.limit is not None and len(run.matches) >= run.limit:
+                return _LIMIT, node_id, covered, arrival_time
+        # Ownership ("pruning"): the branch terminates when the covered
+        # node owns the whole remaining index range of the cluster.
+        # Linearly that means the cluster's last index precedes the
+        # covered identifier; at the ring's wrap point (a node owning
+        # (pred, 2^m) ∪ [0, id]) it means the cluster's remaining part
+        # started beyond the predecessor, since linear indices never wrap.
+        if covered == node_id:
+            pred = overlay.nodes[node_id].predecessor
+        else:
+            # Failover visit: `covered` is the unreachable-but-live
+            # peer's identifier; ask the ring for its predecessor.
+            pred = overlay.predecessor_id(covered)
+        if (
+            cluster.max_index(curve) <= covered
+            or pred == covered  # single node: owns everything
+            or low > covered  # wrapped: scanned to the end of space
+        ):
+            # The wrap test must come from the scan window itself, not the
+            # node's predecessor pointer: after a crash the stale pointer
+            # can name a dead peer with a larger identifier, the prune
+            # misses, and the tail segment is re-dispatched and re-scanned
+            # (duplicated matches).  A wrapped arrival already scanned
+            # [low, 2^m), which contains every remaining linear index of
+            # the cluster.
+            return _OWNED, node_id, covered, arrival_time
+        return _CONTINUE, node_id, covered, arrival_time
+
+    @staticmethod
+    def _refused(run: EngineRun, node_id: int) -> bool:
+        """True when ``node_id``'s (armed) load guard sheds the entry it is
+        about to handle; asked exactly once per delivered entry."""
+        return not run.guard.admit(node_id, run.priority)
+
+    @staticmethod
+    def _abandon(run: EngineRun, ranges, level: int, span: int, node_id: int, shed=False) -> None:
+        """Account one branch nobody will resolve: its index ``ranges`` become
+        unresolved and the span is tagged — *lost* (undeliverable, or over the
+        hop budget) or *shed* (the load guard's deliberate decision)."""
+        run.unresolved.extend(ranges)
+        if shed:
+            run.stats.record_shed_branch()
+            event = BranchShed(node_id, level, len(ranges))
+        else:
+            run.stats.record_lost_branch()
+            event = BranchLost(node_id, level, len(ranges))
+        if run.trace is not None:
+            run.trace.emit(span, event)
+
     @staticmethod
     def _filter_scan(store, ranges, match) -> list:
         """The data-node step: scan ``store`` over sorted, disjoint index
@@ -409,675 +667,43 @@ class QueryEngine(ABC):
             prof.record("engine.scan", perf_counter() - start)
         return found
 
+    def _scan_replicas(self, node_id: int, ranges, match) -> tuple[list, bool]:
+        """Serve an unreachable peer's share from this node's replica store.
 
-class OptimizedEngine(QueryEngine):
-    """Distributed recursive refinement with pruning and aggregation."""
-
-    name = "optimized"
-
-    def __init__(
-        self,
-        aggregate: bool = True,
-        local_depth: int = 1,
-        latency_model=None,
-        processing_delay: float = 0.0,
-        fault_plane: "FaultPlane | None" = None,
-        retry: "RetryPolicy | None" = None,
-        replication: "ReplicationManager | None" = None,
-        hop_budget: int | None = None,
-        guard: "GuardPlane | None" = None,
-    ) -> None:
-        #: When False, each sub-cluster travels as its own routed message
-        #: (disables the paper's second optimization; used by the ablation).
-        self.aggregate = aggregate
-        #: How many refinement levels a node applies locally (CPU-only) to
-        #: the remainder before dispatching sub-clusters.  1 reproduces the
-        #: minimal-message behaviour; larger values mimic the paper's deeper
-        #: per-node tree expansion, producing finer sub-queries — more
-        #: messages without aggregation, but better batching with it.
-        if local_depth < 1:
-            raise EngineError(f"local_depth must be >= 1, got {local_depth}")
-        self.local_depth = local_depth
-        #: Optional :class:`~repro.overlay.proximity.LatencyModel`; when set,
-        #: the execution is timed — stats gain ``completion_time`` and
-        #: ``time_to_first_match`` in the model's latency units.
-        self.latency_model = latency_model
-        #: Per-node local processing time charged before dispatching.
-        self.processing_delay = float(processing_delay)
-        #: Optional :class:`~repro.faults.FaultPlane` every dispatched
-        #: message passes through.  ``None`` — or an *inert* plane (all
-        #: rates zero, no droppers) — leaves execution bit-identical to the
-        #: plain engine: the fault-aware code paths are never entered.
-        self.fault_plane = fault_plane
-        #: Optional :class:`~repro.faults.RetryPolicy` governing timeouts,
-        #: retransmissions, and successor failover when the plane swallows
-        #: a message.  Without one, faulted branches are simply recorded as
-        #: lost (``QueryResult.unresolved_ranges``).
-        self.retry = retry
-        #: Optional :class:`~repro.core.replication.ReplicationManager`;
-        #: failover targets serve the unreachable peer's share of a cluster
-        #: from its replica store, restoring full recall.
-        self.replication = replication
-        #: Per-query cap on processed work entries; ``None`` derives
-        #: :func:`default_hop_budget` from the ring size at query time.
-        #: Routing cycles (post-crash, pre-stabilization stale pointers)
-        #: exhaust the budget and degrade to ``complete=False`` with the
-        #: abandoned windows in ``unresolved_ranges`` — never a hang.
-        if hop_budget is not None and hop_budget < 1:
-            raise EngineError(f"hop_budget must be >= 1, got {hop_budget}")
-        self.hop_budget = hop_budget
-        #: Optional :class:`~repro.guard.GuardPlane` enforcing per-node
-        #: bounded work queues and token-bucket throttles.  ``None`` — or
-        #: an *inactive* plane (no limits configured) — leaves execution
-        #: bit-identical to an unguarded engine; an active plane sheds
-        #: branch work at overloaded nodes, honestly reported via
-        #: ``complete=False`` / ``unresolved_ranges`` / ``shed_branches``.
-        self.guard = guard
-
-    def result_cache_params(self):
-        """Result-cache key component: name plus plan-shaping knobs.
-
-        ``hop_budget`` is deliberately absent: it can only turn an answer
-        *incomplete* (never change a complete one), and incomplete results
-        are never cached.  The guard plane is absent for the same reason.
+        Returns ``(matches, served)``; ``served`` is False when no replica
+        store is available (no manager attached, or the node holds none) —
+        the caller then records the window as unresolved.
         """
-        return ("optimized", self.aggregate, self.local_depth)
+        manager = self.replication
+        if manager is None:
+            return [], False
+        store = manager.replicas.get(node_id)
+        if store is None:
+            return [], False
+        return self._filter_scan(store, ranges, match), True
 
-    def execute(
-        self,
-        system: "SquidSystem",
-        query,
-        origin: int | None = None,
-        rng: RandomLike = None,
-        limit: int | None = None,
-        priority=None,
-    ) -> QueryResult:
-        """Resolve ``query`` by distributed recursive refinement (see class
-        docstring); exact unless ``limit`` enables discovery mode."""
-        run = self.begin_run(
-            system, query, origin=origin, rng=rng, limit=limit,
-            priority=priority,
-        )
-        return drive_sync(self, system, run)
-
-    def begin_run(
-        self,
-        system: "SquidSystem",
-        query,
-        origin: int | None = None,
-        rng: RandomLike = None,
-        limit: int | None = None,
-        priority=None,
-    ) -> EngineRun:
-        """Initiator-side setup: refine the query once, dispatch level-1
-        clusters into the run's outbox."""
-        if limit is not None and limit < 1:
-            raise EngineError(f"limit must be >= 1, got {limit}")
-        run = EngineRun()
-        run.priority = priority_rank(priority)
-        q, region = self._bind_query(system, run, query)
-        curve = system.curve
-        run.limit = limit
-        stats = run.stats
-
-        origin_id = run.origin_id = self._pick_origin(system, origin, rng)
-        run.budget = (
-            self.hop_budget
-            if self.hop_budget is not None
-            else default_hop_budget(len(system.overlay.nodes))
-        )
-        # The fault plane is consulted only when it can actually do
-        # something; an absent or inert plane leaves the execution on the
-        # exact code path of the plain engine (bit-identical results, stats,
-        # metrics, and RNG consumption).
-        plane = self.fault_plane
-        if plane is not None and not plane.active:
-            plane = None
-        run.plane = plane
-        if plane is not None:
-            plane.begin_query(origin_id)
-        # Same inertness contract for the overload guard: an absent or
-        # inactive plane keeps the run on the unguarded code path.
-        guard = self.guard
-        run.guard = guard if guard is not None and guard.active else None
-        tracer = getattr(system, "tracer", None)
-        trace = run.trace = (
-            tracer.begin(str(q), origin_id) if tracer is not None else None
-        )
-        root = root_cluster(curve, region)
-        if root is None:  # pragma: no cover - regions are never empty
-            run.early_result = QueryResult(q, [], stats, trace)
-            return run
-
-        # The initiator performs the first refinement of the query tree
-        # (paper Figure 8) but holds none of the clusters itself yet.  The
-        # refinement is pure geometry — a function of (curve, region,
-        # local_depth) only — so repeated queries reuse it from the system's
-        # plan cache; clusters are frozen, making the shared plan safe.
-        stats.record_processing(origin_id, 0)
-        root_span = run.root_span = (
-            trace.new_span(None, origin_id, 0) if trace is not None else 0
-        )
-        cache = getattr(system, "plan_cache", None)
-        cache_key = None
-        first: list[Cluster] | None = None
-        if cache is not None:
-            cache_key = plan_key(curve, region, self.name, self.local_depth)
-            cached = cache.get(cache_key)
-            if cached is not None:
-                first = list(cached)
-                stats.plan_cache_hit = True
-        if first is None:
-            first = self._refine_locally(curve, root, region, min_index=0)
-            if cache is not None:
-                cache.put(cache_key, tuple(first))
-        if trace is not None:
-            trace.emit(root_span, ClusterRefined(origin_id, 0, len(first)))
-
-        # Work entries: (processing_node, cluster, arrival_key, arrival_time,
-        # span, covered, replica_of, sender).  ``covered`` is the identifier
-        # whose key range this visit resolves — the processor's own id
-        # normally, or the unreachable peer's id on a failover visit (served
-        # from replicas); pruning and continuation use the *covered* range.
-        # ``sender`` allows redelivery when the processor crashes while the
-        # entry is still queued.
-        self._dispatch(
-            system, stats, origin_id, first, run.outbox, floor=0, now=0.0,
-            trace=trace, parent_span=root_span, plane=plane,
-            unresolved=run.unresolved,
-        )
-        return run
-
-    def entry_node(self, run: EngineRun, entry) -> int:
-        """Work entries are addressed to their processing node."""
-        return entry[0]
-
-    def process_message(self, system: "SquidSystem", run: EngineRun, entry) -> bool:
-        """One node handles one delivered sub-query (scan, prune or refine,
-        dispatch the remainder); False stops the run (discovery limit)."""
-        (node_id, cluster, arrival_key, arrival_time, span,
-         covered, replica_of, sender_id) = entry
-        curve = system.curve
-        overlay = system.overlay
-        stats = run.stats
-        plane = run.plane
-        trace = run.trace
-        guard = run.guard
-        if guard is not None and not guard.admit(node_id, run.priority):
-            # The node's load guard refused the work: the entry's remaining
-            # window is shed — deliberately and honestly — into
-            # ``unresolved_ranges``, and the fan-out does not continue from
-            # this branch.  Shedding a branch is cheap by design: no scan,
-            # no refinement, no dispatch.
-            self._record_shed(
-                curve, cluster, arrival_key, run.unresolved, stats,
-                trace, span, node_id,
-            )
-            return True
-        if not run._charge_hop():
-            # Hop budget exhausted — a routing cycle (or a pathological
-            # plan) regenerated work beyond any healthy query's size.  The
-            # entry's remaining window is honestly abandoned; with no new
-            # dispatches the queue drains and the query returns
-            # ``complete=False`` instead of looping forever.
-            self._record_lost(
-                curve, cluster, arrival_key, run.unresolved, stats,
-                trace, span, node_id,
-            )
-            return True
-        if plane is not None and node_id not in overlay.nodes:
-            # The processor crashed (a fault on some other branch) after
-            # this sub-query was sent but before it was handled.  The
-            # sender times out and re-routes to whoever owns the key now;
-            # without a retry policy the branch is simply lost.
-            src = sender_id if sender_id in overlay.nodes else run.origin_id
-            delivery = (
-                self._deliver_resilient(
-                    system, stats, src, node_id, arrival_key,
-                    trace, span, charge_route=True,
-                )
-                if self.retry is not None
-                else None
-            )
-            if delivery is None:
-                self._record_lost(
-                    curve, cluster, arrival_key, run.unresolved, stats,
-                    trace, span, node_id,
-                )
-                return True
-            node_id, covered, replica_of, penalty = delivery
-            arrival_time += penalty
-            if trace is not None:
-                trace.reassign(span, node_id)
-        stats.record_processing(node_id, cluster.level)
-        done_time = self._account_time(
-            stats, run.origin_id, node_id, arrival_time, plane
-        )
-        # The node searches the slice of the cluster it is responsible
-        # for on this arrival: up to the covered identifier, or to the
-        # end of the index space when the delivery wrapped around the
-        # ring (a first-node visit for the tail segment).  Windowing
-        # keeps the chain's scans disjoint even when it wraps past 0.
-        window_high = covered if arrival_key <= covered else curve.size - 1
-        ranges = _clip_ranges(
-            cluster.iter_index_ranges(curve), arrival_key, window_high
-        )
-        found = self._scan_cluster(system, node_id, ranges, run.matcher)
-        if replica_of is not None:
-            # Failover visit: this node stands in for an unreachable
-            # peer.  Its replica store restores the peer's share of the
-            # data; without replication that share is truthfully
-            # reported as unresolved (the fan-out continues regardless).
-            served, ok = self._scan_replicas(node_id, ranges, run.matcher)
-            if ok:
-                found = found + served
-            elif ranges:
-                run.unresolved.extend(ranges)
-        if trace is not None:
-            trace.emit(span, LocalScan(node_id, len(ranges), len(found)))
-        if found:
-            run.matches.extend(found)
-            stats.record_data_node(node_id)
-            if self.latency_model is not None:
-                stats.record_match_time(done_time)
-            if run.limit is not None and len(run.matches) >= run.limit:
-                # Discovery mode: enough matches known; the origin stops
-                # the fan-out.  Outstanding branches are abandoned — their
-                # dispatch messages are already (truthfully) counted; the
-                # transport records how many were dropped in flight.
-                return False
-
-        # Pruning: the branch terminates when the covered node owns the
-        # whole remaining index range of the cluster.  Linearly that
-        # means the cluster's last index precedes the covered
-        # identifier; at the ring's wrap point (a node owning
-        # (pred, 2^m) ∪ [0, id]) it means the cluster's remaining part
-        # started beyond the predecessor, since linear indices never
-        # wrap.
-        cluster_max = cluster.max_index(curve)
-        if covered == node_id:
-            pred = overlay.nodes[node_id].predecessor
-        else:
-            # Failover visit: `covered` is the unreachable-but-live
-            # peer's identifier; ask the ring for its predecessor.
-            pred = overlay.predecessor_id(covered)
-        if (
-            cluster_max <= covered
-            or pred == covered  # single node: owns everything
-            or arrival_key > covered  # wrapped: scanned to the end of space
-        ):
-            # The wrap test must come from the scan window itself, not the
-            # node's predecessor pointer: after a crash the stale pointer
-            # can name a dead peer with a larger identifier, the prune
-            # misses, and the tail segment is re-dispatched and re-scanned
-            # (duplicated matches).  A wrapped arrival already scanned
-            # [arrival_key, 2^m), which contains every remaining linear
-            # index of the cluster.
-            stats.record_pruned()
-            if trace is not None:
-                trace.emit(span, Pruned(node_id, cluster.level, "owned"))
-            return True
-        remainder = self._refine_locally(
-            curve, cluster, run.region, min_index=covered + 1
-        )
-        if trace is not None:
-            trace.emit(
-                span, ClusterRefined(node_id, cluster.level, len(remainder))
-            )
-        if not remainder:
-            # The region's remaining geometry lies entirely within this
-            # node's scanned window: the branch ends here too.
-            stats.record_pruned()
-            if trace is not None:
-                trace.emit(span, Pruned(node_id, cluster.level, "empty"))
-            return True
+    def _local_delay(self, run: EngineRun, node_id: int) -> float:
+        """Local processing time at ``node_id`` (the plane's slow peers take longer)."""
         delay = self.processing_delay
-        if plane is not None and delay:
-            delay *= plane.slow_factor(node_id)
-        self._dispatch(
-            system,
-            stats,
-            node_id,
-            remainder,
-            run.outbox,
-            floor=covered + 1,
-            now=arrival_time + delay,
-            trace=trace,
-            parent_span=span,
-            plane=plane,
-            unresolved=run.unresolved,
-        )
-        return True
+        if delay and run.plane is not None:
+            delay *= run.plane.slow_factor(node_id)
+        return delay
 
-    def _account_time(
-        self,
-        stats: QueryStats,
-        origin_id: int,
-        node_id: int,
-        arrival_time: float,
-        plane: "FaultPlane | None" = None,
-    ) -> float:
-        """Completion time of this processing event, results back at origin."""
+    def _path_latency(self, path: tuple[int, ...]) -> float:
         if self.latency_model is None:
             return 0.0
-        delay = self.processing_delay
-        if plane is not None and delay:
-            delay *= plane.slow_factor(node_id)
-        done = (
-            arrival_time
-            + delay
-            + self.latency_model.latency(node_id, origin_id)
-        )
-        stats.record_completion(done)
-        return done
-
-    def _refine_locally(self, curve, cluster: Cluster, region, min_index: int):
-        """Expand the query tree ``local_depth`` levels at this node (CPU only)."""
-        clusters = refine_cluster(curve, cluster, region, min_index=min_index)
-        for _ in range(self.local_depth - 1):
-            if all(c.is_resolved for c in clusters):
-                break
-            nxt: list[Cluster] = []
-            for c in clusters:
-                if c.is_resolved:
-                    nxt.append(c)
-                else:
-                    nxt.extend(refine_cluster(curve, c, region, min_index=min_index))
-            clusters = nxt
-        return clusters
-
-    def _dispatch(
-        self,
-        system: "SquidSystem",
-        stats: QueryStats,
-        sender_id: int,
-        clusters: list[Cluster],
-        work: list,
-        floor: int,
-        now: float,
-        trace: QueryTrace | None = None,
-        parent_span: int = 0,
-        plane: "FaultPlane | None" = None,
-        unresolved: list | None = None,
-    ) -> None:
-        """Send sub-clusters toward their owners, optionally aggregated.
-
-        A sub-cluster is routed by its first index *of interest*,
-        ``max(min_index, floor)``: a partial cell straddling the sender's
-        trim boundary keeps its full geometry, so its nominal minimum can lie
-        at or below the sender — routing by the floored key keeps the chain
-        strictly advancing along the ring (and prevents re-scanning).
-
-        Grouping is by destination in increasing identifier order, matching
-        the paper's probe-then-batch protocol: the probe message is routed
-        (hop-counted), the destination's identity reply costs one message,
-        and additional same-destination clusters share one batched message.
-
-        When tracing, every dispatched cluster opens a child span of
-        ``parent_span``; the probe/reply/batch messages are recorded on the
-        spans that own them (probe on the first receiving span, reply and
-        batch on the sender's span).
-
-        With an active fault ``plane``, each physical message instead goes
-        through :meth:`_deliver_resilient` (retry/backoff/failover per the
-        engine's policy) and branches that stay undeliverable are recorded
-        in ``unresolved``.
-        """
-        if not clusters:
-            return
-        curve = system.curve
-        overlay = system.overlay
-
-        def child_span(dest: int, cluster: Cluster) -> int:
-            if trace is None:
-                return 0
-            return trace.new_span(parent_span, dest, cluster.level)
-
-        # Each cluster's routing key is computed once and carried, as a
-        # (key, cluster) pair, through the sort, the grouping and the
-        # posted work entry.  The sort is stable on the key alone.
-        keyed = [(max(c.min_index(curve), floor), c) for c in clusters]
-        keyed.sort(key=itemgetter(0))
-        groups: dict[int, list[tuple[int, Cluster]]] = {}
-        for pair in keyed:
-            dest = overlay.owner(pair[0])
-            if dest in groups:
-                groups[dest].append(pair)
-            else:
-                groups[dest] = [pair]
-        multiple = len(keyed) > 1
-        for dest, group in groups.items():
-            first_key = group[0][0]
-            if dest == sender_id:
-                # Remainder that stays local (wrapped first node): no message.
-                for key, cluster in group:
-                    work.append(
-                        (dest, cluster, key, now,
-                         child_span(dest, cluster), dest, None, sender_id)
-                    )
-                continue
-            if plane is not None:
-                if self.aggregate:
-                    self._dispatch_group_resilient(
-                        system, stats, sender_id, dest, first_key, group,
-                        work, now, multiple, trace, parent_span, unresolved,
-                    )
-                else:
-                    self._dispatch_singles_resilient(
-                        system, stats, sender_id, dest, group, work,
-                        now, trace, parent_span, unresolved,
-                    )
-                continue
-            if self.aggregate:
-                probe = overlay.route(sender_id, first_key)
-                stats.record_path(probe.path)
-                probe_arrival = now + self._path_latency(probe.path)
-                if multiple:
-                    stats.record_direct()  # identity reply enabling aggregation
-                if len(group) > 1:
-                    stats.record_direct()  # batched siblings, sent directly
-                    stats.record_aggregated_batch()
-                # The probe carries the first cluster; batched siblings wait
-                # one sender<->dest round trip (reply + batch).
-                batch_arrival = probe_arrival + 2 * self._pair_latency(sender_id, dest)
-                for i, (key, cluster) in enumerate(group):
-                    arrival = probe_arrival if i == 0 else batch_arrival
-                    span = child_span(dest, cluster)
-                    if trace is not None and i == 0:
-                        trace.emit(
-                            span,
-                            MessageSent(
-                                sender_id, dest, "probe",
-                                hops=len(probe.path) - 1, path=probe.path,
-                            ),
-                        )
-                    work.append(
-                        (dest, cluster, key, arrival, span,
-                         dest, None, sender_id)
-                    )
-                if trace is not None:
-                    if multiple:
-                        trace.emit(
-                            parent_span,
-                            MessageSent(dest, sender_id, "reply", hops=1),
-                        )
-                    if len(group) > 1:
-                        trace.emit(
-                            parent_span,
-                            MessageSent(sender_id, dest, "batch", hops=1),
-                        )
-                        trace.emit(
-                            parent_span, Aggregated(sender_id, dest, len(group))
-                        )
-            else:
-                for key, cluster in group:
-                    route = overlay.route(sender_id, key)
-                    stats.record_path(route.path)
-                    span = child_span(dest, cluster)
-                    if trace is not None:
-                        trace.emit(
-                            span,
-                            MessageSent(
-                                sender_id, dest, "routed",
-                                hops=len(route.path) - 1, path=route.path,
-                            ),
-                        )
-                    work.append(
-                        (dest, cluster, key,
-                         now + self._path_latency(route.path), span,
-                         dest, None, sender_id)
-                    )
+        return self.latency_model.path_latency(path)
 
     # ------------------------------------------------------------------
-    # Resilient delivery (active fault plane only)
+    # Resilient delivery (runs that carry an active fault plane only)
     # ------------------------------------------------------------------
-    def _dispatch_group_resilient(
-        self, system, stats, sender_id, dest, first_key, group, work,
-        now, multiple, trace, parent_span, unresolved,
-    ) -> None:
-        """Aggregated dispatch of one destination group through the plane.
-
-        The probe is routed and charged exactly like the plain path, then
-        pushed through :meth:`_deliver_resilient`; when it cannot be
-        delivered at all, every cluster of the group is recorded as lost.
-        The sibling batch is its own physical message — it can be faulted
-        independently, but never fails over (the probe/reply handshake
-        already fixed its destination).
-        """
-        curve = system.curve
-        overlay = system.overlay
-        probe = overlay.route(sender_id, first_key)
-        stats.record_path(probe.path)
-        probe_hops = len(probe.path) - 1
-        delivery = self._deliver_resilient(
-            system, stats, sender_id, dest, first_key, trace, parent_span
-        )
-        if delivery is None:
-            for i, (key, cluster) in enumerate(group):
-                span = (
-                    trace.new_span(parent_span, dest, cluster.level)
-                    if trace is not None else 0
-                )
-                if trace is not None and i == 0:
-                    trace.emit(
-                        span,
-                        MessageSent(sender_id, dest, "probe",
-                                    hops=probe_hops, path=probe.path),
-                    )
-                self._record_lost(
-                    curve, cluster, key, unresolved, stats,
-                    trace, span, dest,
-                )
-            return
-        processor, covered, replica_of, penalty = delivery
-        probe_arrival = now + self._path_latency(probe.path) + penalty
-        if multiple:
-            stats.record_direct()  # identity reply enabling aggregation
-        batch = None
-        batch_penalty = 0.0
-        if len(group) > 1:
-            stats.record_direct()  # batched siblings, sent directly
-            stats.record_aggregated_batch()
-            batch = self._deliver_resilient(
-                system, stats, sender_id, processor, first_key, trace,
-                parent_span, allow_failover=False,
-            )
-            if batch is not None:
-                batch_penalty = batch[3]
-        batch_arrival = (
-            probe_arrival
-            + 2 * self._pair_latency(sender_id, processor)
-            + batch_penalty
-        )
-        for i, (key, cluster) in enumerate(group):
-            # Siblings ride the batch message, which is faulted independently
-            # of the probe: when the destination crashed mid-batch the
-            # redelivery re-resolved to a new owner, and the sibling spans
-            # must point at the node that will actually process them.
-            span_node = processor if i == 0 or batch is None else batch[0]
-            span = (
-                trace.new_span(parent_span, span_node, cluster.level)
-                if trace is not None else 0
-            )
-            if trace is not None and i == 0:
-                trace.emit(
-                    span,
-                    MessageSent(sender_id, dest, "probe",
-                                hops=probe_hops, path=probe.path),
-                )
-            if i == 0:
-                work.append(
-                    (processor, cluster, key, probe_arrival,
-                     span, covered, replica_of, sender_id)
-                )
-            elif batch is None:
-                self._record_lost(
-                    curve, cluster, key, unresolved, stats,
-                    trace, span, processor,
-                )
-            else:
-                work.append(
-                    (batch[0], cluster, key, batch_arrival,
-                     span, batch[1], batch[2], sender_id)
-                )
-        if trace is not None:
-            if multiple:
-                trace.emit(
-                    parent_span, MessageSent(processor, sender_id, "reply", hops=1)
-                )
-            if len(group) > 1:
-                trace.emit(
-                    parent_span, MessageSent(sender_id, processor, "batch", hops=1)
-                )
-                trace.emit(
-                    parent_span, Aggregated(sender_id, processor, len(group))
-                )
-
-    def _dispatch_singles_resilient(
-        self, system, stats, sender_id, dest, group, work, now,
-        trace, parent_span, unresolved,
-    ) -> None:
-        """Unaggregated dispatch through the plane: one routed message per
-        cluster, each retried/failed-over independently."""
-        curve = system.curve
-        overlay = system.overlay
-        for key, cluster in group:
-            route = overlay.route(sender_id, key)
-            stats.record_path(route.path)
-            delivery = self._deliver_resilient(
-                system, stats, sender_id, dest, key, trace, parent_span
-            )
-            span_node = dest if delivery is None else delivery[0]
-            span = (
-                trace.new_span(parent_span, span_node, cluster.level)
-                if trace is not None else 0
-            )
-            if trace is not None:
-                trace.emit(
-                    span,
-                    MessageSent(sender_id, dest, "routed",
-                                hops=len(route.path) - 1, path=route.path),
-                )
-            if delivery is None:
-                self._record_lost(
-                    curve, cluster, key, unresolved, stats, trace, span, dest
-                )
-                continue
-            processor, covered, replica_of, penalty = delivery
-            work.append(
-                (processor, cluster, key,
-                 now + self._path_latency(route.path) + penalty, span,
-                 covered, replica_of, sender_id)
-            )
-
     def _deliver_resilient(
         self,
         system: "SquidSystem",
-        stats: QueryStats,
+        run: EngineRun,
         sender_id: int,
         dest: int,
         key: int,
-        trace: QueryTrace | None,
         span: int,
         allow_failover: bool = True,
         charge_route: bool = False,
@@ -1085,10 +711,12 @@ class OptimizedEngine(QueryEngine):
         """Push one physical message through the fault plane, fighting back
         per the retry policy.
 
-        Returns ``(processor, covered, replica_of, time_penalty)`` on
-        delivery — ``covered`` being the identifier whose range the visit
-        resolves and ``replica_of`` its id when the processor is a failover
-        stand-in — or ``None`` when the message is definitively lost.
+        Returns the *delivery outcome* ``(processor, covered, replica_of,
+        time_penalty)`` — ``covered`` being the identifier whose range the
+        visit resolves and ``replica_of`` its id when the processor is a
+        failover stand-in — or ``None`` when the message is definitively
+        lost.  (A run without a plane has the identity outcome
+        ``(dest, dest, None, 0.0)`` for every message and never gets here.)
 
         The *first* transmission must already be charged by the caller (the
         routed probe or the direct batch); retries, failovers, and crash
@@ -1096,9 +724,11 @@ class OptimizedEngine(QueryEngine):
         starts from a timed-out crashed destination: the sender re-resolves
         the owner and the (charged) re-route happens here too.
         """
-        plane = self.fault_plane
+        plane = run.plane
         policy = self.retry
         overlay = system.overlay
+        stats = run.stats
+        trace = run.trace
         penalty = 0.0
         total = 0
         if charge_route:
@@ -1109,16 +739,7 @@ class OptimizedEngine(QueryEngine):
             if dest == sender_id:
                 # The sender itself owns the key now: local hand-off.
                 return (dest, dest, None, penalty)
-            route = overlay.route(sender_id, key)
-            stats.record_path(route.path)
-            stats.record_retry()
-            penalty += self._path_latency(route.path)
-            if trace is not None:
-                trace.emit(
-                    span,
-                    MessageSent(sender_id, dest, "retry",
-                                hops=len(route.path) - 1, path=route.path),
-                )
+            penalty += self._reroute(system, run, sender_id, dest, key, span)
         primary = dest
         current = dest
         attempts = 0
@@ -1150,16 +771,7 @@ class OptimizedEngine(QueryEngine):
                 if nxt == sender_id:
                     return (nxt, primary, None if nxt == primary else primary,
                             penalty)
-                route = overlay.route(sender_id, nxt)
-                stats.record_path(route.path)
-                stats.record_retry()
-                penalty += self._path_latency(route.path)
-                if trace is not None:
-                    trace.emit(
-                        span,
-                        MessageSent(sender_id, nxt, "retry",
-                                    hops=len(route.path) - 1, path=route.path),
-                    )
+                penalty += self._reroute(system, run, sender_id, nxt, nxt, span)
                 current = nxt
                 attempts = 0
                 continue
@@ -1210,60 +822,311 @@ class OptimizedEngine(QueryEngine):
             replica_of = primary if current != primary else None
             return (current, primary, replica_of, penalty)
 
-    def _record_lost(
-        self, curve, cluster: Cluster, floor_key: int, unresolved, stats,
-        trace: QueryTrace | None, span: int, dest: int,
+    def _reroute(
+        self, system: "SquidSystem", run: EngineRun, sender_id: int,
+        target: int, key: int, span: int,
+    ) -> float:
+        """A timed-out sender routes the message again, toward ``key``'s
+        owner ``target``: one charged, traced retry.  Returns its latency."""
+        route = system.overlay.route(sender_id, key)
+        run.stats.record_path(route.path)
+        run.stats.record_retry()
+        if run.trace is not None:
+            run.trace.emit(
+                span,
+                MessageSent(sender_id, target, "retry",
+                            hops=len(route.path) - 1, path=route.path),
+            )
+        return self._path_latency(route.path)
+
+
+class OptimizedEngine(QueryEngine):
+    """Distributed recursive refinement with pruning and aggregation.
+
+    *Plan*: the initiator refines the query ``local_depth`` levels.
+    *Continue*: a node that does not own the rest of a cluster refines the
+    remainder beyond its range and dispatches the pieces by destination.
+    A shed or lost visit drops its branch; the discovery limit stops the
+    run.  Work entries are the tuples :meth:`QueryEngine._visit` documents.
+    """
+
+    name = "optimized"
+
+    def __init__(
+        self,
+        aggregate: bool = True,
+        local_depth: int = 1,
+        latency_model=None,
+        processing_delay: float = 0.0,
+        fault_plane: "FaultPlane | None" = None,
+        retry: "RetryPolicy | None" = None,
+        replication: "ReplicationManager | None" = None,
+        hop_budget: int | None = None,
+        guard: "GuardPlane | None" = None,
     ) -> None:
-        """Account one undeliverable branch: its remaining (linear) index
-        window becomes unresolved and the span is tagged lost."""
-        ranges = _clip_ranges(
-            cluster.iter_index_ranges(curve), floor_key, curve.size - 1
-        )
-        if unresolved is not None:
-            unresolved.extend(ranges)
-        stats.record_lost_branch()
-        if trace is not None:
-            trace.emit(span, BranchLost(dest, cluster.level, len(ranges)))
+        super().__init__(hop_budget, guard)
+        #: When False, each sub-cluster travels as its own routed message
+        #: (disables the paper's second optimization; used by the ablation).
+        self.aggregate = aggregate
+        #: How many refinement levels a node applies locally (CPU-only) to
+        #: the remainder before dispatching sub-clusters.  1 reproduces the
+        #: minimal-message behaviour; larger values mimic the paper's deeper
+        #: per-node tree expansion, producing finer sub-queries — more
+        #: messages without aggregation, but better batching with it.
+        if local_depth < 1:
+            raise EngineError(f"local_depth must be >= 1, got {local_depth}")
+        self.local_depth = local_depth
+        #: Optional :class:`~repro.overlay.proximity.LatencyModel`; when set,
+        #: the execution is timed — stats gain ``completion_time`` and
+        #: ``time_to_first_match`` in the model's latency units.
+        self.latency_model = latency_model
+        #: Per-node local processing time charged before dispatching.
+        self.processing_delay = float(processing_delay)
+        #: Optional :class:`~repro.faults.FaultPlane` every dispatched
+        #: message passes through.  ``None`` — or an *inert* plane (all
+        #: rates zero, no droppers) — leaves execution bit-identical to an
+        #: engine built without one: every message then has the identity
+        #: delivery outcome and the plane is never consulted.
+        self.fault_plane = fault_plane
+        #: Optional :class:`~repro.faults.RetryPolicy` governing timeouts,
+        #: retransmissions, and successor failover when the plane swallows
+        #: a message.  Without one, faulted branches are simply recorded as
+        #: lost (``QueryResult.unresolved_ranges``).
+        self.retry = retry
+        #: Optional :class:`~repro.core.replication.ReplicationManager`;
+        #: failover targets serve the unreachable peer's share of a cluster
+        #: from its replica store, restoring full recall.
+        self.replication = replication
 
-    def _record_shed(
-        self, curve, cluster: Cluster, floor_key: int, unresolved, stats,
-        trace: QueryTrace | None, span: int, dest: int,
-    ) -> None:
-        """Account one shed branch: like :meth:`_record_lost`, but the
-        abandonment was the load guard's deliberate decision."""
-        ranges = _clip_ranges(
-            cluster.iter_index_ranges(curve), floor_key, curve.size - 1
-        )
-        if unresolved is not None:
-            unresolved.extend(ranges)
-        stats.record_shed_branch()
-        if trace is not None:
-            trace.emit(span, BranchShed(dest, cluster.level, len(ranges)))
+    def result_cache_params(self):
+        """Result-cache key component: name plus plan-shaping knobs.
 
-    def _scan_replicas(self, node_id: int, ranges, match) -> tuple[list, bool]:
-        """Serve an unreachable peer's share from this node's replica store.
-
-        Returns ``(matches, served)``; ``served`` is False when no replica
-        store is available (no manager attached, or the node holds none) —
-        the caller then records the window as unresolved.
+        ``hop_budget`` is deliberately absent: it can only turn an answer
+        *incomplete* (never change a complete one), and incomplete results
+        are never cached.  The guard plane is absent for the same reason.
         """
-        manager = self.replication
-        if manager is None:
-            return [], False
-        store = manager.replicas.get(node_id)
-        if store is None:
-            return [], False
-        return self._filter_scan(store, ranges, match), True
+        return ("optimized", self.aggregate, self.local_depth)
 
-    def _path_latency(self, path: tuple[int, ...]) -> float:
-        if self.latency_model is None:
-            return 0.0
-        return self.latency_model.path_latency(path)
+    def _plan_param(self):
+        return self.local_depth
 
-    def _pair_latency(self, a: int, b: int) -> float:
-        if self.latency_model is None:
-            return 0.0
-        return self.latency_model.latency(a, b)
+    def _plan(self, curve, region) -> list[Cluster]:
+        """The initiator's first refinement of the query tree."""
+        root = root_cluster(curve, region)
+        if root is None:  # pragma: no cover - regions are never empty
+            return []
+        return self._refine_locally(curve, root, region, min_index=0)
+
+    def _start(self, system: "SquidSystem", run: EngineRun, plan: list) -> None:
+        """Dispatch the level-1 clusters from the initiator."""
+        plane = self.fault_plane
+        if plane is not None and plane.active:  # see begin_run: inertness
+            run.plane = plane
+            plane.begin_query(run.origin_id)
+        self._dispatch(
+            system, run, run.origin_id, plan, floor=0, now=0.0,
+            parent_span=run.root_span,
+        )
+
+    def process_message(self, system: "SquidSystem", run: EngineRun, entry) -> bool:
+        """One node handles one delivered sub-query (scan, prune or refine,
+        dispatch the remainder); False stops the run (discovery limit)."""
+        outcome, node_id, covered, arrival_time = self._visit(system, run, entry)
+        cluster, span = entry[1], entry[4]
+        trace = run.trace
+        if outcome is _CONTINUE:
+            remainder = self._refine_locally(
+                system.curve, cluster, run.region, min_index=covered + 1
+            )
+            if trace is not None:
+                trace.emit(
+                    span, ClusterRefined(node_id, cluster.level, len(remainder))
+                )
+            if remainder:
+                self._dispatch(
+                    system, run, node_id, remainder, floor=covered + 1,
+                    now=arrival_time + self._local_delay(run, node_id),
+                    parent_span=span,
+                )
+                return True
+            # The region's remaining geometry lies entirely within this
+            # node's scanned window: the branch ends here too.
+            reason = "empty"
+        elif outcome is _OWNED:
+            reason = "owned"
+        else:
+            # Shed or lost: the fan-out does not continue from this branch.
+            # Discovery limit: enough matches known, the origin stops the
+            # whole fan-out; outstanding branches are abandoned — their
+            # dispatch messages are already (truthfully) counted; the
+            # transport records how many were dropped in flight.
+            return outcome is not _LIMIT
+        run.stats.record_pruned()
+        if trace is not None:
+            trace.emit(span, Pruned(node_id, cluster.level, reason))
+        return True
+
+    def _refine_locally(self, curve, cluster: Cluster, region, min_index: int):
+        """Expand the query tree ``local_depth`` levels at this node (CPU only)."""
+        clusters = refine_cluster(curve, cluster, region, min_index=min_index)
+        for _ in range(self.local_depth - 1):
+            if all(c.is_resolved for c in clusters):
+                break
+            nxt: list[Cluster] = []
+            for c in clusters:
+                if c.is_resolved:
+                    nxt.append(c)
+                else:
+                    nxt.extend(refine_cluster(curve, c, region, min_index=min_index))
+            clusters = nxt
+        return clusters
+
+    def _dispatch(
+        self, system: "SquidSystem", run: EngineRun, sender_id: int,
+        clusters: list[Cluster], floor: int, now: float, parent_span: int,
+    ) -> None:
+        """Send sub-clusters toward their owners, optionally aggregated.
+
+        A sub-cluster is routed by its first index *of interest*,
+        ``max(min_index, floor)``: a partial cell straddling the sender's
+        trim boundary keeps its full geometry, so its nominal minimum can lie
+        at or below the sender — routing by the floored key keeps the chain
+        strictly advancing along the ring (and prevents re-scanning).
+
+        Grouping is by destination in increasing identifier order, matching
+        the paper's probe-then-batch protocol: the probe message is routed
+        (hop-counted), the destination's identity reply costs one message,
+        and additional same-destination clusters share one batched message.
+        Without aggregation every cluster is a message group of its own.
+
+        When tracing, every dispatched cluster opens a child span of
+        ``parent_span``; the probe/reply/batch messages are recorded on the
+        spans that own them (probe on the first receiving span, reply and
+        batch on the sender's span).
+
+        Each physical message has a *delivery outcome* ``(processor,
+        covered, replica_of, penalty)``: the identity ``(dest, dest, None,
+        0.0)`` on a run without a fault plane, else whatever
+        :meth:`_deliver_resilient` (retry/backoff/failover per the engine's
+        policy) achieves — ``None`` when the message stays undeliverable,
+        and then the clusters it carried are recorded as lost.  The sibling
+        batch is its own physical message: it can be faulted independently
+        of the probe, but never fails over (the probe/reply handshake
+        already fixed its destination).
+        """
+        if not clusters:
+            return
+        curve = system.curve
+        overlay = system.overlay
+        stats = run.stats
+        trace = run.trace
+        work = run.outbox
+        resilient = run.plane is not None
+        # Each cluster's routing key is computed once and carried, as a
+        # (key, cluster) pair, through the sort, the grouping and the
+        # posted work entry.  The sort is stable on the key alone.
+        keyed = [(max(c.min_index(curve), floor), c) for c in clusters]
+        keyed.sort(key=itemgetter(0))
+        owned: dict[int, list[tuple[int, Cluster]]] = {}
+        for pair in keyed:
+            dest = overlay.owner(pair[0])
+            if dest in owned:
+                owned[dest].append(pair)
+            else:
+                owned[dest] = [pair]
+        aggregate = self.aggregate
+        kind = "probe" if aggregate else "routed"
+        reply = aggregate and len(keyed) > 1
+        for dest, pairs in owned.items():
+            if dest == sender_id:
+                # Remainder that stays local (wrapped first node): no message.
+                for key, cluster in pairs:
+                    span = (
+                        trace.new_span(parent_span, dest, cluster.level)
+                        if trace is not None else 0
+                    )
+                    work.append(
+                        (dest, cluster, key, now, span, dest, None, sender_id)
+                    )
+                continue
+            for group in (pairs,) if aggregate else [(pair,) for pair in pairs]:
+                first_key = group[0][0]
+                route = overlay.route(sender_id, first_key)
+                stats.record_path(route.path)
+                first = (
+                    self._deliver_resilient(
+                        system, run, sender_id, dest, first_key, parent_span
+                    )
+                    if resilient else (dest, dest, None, 0.0)
+                )
+                batch = None
+                lost_at = dest
+                arrival = batch_arrival = now
+                if first is not None:
+                    lost_at = processor = first[0]
+                    arrival = now + self._path_latency(route.path) + first[3]
+                    if reply:
+                        stats.record_direct()  # identity reply enabling aggregation
+                    if len(group) > 1:
+                        stats.record_direct()  # batched siblings, sent directly
+                        stats.record_aggregated_batch()
+                        batch = (
+                            self._deliver_resilient(
+                                system, run, sender_id, processor, first_key,
+                                parent_span, allow_failover=False,
+                            )
+                            if resilient else first
+                        )
+                        if batch is not None:
+                            # The probe carries the first cluster; batched
+                            # siblings wait one sender<->dest round trip
+                            # (reply + batch).
+                            batch_arrival = (
+                                arrival
+                                + 2 * self._path_latency((sender_id, processor))
+                                + batch[3]
+                            )
+                for i, (key, cluster) in enumerate(group):
+                    carrier, at = (first, arrival) if i == 0 else (batch, batch_arrival)
+                    # A span points at the node that will actually process
+                    # the cluster: when the destination crashed mid-batch
+                    # the batch's redelivery re-resolved to a new owner,
+                    # which need not be the probe's processor.
+                    span_node = lost_at if carrier is None else carrier[0]
+                    span = (
+                        trace.new_span(parent_span, span_node, cluster.level)
+                        if trace is not None else 0
+                    )
+                    if trace is not None and i == 0:
+                        trace.emit(
+                            span,
+                            MessageSent(
+                                sender_id, dest, kind,
+                                hops=len(route.path) - 1, path=route.path,
+                            ),
+                        )
+                    if carrier is None:
+                        rest = _window(curve, cluster, key, curve.size - 1)
+                        self._abandon(run, rest, cluster.level, span, lost_at)
+                    else:
+                        work.append(
+                            (carrier[0], cluster, key, at, span,
+                             carrier[1], carrier[2], sender_id)
+                        )
+                if trace is not None and first is not None:
+                    if reply:
+                        trace.emit(
+                            parent_span,
+                            MessageSent(processor, sender_id, "reply", hops=1),
+                        )
+                    if len(group) > 1:
+                        trace.emit(
+                            parent_span,
+                            MessageSent(sender_id, processor, "batch", hops=1),
+                        )
+                        trace.emit(
+                            parent_span, Aggregated(sender_id, processor, len(group))
+                        )
 
 
 class NaiveEngine(QueryEngine):
@@ -1273,6 +1136,19 @@ class NaiveEngine(QueryEngine):
     refinement: "the number of clusters can be very high, and sending a
     message for each cluster is not a scalable solution" (§3.4.1).  Clusters
     spanning several nodes additionally walk the successor chain.
+
+    *Plan*: every cluster, resolved up to ``max_level``.  *Continue*: a
+    node that does not own the rest of a cluster hands it to its successor.
+    When the chain ends — also on a shed visit, or at the discovery limit,
+    which the next ``open`` re-checks — the initiator opens the next
+    cluster; a visit lost to the hop budget abandons the rest of the plan.
+
+    Work entries are ``(node, cluster, position, span, idx)``: a chain visit
+    of plan range ``idx`` (the degenerate cluster ``FullRange(low, high)`` at
+    the curve's full depth, scanned from ``position`` on), or with
+    ``cluster=None`` an ``open``: the initiator dispatches range ``idx``.
+    Exactly one entry is ever outstanding, so the protocol's strictly
+    sequential order is preserved over any transport.
     """
 
     name = "naive"
@@ -1283,229 +1159,101 @@ class NaiveEngine(QueryEngine):
         hop_budget: int | None = None,
         guard: "GuardPlane | None" = None,
     ) -> None:
+        super().__init__(hop_budget, guard)
         #: Optional refinement cap (the paper's curve approximation order);
         #: None resolves clusters exactly.
         self.max_level = max_level
-        #: Per-query cap on successor-chain steps; ``None`` derives
-        #: ``len(ranges) + default_hop_budget(n_nodes)`` at query time (a
-        #: healthy walk takes about one step per cluster plus one per node
-        #: boundary crossed, so the default never triggers; a post-crash
-        #: routing cycle walks the ring forever and exhausts it).
-        if hop_budget is not None and hop_budget < 1:
-            raise EngineError(f"hop_budget must be >= 1, got {hop_budget}")
-        self.hop_budget = hop_budget
-        #: Optional :class:`~repro.guard.GuardPlane`; same inertness
-        #: contract as :class:`OptimizedEngine`.
-        self.guard = guard
 
     def result_cache_params(self):
         """Result-cache key component: name plus refinement depth."""
         return ("naive", self.max_level)
 
-    def execute(
-        self,
-        system: "SquidSystem",
-        query,
-        origin: int | None = None,
-        rng: RandomLike = None,
-        limit: int | None = None,
-        priority=None,
-    ) -> QueryResult:
-        """Resolve ``query`` by fully expanding clusters at the initiator
-        and messaging each one (the paper's unoptimized strawman)."""
-        run = self.begin_run(
-            system, query, origin=origin, rng=rng, limit=limit,
-            priority=priority,
-        )
-        return drive_sync(self, system, run)
+    def _plan_param(self):
+        return self.max_level
 
-    def begin_run(
-        self,
-        system: "SquidSystem",
-        query,
-        origin: int | None = None,
-        rng: RandomLike = None,
-        limit: int | None = None,
-        priority=None,
-    ) -> EngineRun:
-        """Resolve every cluster at the initiator; queue the first one.
+    def _plan(self, curve, region) -> list[tuple[int, int]]:
+        """Full cluster resolution: the naive engine's dominant initiator cost."""
+        return resolve_clusters(curve, region, max_level=self.max_level)
 
-        Work entries are ``("open", idx)`` — the initiator dispatches range
-        ``idx`` — and ``("step", node_id, span, position, high, idx)`` — one
-        successor-chain visit.  Exactly one entry is ever outstanding, so
-        the protocol's strictly sequential order is preserved over any
-        transport.
-        """
-        if limit is not None and limit < 1:
-            raise EngineError(f"limit must be >= 1, got {limit}")
-        run = EngineRun()
-        run.priority = priority_rank(priority)
-        guard = self.guard
-        run.guard = guard if guard is not None and guard.active else None
-        q, region = self._bind_query(system, run, query)
-        curve = system.curve
-        run.limit = limit
-        stats = run.stats
-
-        origin_id = run.origin_id = self._pick_origin(system, origin, rng)
-        tracer = getattr(system, "tracer", None)
-        trace = run.trace = (
-            tracer.begin(str(q), origin_id) if tracer is not None else None
-        )
-        # Full cluster resolution is the naive engine's dominant initiator
-        # cost; like the optimized engine's first refinement it is pure
-        # geometry, so the plan cache applies (keyed on max_level).
-        stats.record_processing(origin_id, 0)
-        cache = getattr(system, "plan_cache", None)
-        cache_key = None
-        ranges: list[tuple[int, int]] | None = None
-        if cache is not None:
-            cache_key = plan_key(curve, region, self.name, self.max_level)
-            cached = cache.get(cache_key)
-            if cached is not None:
-                ranges = list(cached)
-                stats.plan_cache_hit = True
-        if ranges is None:
-            ranges = resolve_clusters(curve, region, max_level=self.max_level)
-            if cache is not None:
-                cache.put(cache_key, tuple(ranges))
-        run.ranges = ranges
-        # The chain touches roughly one node per cluster plus one per node
-        # boundary it crosses, so the budget scales with both.
-        run.budget = (
-            self.hop_budget
-            if self.hop_budget is not None
-            else len(ranges) + default_hop_budget(len(system.overlay.nodes))
-        )
-        if trace is not None:
-            run.root_span = trace.new_span(None, origin_id, 0)
-            trace.emit(run.root_span, ClusterRefined(origin_id, 0, len(ranges)))
-        run.outbox.append(("open", 0))
-        return run
-
-    def entry_node(self, run: EngineRun, entry) -> int:
-        """``open`` entries return to the initiator; steps go to the chain."""
-        return run.origin_id if entry[0] == "open" else entry[1]
+    def _start(self, system: "SquidSystem", run: EngineRun, plan: list) -> None:
+        """Keep the plan on the run and open its first range."""
+        run.ranges = plan
+        if self.hop_budget is None:
+            # A healthy walk takes about one step per cluster plus one per
+            # node boundary crossed, so the default budget scales with both.
+            run.budget += len(plan)
+        run.outbox.append((run.origin_id, None, 0, run.root_span, 0))
 
     def process_message(self, system: "SquidSystem", run: EngineRun, entry) -> bool:
-        """Handle one protocol step (see :meth:`begin_run` for entry kinds)."""
-        curve = system.curve
-        overlay = system.overlay
-        stats = run.stats
-        trace = run.trace
-
-        if entry[0] == "open":
-            idx = entry[1]
-            guard = run.guard
-            if guard is not None and not guard.admit(
-                run.origin_id, run.priority
-            ):
-                # The initiator itself is overloaded: the clusters not yet
-                # dispatched are shed wholesale (one accounting event).
-                if idx < len(run.ranges):
-                    run.unresolved.extend(run.ranges[idx:])
-                    stats.record_shed_branch()
-                    if trace is not None:
-                        trace.emit(
-                            run.root_span,
-                            BranchShed(
-                                run.origin_id, 0, len(run.ranges) - idx
-                            ),
-                        )
-                return True
-            if idx >= len(run.ranges):
-                return True  # every cluster handled: the run drains out
-            if run.limit is not None and len(run.matches) >= run.limit:
-                # Discovery mode: remaining clusters were never dispatched,
-                # so no in-flight messages exist to account for.
-                return True
-            low, high = run.ranges[idx]
-            # One message routed per cluster, straight from the initiator.
-            dest = overlay.owner(low)
-            span = run.root_span
-            if trace is not None:
-                span = trace.new_span(run.root_span, dest, curve.order)
-            if dest != run.origin_id:
-                route = overlay.route(run.origin_id, low)
-                stats.record_path(route.path)
-                if trace is not None:
-                    trace.emit(
-                        span,
-                        MessageSent(
-                            run.origin_id, dest, "routed",
-                            hops=len(route.path) - 1, path=route.path,
-                        ),
-                    )
-            run.outbox.append(("step", dest, span, low, high, idx))
+        """Handle one protocol step (see the class docstring for entries)."""
+        node_id, cluster, position, span, idx = entry
+        if cluster is None:
+            self._open(system, run, idx)
             return True
-
-        # The cluster may span several successive nodes: walk the chain.
-        _kind, node_id, span, position, high, idx = entry
-        guard = run.guard
-        if guard is not None and not guard.admit(node_id, run.priority):
-            # The node's load guard refused this chain visit: its remaining
-            # window is shed; the initiator moves on to the next cluster.
-            run.unresolved.append((position, high))
-            stats.record_shed_branch()
-            if trace is not None:
-                trace.emit(span, BranchShed(node_id, curve.order, 1))
-            run.outbox.append(("open", idx + 1))
-            return True
-        if not run._charge_hop():
-            # Hop budget exhausted — a post-crash stale-pointer cycle is
-            # walking the ring forever.  Abandon the remaining window of
-            # this cluster and every cluster not yet dispatched; the query
-            # returns an honest ``complete=False`` instead of hanging.
-            run.unresolved.append((position, high))
-            stats.record_lost_branch()
-            if trace is not None:
-                trace.emit(span, BranchLost(node_id, curve.order, 1))
+        visit = (node_id, cluster, position, 0.0, span, node_id, None, run.origin_id)
+        outcome = self._visit(system, run, visit)[0]
+        if outcome is _LOST:
+            # The hop budget is gone — a post-crash stale-pointer cycle is
+            # walking the ring forever: besides this cluster's remaining
+            # window, every cluster not yet dispatched is abandoned.
             run.unresolved.extend(run.ranges[idx + 1:])
-            return True
-        stats.record_processing(node_id, curve.order)
-        window_high = min(high, node_id) if position <= node_id else high
-        found = self._scan_cluster(
-            system, node_id, [(position, window_high)], run.matcher
-        )
-        if trace is not None:
-            trace.emit(span, LocalScan(node_id, 1, len(found)))
-        advance = True
-        if found:
-            run.matches.extend(found)
-            stats.record_data_node(node_id)
-            if run.limit is not None and len(run.matches) >= run.limit:
-                advance = False  # stop the chain; "open" re-checks the limit
-        node = overlay.nodes[node_id]
-        # Done when this node owns the rest of the (linear) range: either
-        # the range ends at/before the node's identifier, or the visit
-        # wrapped past the ring's top — a wrapped arrival scanned
-        # [position, high] in full, so the walk must stop.  (Deciding the
-        # wrap from ``node.predecessor`` is wrong after a crash: the stale
-        # pointer can name a dead peer with a larger identifier, and the
-        # missed prune re-walks and re-scans the tail — duplicate matches.)
-        if advance and not (
-            high <= node_id
-            or node.predecessor == node_id  # single node owns all
-            or position > node_id  # wrapped visit: window was [position, high]
-        ):
+        elif outcome is _CONTINUE:
+            # The cluster spans further nodes: walk the successor chain.
             position = node_id + 1
-            next_id = overlay.owner(position)
-            stats.record_direct()  # hand the rest of the range onward
-            stats.routing_nodes.add(next_id)
-            if trace is not None:
-                child = trace.new_span(span, next_id, curve.order)
-                trace.emit(
-                    child,
+            next_id = system.overlay.owner(position)
+            run.stats.record_direct()  # hand the rest of the range onward
+            run.stats.routing_nodes.add(next_id)
+            if run.trace is not None:
+                span = run.trace.new_span(span, next_id, cluster.level)
+                run.trace.emit(
+                    span,
                     MessageSent(
                         node_id, next_id, "handoff",
                         hops=1, path=(node_id, next_id),
                     ),
                 )
-                span = child
-            run.outbox.append(("step", next_id, span, position, high, idx))
-            return True
-        run.outbox.append(("open", idx + 1))
+            run.outbox.append((next_id, cluster, position, span, idx))
+        else:
+            run.outbox.append((run.origin_id, None, 0, run.root_span, idx + 1))
         return True
+
+    def _open(self, system: "SquidSystem", run: EngineRun, idx: int) -> None:
+        """The initiator routes plan range ``idx`` to the owner of its low
+        end — one message per cluster — unless the run is over."""
+        ranges = run.ranges
+        origin_id = run.origin_id
+        if run.guard is not None and self._refused(run, origin_id):
+            # The initiator itself is overloaded: the clusters not yet
+            # dispatched are shed wholesale (one accounting event).
+            if idx < len(ranges):
+                self._abandon(run, ranges[idx:], 0, run.root_span, origin_id, shed=True)
+            return
+        if idx >= len(ranges):
+            return  # every cluster handled: the run drains out
+        if run.limit is not None and len(run.matches) >= run.limit:
+            # Discovery mode: remaining clusters were never dispatched,
+            # so no in-flight messages exist to account for.
+            return
+        low, high = ranges[idx]
+        order = system.curve.order
+        dest = system.overlay.owner(low)
+        trace = run.trace
+        span = run.root_span
+        if trace is not None:
+            span = trace.new_span(span, dest, order)
+        if dest != origin_id:
+            route = system.overlay.route(origin_id, low)
+            run.stats.record_path(route.path)
+            if trace is not None:
+                trace.emit(
+                    span,
+                    MessageSent(
+                        origin_id, dest, "routed",
+                        hops=len(route.path) - 1, path=route.path,
+                    ),
+                )
+        cluster = Cluster(order, (FullRange(low, high),))
+        run.outbox.append((dest, cluster, low, span, idx))
 
 
 _ENGINES = {

@@ -376,37 +376,54 @@ class SquidSystem:
         canonical answers for the region.
         """
         eng = self._coerce_engine(engine)
-        cache = self.result_cache
-        key = region = None
-        if cache is not None and limit is None:
-            params = eng.result_cache_params()
-            if params is not None:
-                q = self.space.as_query(query)
-                region = self.space.region(q)
-                key = result_key(self.curve, region, eng.name, params, query=q)
-                cached = cache.get(key)
-                if cached is not None:
-                    return QueryResult(
-                        q,
-                        list(cached),
-                        QueryStats(result_cache_hit=True),
-                        None,
-                        complete=True,
-                    )
-                # A miss hands the engine what the probe just built, so it
-                # does not parse, check and cover the text a second time.
-                query = BoundQuery(q, region)
+        hit, key, bound = self._cache_probe(eng, query, limit)
+        if hit is not None:
+            return hit
         result = eng.execute(
             self,
-            query,
+            bound,
             origin=origin,
             rng=rng if rng is not None else self._rng,
             limit=limit,
             priority=priority,
         )
-        if key is not None:
-            cache.put(key, result, self.curve, region)
+        self._cache_store(key, bound, result)
         return result
+
+    def _cache_probe(self, engine: QueryEngine, query, limit: int | None):
+        """The result-cache fast path of :meth:`query` and of the transports.
+
+        Returns ``(hit, key, bound)``: a cached result, or on a miss the key
+        to :meth:`_cache_store` the answer under (``None`` when the cache is
+        not consulted) and the query to hand to the engine — what the probe
+        built, so the engine does not parse, check and cover the text a
+        second time, or ``query`` unchanged.
+        """
+        cache = self.result_cache
+        if cache is None or limit is not None:
+            return None, None, query
+        params = engine.result_cache_params()
+        if params is None:
+            return None, None, query
+        q = self.space.as_query(query)
+        region = self.space.region(q)
+        key = result_key(self.curve, region, engine.name, params, query=q)
+        cached = cache.get(key)
+        if cached is not None:
+            hit = QueryResult(
+                q,
+                list(cached),
+                QueryStats(result_cache_hit=True),
+                None,
+                complete=True,
+            )
+            return hit, key, None
+        return None, key, BoundQuery(q, region)
+
+    def _cache_store(self, key, bound, result: QueryResult) -> None:
+        """File a fresh answer under the key :meth:`_cache_probe` returned."""
+        if key is not None:
+            self.result_cache.put(key, result, self.curve, bound.region)
 
     def query_many(
         self,

@@ -45,8 +45,9 @@ Two implementations:
     ``process_message`` or explicitly abandoned (stale deliveries,
     discovery-stop leftovers), keeping the per-node pending gauge exact.
 
-Both transports mirror :meth:`SquidSystem.query`'s result-cache fast path,
-so a served query hits the same initiator-side cache a local call would.
+Both transports take :meth:`SquidSystem.query`'s result-cache fast path
+(the same probe and store), so a served query hits the initiator-side cache
+exactly when a local call would.
 
 Deadlock freedom (the classic bounded-mailbox pitfall): node workers never
 *put* — they only pop an envelope, optionally sleep, and park it in the
@@ -62,10 +63,8 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
 from repro.core.engine import drive_sync
-from repro.core.metrics import QueryResult, QueryStats
-from repro.core.resultcache import result_key
+from repro.core.metrics import QueryResult
 from repro.errors import EngineError
-from repro.keywords.space import BoundQuery
 from repro.util.rng import RandomLike
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -120,44 +119,6 @@ class Transport(ABC):
             return guard
         return None
 
-    # ------------------------------------------------------------------
-    # Result-cache fast path (mirrors SquidSystem.query exactly)
-    # ------------------------------------------------------------------
-    def _cache_probe(self, query, limit):
-        """Return ``(hit, key, bound)``: a cached result, or the put key.
-
-        On a miss ``bound`` is the query to hand to ``begin_run``: what the
-        probe built (so the engine does not parse, check and cover the text
-        again), or ``query`` unchanged when the cache was not consulted.
-        """
-        system = self.system
-        cache = system.result_cache
-        if cache is None or limit is not None:
-            return None, None, query
-        params = self.engine.result_cache_params()
-        if params is None:
-            return None, None, query
-        q = system.space.as_query(query)
-        region = system.space.region(q)
-        key = result_key(system.curve, region, self.engine.name, params, query=q)
-        cached = cache.get(key)
-        if cached is not None:
-            hit = QueryResult(
-                q,
-                list(cached),
-                QueryStats(result_cache_hit=True),
-                None,
-                complete=True,
-            )
-            return hit, key, None
-        return None, key, BoundQuery(q, region)
-
-    def _cache_store(self, key, bound, result: QueryResult) -> None:
-        if key is not None:
-            self.system.result_cache.put(
-                key, result, self.system.curve, bound.region
-            )
-
     def _request_rng(self, rng: RandomLike):
         return rng if rng is not None else self.system._rng
 
@@ -178,7 +139,7 @@ class SyncTransport(Transport):
         limit: int | None = None,
         priority=None,
     ) -> QueryResult:
-        hit, key, bound = self._cache_probe(query, limit)
+        hit, key, bound = self.system._cache_probe(self.engine, query, limit)
         if hit is not None:
             self.queries_served += 1
             return hit
@@ -187,7 +148,7 @@ class SyncTransport(Transport):
             rng=self._request_rng(rng), limit=limit, priority=priority,
         )
         result = drive_sync(self.engine, self.system, run)
-        self._cache_store(key, bound, result)
+        self.system._cache_store(key, bound, result)
         self.queries_served += 1
         return result
 
@@ -343,7 +304,7 @@ class AsyncioTransport(Transport):
     ) -> QueryResult:
         if not self._started:
             await self.start()
-        hit, key, bound = self._cache_probe(query, limit)
+        hit, key, bound = self.system._cache_probe(self.engine, query, limit)
         if hit is not None:
             self.queries_served += 1
             return hit
@@ -362,7 +323,7 @@ class AsyncioTransport(Transport):
             # drop envelopes of unknown runs (abandoned discovery-mode
             # branches), so nothing leaks into a later run with this qid.
             self._runs.pop(qid, None)
-        self._cache_store(key, bound, result)
+        self.system._cache_store(key, bound, result)
         self.queries_served += 1
         return result
 

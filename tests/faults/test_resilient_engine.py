@@ -26,9 +26,9 @@ def _oracle(system, query):
 
 def _run(system, engine, seed=0, queries=QUERIES):
     rng = np.random.default_rng(seed)
-    ids = system.overlay.node_ids()
     out = []
     for i, query in enumerate(queries):
+        ids = system.overlay.node_ids()  # re-read: the plane may crash nodes
         origin = ids[(i * 7) % len(ids)]
         out.append(engine.execute(system, query, origin=origin, rng=rng))
     return out

@@ -15,10 +15,16 @@ DOCS = [
 ]
 
 
-def build_system(n_nodes=16, seed=7, engine=None, bits=8):
-    """A small populated 2-D word system (fresh per call: tests mutate it)."""
+def build_system(n_nodes=16, seed=7, engine=None, bits=8, curve=None):
+    """A small populated 2-D word system (fresh per call: tests mutate it).
+
+    ``curve`` pins the family for tests asserting curve-calibrated costs;
+    the default floats with the process default (``REPRO_CURVE``).
+    """
     space = KeywordSpace([WordDimension("kw1"), WordDimension("kw2")], bits=bits)
-    system = SquidSystem.create(space, n_nodes=n_nodes, seed=seed, engine=engine)
+    system = SquidSystem.create(
+        space, n_nodes=n_nodes, seed=seed, engine=engine, curve=curve
+    )
     for key, payload in DOCS:
         system.publish(key, payload=payload)
     return system

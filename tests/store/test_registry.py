@@ -1,10 +1,9 @@
-"""The store registry: by-name selection, specs, defaults, deprecation."""
+"""The store registry: by-name selection, specs, defaults."""
 
 from __future__ import annotations
 
 import importlib
 import pickle
-import sys
 import warnings
 
 import pytest
@@ -121,12 +120,6 @@ class TestStoreSpec:
 
 
 class TestDeprecatedImportPath:
-    def test_legacy_module_warns_and_aliases(self):
-        sys.modules.pop("repro.store.local", None)
-        with pytest.warns(DeprecationWarning, match="repro.store.local"):
-            legacy = importlib.import_module("repro.store.local")
-        assert legacy.LocalStore is LocalStore
-
     def test_new_paths_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
