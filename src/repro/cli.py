@@ -13,14 +13,6 @@ Commands
 ``trace QUERY [--engine E] [--nodes N] [--seed S] [--json]``
     Run one query on a small demo system with a tracer attached and print
     the reconstructed refinement tree, the stats, and the metrics snapshot.
-``bench [--quick] [--seed N] [--workers N] [--suites s1,s2] [--output PATH]``
-    Run the seeded query-hot-path benchmark suites (encode throughput,
-    refinement kernel scalar vs. vectorized, end-to-end latency by query
-    class, parallel batch execution, resilient execution under faults,
-    store backends, skewed trace replay with the result cache) and write
-    the versioned JSON document (default ``BENCH_query_path.json``).
-    ``--suites`` selects a comma-separated subset (e.g. ``--suites trace``
-    for the CI cache smoke leg).
 ``chaos [--drop-rate R] [--crash-rate R] [--mitigation M] [--assert-complete]``
     Run seeded queries through an injected fault plane and print recall,
     completeness, and retry/failover accounting.  ``--assert-complete``
@@ -48,9 +40,9 @@ Commands
 
 ``run`` and ``report`` accept ``--profile`` to time the hot SFC/engine
 phases and print the per-phase table after the run.  ``run``, ``report``,
-``replicate``, and ``bench`` accept ``--workers N`` to execute query
-batches across N worker processes (results are identical for any N; only
-wall-clock time changes).  ``run``, ``bench``, and ``chaos`` accept
+and ``replicate`` accept ``--workers N`` to execute query batches across N
+worker processes (results are identical for any N; only wall-clock time
+changes).  ``run`` and ``chaos`` accept
 ``--store {local,columnar,sqlite}`` to select the node-store backend the
 systems are built on (results are identical for any backend; only
 throughput and memory footprint change — see ``docs/storage.md``),
@@ -61,6 +53,9 @@ curve family (answers are identical for any curve; message costs differ —
 ``--result-cache N`` to attach an initiator-side result cache of capacity
 N to every system built during the command (match sets are identical with
 or without it; see ``docs/performance.md`` §7).
+
+The repository benchmark is not a subcommand: run ``python3 perf/run.py``
+from the repo root (``docs/performance.md`` §8).
 """
 
 from __future__ import annotations
@@ -123,28 +118,6 @@ def main(argv: list[str] | None = None) -> int:
     trace_p.add_argument(
         "--json", action="store_true", help="emit the trace tree as JSON"
     )
-
-    bench_p = sub.add_parser("bench", help="run the query-hot-path benchmarks")
-    bench_p.add_argument(
-        "--quick", action="store_true", help="tiny suites (seconds; used by CI smoke)"
-    )
-    bench_p.add_argument("--seed", type=int, default=42)
-    bench_p.add_argument(
-        "--suites",
-        default=None,
-        metavar="s1,s2",
-        help="comma-separated suite subset "
-        "(encode,refine,e2e,parallel,resilience,store,trace,serve,overload)",
-    )
-    bench_p.add_argument(
-        "--output",
-        default="BENCH_query_path.json",
-        help="path of the JSON result document",
-    )
-    _add_workers_flag(bench_p)
-    _add_curve_flag(bench_p)
-    _add_store_flag(bench_p)
-    _add_result_cache_flag(bench_p)
 
     chaos_p = sub.add_parser(
         "chaos", help="run seeded queries under an injected fault plane"
@@ -335,8 +308,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_demo()
     if args.command == "trace":
         return _cmd_trace(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "chaos":
         return _cmd_chaos(args)
     if args.command == "serve":
@@ -672,23 +643,6 @@ def _cmd_loadgen(args) -> int:
         print(f"FAIL: {exc}")
         return 1
     print(json.dumps(report.as_dict(), indent=2) if args.json else report.render())
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.bench import render_summary, run_bench, write_bench_json
-
-    suites = (
-        [s.strip() for s in args.suites.split(",") if s.strip()]
-        if args.suites
-        else None
-    )
-    result = run_bench(
-        seed=args.seed, quick=args.quick, workers=args.workers, suites=suites
-    )
-    write_bench_json(result, args.output)
-    print(render_summary(result))
-    print(f"results written to {args.output}")
     return 0
 
 

@@ -189,7 +189,7 @@ class GuardConfig:
 
 @dataclass
 class GuardStats:
-    """Counters of what the plane did; reported by the bench and tests."""
+    """Counters of what the plane did."""
 
     admitted: int = 0
     shed_queue: int = 0

@@ -3,7 +3,7 @@
 One :class:`QueryClient` holds one keep-alive connection; requests on a
 single client are strictly sequential (HTTP/1.1 without pipelining), so
 concurrency means *many clients* — which is exactly how the load generator
-and the bench ``serve`` suite model concurrent users.
+models concurrent users.
 """
 
 from __future__ import annotations

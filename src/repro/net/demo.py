@@ -2,15 +2,16 @@
 
 ``python -m repro serve`` needs a populated system to serve, the load
 generator's ``--self-serve`` mode needs the *same* system so a twin can
-verify answers, and the bench ``serve`` suite needs both plus a skewed
-request list.  This module is the single source of those fixtures: every
-builder is a pure function of its seed, so a server process and a
-verification process construct bit-identical worlds independently.
+verify answers, and the served-identity tests (``tests/net/``) need both
+plus a skewed request list.  This module is the single source of those
+fixtures: every builder is a pure function of its seed, so a server
+process and a verification process construct bit-identical worlds
+independently.
 
-The corpus shape mirrors the bench harness (word x numeric-size keyword
-space over all four query classes) and the request stream comes from
+The corpus is a word x numeric-size keyword space that all four query
+classes hit, and the request stream comes from
 :func:`repro.workloads.trace.synthetic_trace` — Zipf popularity with
-bursts, the workload family introduced in the trace suite.
+bursts.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.workloads.trace import synthetic_trace
 __all__ = ["build_demo_system", "demo_queries", "demo_requests"]
 
 #: Document vocabulary; stems share 4-char prefixes so prefix queries and
-#: exact queries both hit (same idea as the bench harness corpus).
+#: exact queries both hit.
 WORD_STEMS = [
     "computer", "computation", "compiler", "network", "netbook", "neural",
     "database", "dataflow", "storage", "stochastic", "stream", "search",
@@ -102,7 +103,7 @@ def demo_requests(
     Each request is a JSON-ready dict.  With a ``system``, every request
     carries an explicitly chosen (seeded) ``origin``, so a served run and
     an in-process verification run resolve from identical entry points —
-    the precondition for the bench suite's bit-identity guard.  Without one
+    the precondition for the served bit-identity tests.  Without one
     (load-generating against a remote server whose node ids are unknown)
     each request carries a derived ``seed`` instead, making the *server's*
     origin selection reproducible per request.

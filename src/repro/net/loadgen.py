@@ -22,8 +22,8 @@ load shedding) are counted as ``shed_answers``, and a ``deadline`` only
 so percentiles stay honest.  **Goodput** is the useful-work rate: complete,
 in-deadline 200 answers per second.  An unguarded server under overload
 keeps answering but late (high p99, low goodput); a guarded one fails fast
-and sheds honestly (bounded p99, higher goodput) — the bench ``overload``
-suite measures exactly this trade.
+and sheds honestly (bounded p99, higher goodput) —
+``tests/net/test_overload.py`` holds the system to exactly this trade.
 
 :func:`run_loadgen` is the synchronous entry point behind
 ``python -m repro loadgen``; with ``self_serve=True`` it builds a seeded

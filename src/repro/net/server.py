@@ -5,9 +5,8 @@
 the dependency budget) and multiplexes every in-flight request over one
 shared :class:`~repro.net.transport.AsyncioTransport`.  Because the
 transport preserves per-run message order, a served answer is bit-identical
-to the same query resolved in process by :meth:`SquidSystem.query` — the
-bench ``serve`` suite asserts exactly that through
-:func:`encode_result`.
+to the same query resolved in process by :meth:`SquidSystem.query` —
+``tests/net/`` asserts exactly that through :func:`encode_result`.
 
 Routes
 ------
@@ -62,8 +61,8 @@ _MAX_REQUEST_BODY = 1 << 20  # 1 MiB of JSON is already a hostile query
 def encode_result(result: "QueryResult") -> dict[str, Any]:
     """The JSON *answer* of a query: matches plus completeness.
 
-    This is the serving layer's wire contract and the unit of the bench
-    suite's bit-identity guard — it deliberately excludes :class:`QueryStats`
+    This is the serving layer's wire contract and the unit of the served
+    bit-identity tests — it deliberately excludes :class:`QueryStats`
     (cost varies with shared-cache state and concurrency; the answer must
     not).  Matches keep engine order, which both transports reproduce.
     """

@@ -39,8 +39,6 @@ from repro.sfc.clusters import (
     refine_level,
     resolve_clusters,
     root_cluster,
-    set_vectorized_refinement,
-    vectorized_refinement,
 )
 from repro.sfc.graycurve import GrayCurve
 from repro.sfc.hilbert import HilbertCurve
@@ -69,8 +67,6 @@ __all__ = [
     "clusters_at_level",
     "resolve_clusters",
     "count_clusters_per_level",
-    "set_vectorized_refinement",
-    "vectorized_refinement",
     "ClusterStats",
     "cluster_stats",
     "locality_ratio",

@@ -27,7 +27,6 @@ cluster semantics (maximal contiguous intersecting runs) are unchanged.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import cache
 from operator import add
 from time import perf_counter
@@ -50,42 +49,7 @@ __all__ = [
     "clusters_at_level",
     "resolve_clusters",
     "count_clusters_per_level",
-    "set_vectorized_refinement",
-    "vectorized_refinement",
 ]
-
-#: Process-wide switch for the array-resident resolver
-#: (:func:`repro.sfc.refine_vec.resolve_ranges_vec`).  On by default; the
-#: level-by-level resolver still applies whenever a curve's indices do not
-#: fit ``int64``.  One-step refinement (:func:`refine_cluster`,
-#: :func:`refine_level`) has a single kernel and ignores the switch.
-_VEC_ENABLED = True
-
-
-def set_vectorized_refinement(enabled: bool) -> bool:
-    """Enable/disable the array-resident resolver; returns the old value.
-
-    Gates only :func:`resolve_clusters`' use of
-    :func:`~repro.sfc.refine_vec.resolve_ranges_vec`.  Used by the benchmark
-    harness to measure the level-by-level baseline; normal callers never
-    need this (the resolver is exact — property-tested equivalent — and
-    falls back automatically for wide curves).
-    """
-    global _VEC_ENABLED
-    previous = _VEC_ENABLED
-    _VEC_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def vectorized_refinement(enabled: bool) -> Iterator[None]:
-    """Scope with the array-resident resolver forced on/off; restores on exit."""
-    previous = set_vectorized_refinement(enabled)
-    try:
-        yield
-    finally:
-        set_vectorized_refinement(previous)
-
 
 #: The kernel builds its (already valid) outputs without the Python-level
 #: ``__new__`` of the value types: ``_new(FullRange, (low, high))``.
@@ -477,12 +441,23 @@ def resolve_clusters(
 def _resolve_clusters(
     curve: SpaceFillingCurve, region: Region, max_level: int | None = None
 ) -> list[tuple[int, int]]:
-    if _VEC_ENABLED and curve.fits_int64:
+    if curve.fits_int64:
         # Only the final index ranges are needed, so the fully array-resident
         # resolver applies: no intermediate Cluster objects at all.
         from repro.sfc.refine_vec import resolve_ranges_vec
 
         return resolve_ranges_vec(curve, region, max_level)
+    return _resolve_level_by_level(curve, region, max_level)
+
+
+def _resolve_level_by_level(
+    curve: SpaceFillingCurve, region: Region, max_level: int | None = None
+) -> list[tuple[int, int]]:
+    """Resolve through the refinement kernel, one level at a time.
+
+    The resolver for curves whose indices do not fit ``int64``, and the
+    reference the equivalence tests hold ``resolve_ranges_vec`` to.
+    """
     limit = curve.order if max_level is None else min(max_level, curve.order)
     root = root_cluster(curve, region)
     if root is None:  # pragma: no cover - defensive

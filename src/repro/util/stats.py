@@ -142,11 +142,11 @@ def percentiles(
 ) -> dict[str, float]:
     """Named percentiles of a sample: ``{"p50": ..., "p95": ..., "p99": ...}``.
 
-    The single shared implementation behind the bench harness tables and the
-    load generator's latency report.  An empty sample yields ``nan`` for
-    every quantile — unlike :func:`percentile`'s 0.0, because a latency
-    report must not present "no data" as "instant" (the load generator's
-    ``--check`` mode asserts the values are finite).
+    The shared implementation behind the load generator's latency report.
+    An empty sample yields ``nan`` for every quantile — unlike
+    :func:`percentile`'s 0.0, because a latency report must not present
+    "no data" as "instant" (the load generator's ``--check`` mode asserts
+    the values are finite).
     """
     labels = [f"p{int(q) if float(q).is_integer() else q}" for q in qs]
     arr = np.asarray(values, dtype=float)

@@ -3,9 +3,9 @@
 The resilience machinery (fault plane + retry policy + replication manager)
 must be free when unused: with every fault rate at zero the engine takes the
 unmodified fast path, consumes no extra randomness, and produces the same
-matches, the same :class:`QueryStats`, and the same trace totals as a plain
-:class:`OptimizedEngine` — across curve families, query classes, and both
-aggregation modes.
+matches, the same :class:`QueryStats`, the same trace totals, and the same
+metrics snapshot as a plain :class:`OptimizedEngine` — across curve
+families, query classes, and both aggregation modes.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.core.engine import OptimizedEngine
 from repro.core.plancache import PlanCache
 from repro.core.replication import ReplicationManager
 from repro.faults import FaultConfig, FaultPlane, RetryPolicy
+from repro.obs import collecting
 from repro.overlay.chord import RouteCache
 from tests.core.conftest import WORDS
 
@@ -44,23 +45,24 @@ def _run(system, engine, seed):
     system.attach_tracer()
     out = []
     try:
-        for i, query in enumerate(QUERY_CLASSES):
-            system.plan_cache = PlanCache()
-            system.overlay.route_cache = RouteCache()
-            origin = ids[(seed + i) % len(ids)]
-            res = engine.execute(system, query, origin=origin, rng=rng)
-            out.append(
-                (
-                    sorted(str(e.key) for e in res.matches),
-                    res.stats.as_dict(),
-                    res.trace.totals(),
-                    res.complete,
-                    res.unresolved_ranges,
+        with collecting() as registry:
+            for i, query in enumerate(QUERY_CLASSES):
+                system.plan_cache = PlanCache()
+                system.overlay.route_cache = RouteCache()
+                origin = ids[(seed + i) % len(ids)]
+                res = engine.execute(system, query, origin=origin, rng=rng)
+                out.append(
+                    (
+                        sorted(str(e.key) for e in res.matches),
+                        res.stats.as_dict(),
+                        res.trace.totals(),
+                        res.complete,
+                        res.unresolved_ranges,
+                    )
                 )
-            )
     finally:
         system.detach_tracer()
-    return out
+    return out, registry.snapshot()
 
 
 @settings(
@@ -86,5 +88,6 @@ def test_inert_plane_is_bit_identical(curve_name, seed, aggregate):
     resilient = _run(system, armed, seed)
     assert resilient == reference
     # And nothing was ever marked incomplete.
-    for _, _, _, complete, unresolved in reference:
+    per_query, _metrics = reference
+    for _, _, _, complete, unresolved in per_query:
         assert complete and unresolved == ()

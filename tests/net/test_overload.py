@@ -10,13 +10,22 @@ queued unboundedly, never a 5xx — and refusals are counted in
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 
 import pytest
 
 from repro.core.engine import OptimizedEngine
+from repro.faults import FaultConfig, FaultPlane, RetryPolicy
 from repro.guard import GuardConfig, GuardPlane
-from repro.net import QueryClient, QueryServer, build_demo_system, encode_result
+from repro.net import (
+    QueryClient,
+    QueryServer,
+    build_demo_system,
+    demo_requests,
+    encode_result,
+)
+from repro.net.loadgen import DEFAULT_GUARD_KWARGS, run_pool
 from repro.net.server import read_http_response
 
 BUILD = dict(seed=7, n_nodes=16, n_docs=200, bits=8)
@@ -218,3 +227,116 @@ class TestGuardedEngineServed:
         assert body["result"]["complete"] is False
         assert body["result"]["unresolved_ranges"]
         assert body["stats"]["shed_branches"] > 0
+
+
+def test_guarding_pays_at_4x_capacity():
+    """Open-loop replay at 4x the calibrated closed-loop capacity, equal
+    ``max_inflight`` on every leg so only the admission policy differs:
+    the guarded server (bounded backlog + engine guard plane: clean 429s,
+    bounded tails) must beat the unguarded one (unbounded waiting: answers
+    arrive, but late) on **both** p99 and goodput; below the watermarks it
+    must be inert — clean, and byte-identical to an in-process twin; and
+    no leg, a 5%-drop fault plane under the guards included, may fail."""
+    # The overload window must be long enough for the unguarded server to
+    # reach its saturated steady state (queueing compounding past the
+    # deadline); a short burst lets its early-ramp answers land in-deadline
+    # and the goodput comparison becomes a coin flip.
+    n_requests, n_cal = 160, 40
+    max_inflight, max_backlog = 8, 4
+    # Client concurrency sets the unguarded server's queueing depth, and
+    # with it the wave latency every unguarded answer pays under overload
+    # (~concurrency / capacity).  It must sit well past the deadline while
+    # the guarded bound (max_inflight + max_backlog servings) sits well
+    # inside it, or the p99/goodput gates degenerate into coin flips.
+    loadgen_clients = 128
+    twin = build_demo_system(**BUILD)
+    requests = demo_requests(twin, BUILD["seed"], n_requests)
+    calm_requests = requests[:n_cal]
+    capacity = deadline = None
+
+    def warm(server):
+        # Calibrates capacity on the unguarded server; on the guarded ones
+        # it warms the plan/route caches the same way.
+        return run_pool(
+            server.host, server.port, calm_requests, mode="closed", concurrency=8
+        )
+
+    def overload(server):
+        return run_pool(
+            server.host, server.port, requests,
+            mode="open", rate=4.0 * capacity, concurrency=loadgen_clients,
+            priority="batch", deadline=deadline,
+        )
+
+    async def unguarded_leg(server):
+        nonlocal capacity, deadline
+        capacity = (await warm(server)).qps
+        deadline = 2.0 * (max_inflight + max_backlog) / capacity
+        return await overload(server)
+
+    async def calm_then_overload(server):
+        await warm(server)
+        # A modest client pool: the calm leg checks inertness below the
+        # watermarks, and a full overload-sized client swarm can burst past
+        # the small backlog cap even at half capacity.
+        calm = await run_pool(
+            server.host, server.port, calm_requests,
+            mode="open", rate=max(1.0, 0.5 * capacity), concurrency=8,
+            deadline=deadline, collect=True,
+        )
+        return calm, await overload(server)
+
+    async def chaos_leg(server):
+        await warm(server)
+        return await overload(server)
+
+    def serve(leg, engine="optimized", **front_door):
+        return _serve(
+            leg,
+            system=build_demo_system(engine=engine, **BUILD),
+            per_message_delay=0.001,
+            max_inflight=max_inflight,
+            **front_door,
+        )
+
+    def guard():
+        return GuardPlane(GuardConfig(**DEFAULT_GUARD_KWARGS))
+
+    # Late in a full-suite process one gen-2 collection pauses the loop
+    # for ~100 ms — as long as the guarded leg's whole overload window, in
+    # which every answer would then be late.  Measure with the collector
+    # off, as ``timeit`` does.
+    gc.collect()
+    gc.disable()
+    try:
+        unguarded = serve(unguarded_leg)
+        calm, guarded = serve(
+            calm_then_overload,
+            OptimizedEngine(guard=guard()),
+            max_backlog=max_backlog,
+        )
+        chaos = serve(
+            chaos_leg,
+            OptimizedEngine(
+                fault_plane=FaultPlane(
+                    FaultConfig(drop_rate=0.05, seed=BUILD["seed"])
+                ),
+                retry=RetryPolicy(),
+                guard=guard(),
+            ),
+            max_backlog=max_backlog,
+        )
+    finally:
+        gc.enable()
+
+    assert (calm.rejected, calm.shed_answers, calm.errors) == (0, 0, 0), calm.render()
+    assert [json.dumps(r["result"], sort_keys=True) for r in calm.responses] == [
+        json.dumps(
+            encode_result(twin.query(r["query"], origin=r["origin"])), sort_keys=True
+        )
+        for r in calm_requests
+    ]
+    for report in (unguarded, guarded, chaos):
+        report.check_overload(max_shed_fraction=1.0)  # no 5xx, no hard error
+    assert guarded.goodput > unguarded.goodput
+    assert guarded.latency_s["p99"] < unguarded.latency_s["p99"]

@@ -140,12 +140,13 @@ def test_discovery_limit_over_http():
 
 
 def test_concurrent_http_clients_match_serial_answers():
-    """The satellite concurrency test at the HTTP layer: 8 interleaved
+    """The satellite concurrency test at the HTTP layer: 16 interleaved
     keep-alive clients replay a request list and must produce exactly the
-    serial in-process answers, in request order."""
+    serial in-process answers, in request order — and concurrency must
+    pay: they beat one client replaying the same list on throughput."""
     system = build_demo_system(**BUILD)
     twin = build_demo_system(**BUILD)
-    requests = demo_requests(system, 7, 40)
+    requests = demo_requests(system, 7, 48)
     expected = [
         json.dumps(
             encode_result(twin.query(r["query"], origin=r["origin"])),
@@ -155,19 +156,28 @@ def test_concurrent_http_clients_match_serial_answers():
     ]
 
     async def scenario(server):
-        return await run_pool(
-            server.host,
-            server.port,
-            requests,
-            mode="closed",
-            concurrency=8,
-            collect=True,
-        )
+        return [
+            await run_pool(
+                server.host,
+                server.port,
+                requests,
+                mode="closed",
+                concurrency=clients,
+                collect=True,
+            )
+            for clients in (1, 16)
+        ]
 
-    report = _serve(scenario, system=system, per_message_delay=0.0002)
-    assert report.errors == 0
-    got = [json.dumps(r["result"], sort_keys=True) for r in report.responses]
-    assert got == expected
+    # A small simulated per-message wire delay (0.5ms): in-flight queries
+    # overlap their wire delays while a serial client pays them back to
+    # back.  Without one, a single-core host hides the concurrency win
+    # behind pure CPU time.
+    serial, concurrent = _serve(scenario, system=system, per_message_delay=0.0005)
+    for report in (serial, concurrent):
+        assert report.errors == 0
+        got = [json.dumps(r["result"], sort_keys=True) for r in report.responses]
+        assert got == expected
+    assert concurrent.qps > serial.qps
 
 
 def test_max_inflight_admission_bound():

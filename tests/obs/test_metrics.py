@@ -129,20 +129,18 @@ class TestSystemReporting:
         assert "plan_cache.evictions" not in counters
 
     def test_refine_kernel_counters(self):
-        from repro.sfc.clusters import vectorized_refinement
+        from repro.sfc.clusters import _resolve_level_by_level
 
         system = build_system()
         with collecting() as reg:
-            with vectorized_refinement(True):
-                system.query("(*, net*)", engine="naive", rng=0)
+            system.query("(*, net*)", engine="naive", rng=0)
             counters = reg.snapshot()["counters"]
             # The naive engine resolves the region through the NumPy kernel.
             assert counters["sfc.refine.vec_calls"] >= 1
             assert counters["sfc.refine.vec_cells"] >= 1
             reg.reset()
-            system.plan_cache = None  # force re-planning, scalar this time
-            with vectorized_refinement(False):
-                system.query("(*, net*)", engine="naive", rng=0)
+            # The same region level by level (the wide-curve path): scalar.
+            _resolve_level_by_level(system.curve, system.space.region("(*, net*)"))
             counters = reg.snapshot()["counters"]
             assert counters["sfc.refine.scalar_cells"] >= 1
             assert "sfc.refine.vec_calls" not in counters

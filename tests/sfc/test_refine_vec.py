@@ -1,12 +1,14 @@
 """Property tests: the array-resident resolver ≡ level-by-level refinement.
 
-``resolve_ranges_vec`` (:mod:`repro.sfc.refine_vec`) must return exactly
-the ranges the refinement kernel produces level by level, for every curve
-family, geometry, and region; the level drivers must not depend on the
-``vectorized_refinement`` gate at all; and the batched entry point
-``refine_level`` must equal the readable per-cluster reference
-(``tests/sfc/reference_refine.py``) — same clusters, same piece lists, same
-run splitting, ``min_index`` clipping, and FullRange coalescing.
+``resolve_ranges_vec`` (:mod:`repro.sfc.refine_vec`) — what
+``resolve_clusters`` runs on every curve that fits ``int64`` — must return
+exactly the ranges the refinement kernel produces level by level
+(``_resolve_level_by_level``, the wide-curve path, called directly as the
+reference), for every curve family, geometry, and region; the level
+drivers and the batched entry point ``refine_level`` must equal the
+readable per-cluster reference (``tests/sfc/reference_refine.py``) — same
+clusters, same piece lists, same run splitting, ``min_index`` clipping,
+and FullRange coalescing.
 """
 
 import numpy as np
@@ -19,13 +21,13 @@ from repro.sfc import CURVES as CURVE_REGISTRY
 from repro.sfc.clusters import (
     Cell,
     Cluster,
+    _resolve_level_by_level,
     clusters_at_level,
     count_clusters_per_level,
     refine_cluster,
     refine_level,
     resolve_clusters,
     root_cluster,
-    vectorized_refinement,
 )
 from repro.sfc.hilbert import HilbertCurve
 from repro.sfc.refine_vec import (
@@ -61,6 +63,25 @@ def region_strategy(dims: int, order: int, max_boxes: int = 2):
     return _region()
 
 
+def reference_level(curve, clusters, region):
+    """One level step with the per-cluster reference (resolved clusters bump)."""
+    out = []
+    for c in clusters:
+        if c.is_resolved:
+            out.append(Cluster(level=c.level + 1, pieces=c.pieces))
+        else:
+            out.extend(reference_refine_cluster(curve, c, region))
+    return out
+
+
+def reference_levels(curve, region, upto):
+    """Clusters at levels ``0..upto``, walked with the per-cluster reference."""
+    levels = [[root_cluster(curve, region)]]
+    for _ in range(upto):
+        levels.append(reference_level(curve, levels[-1], region))
+    return levels
+
+
 @pytest.mark.parametrize("curve_cls", CURVES)
 @pytest.mark.parametrize("dims,order", GEOMETRIES)
 class TestScalarEquivalence:
@@ -69,10 +90,8 @@ class TestScalarEquivalence:
     def test_resolve_identical(self, curve_cls, dims, order, data):
         curve = curve_cls(dims, order)
         region = data.draw(region_strategy(dims, order))
-        with vectorized_refinement(False):
-            scalar = resolve_clusters(curve, region)
-        with vectorized_refinement(True):
-            vectorized = resolve_clusters(curve, region)
+        scalar = _resolve_level_by_level(curve, region)
+        vectorized = resolve_clusters(curve, region)
         assert scalar == vectorized
 
     @settings(max_examples=15, deadline=None)
@@ -81,10 +100,8 @@ class TestScalarEquivalence:
         curve = curve_cls(dims, order)
         region = data.draw(region_strategy(dims, order))
         max_level = data.draw(st.integers(0, order))
-        with vectorized_refinement(False):
-            scalar = resolve_clusters(curve, region, max_level=max_level)
-        with vectorized_refinement(True):
-            vectorized = resolve_clusters(curve, region, max_level=max_level)
+        scalar = _resolve_level_by_level(curve, region, max_level)
+        vectorized = resolve_clusters(curve, region, max_level=max_level)
         assert scalar == vectorized
 
     @settings(max_examples=15, deadline=None)
@@ -94,22 +111,18 @@ class TestScalarEquivalence:
         curve = curve_cls(dims, order)
         region = data.draw(region_strategy(dims, order))
         level = data.draw(st.integers(0, order))
-        with vectorized_refinement(False):
-            scalar = clusters_at_level(curve, region, level)
-        with vectorized_refinement(True):
-            vectorized = clusters_at_level(curve, region, level)
-        assert scalar == vectorized
+        assert clusters_at_level(curve, region, level) == reference_levels(
+            curve, region, level
+        )[level]
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_counts_per_level_identical(self, curve_cls, dims, order, data):
         curve = curve_cls(dims, order)
         region = data.draw(region_strategy(dims, order))
-        with vectorized_refinement(False):
-            scalar = count_clusters_per_level(curve, region)
-        with vectorized_refinement(True):
-            vectorized = count_clusters_per_level(curve, region)
-        assert scalar == vectorized
+        assert count_clusters_per_level(curve, region) == [
+            len(level) for level in reference_levels(curve, region, order)
+        ]
 
 
 class TestMinIndexClipping:
@@ -140,13 +153,9 @@ class TestBatchedEntryPoints:
         curve = HilbertCurve(2, 8)
         region = Region.from_bounds([(10, 200), (30, 170)])
         clusters = clusters_at_level(curve, region, 3)
-        expected = []
-        for c in clusters:
-            if c.is_resolved:
-                expected.append(type(c)(level=c.level + 1, pieces=c.pieces))
-            else:
-                expected.extend(reference_refine_cluster(curve, c, region))
-        assert refine_level(curve, clusters, region) == expected
+        assert refine_level(curve, clusters, region) == reference_level(
+            curve, clusters, region
+        )
         assert [
             out for c in clusters for out in refine_cluster(curve, c, region)
         ] == [out for c in clusters for out in reference_refine_cluster(curve, c, region)]
@@ -154,8 +163,7 @@ class TestBatchedEntryPoints:
     def test_resolve_ranges_vec_direct(self):
         curve = HilbertCurve(2, 8)
         region = Region.from_bounds([(3, 90), (17, 201)])
-        with vectorized_refinement(False):
-            scalar = resolve_clusters(curve, region)
+        scalar = _resolve_level_by_level(curve, region)
         assert resolve_ranges_vec(curve, region) == scalar
 
     def test_full_region_resolves_to_whole_curve(self):
@@ -185,10 +193,8 @@ class TestGating:
         """index_bits > 63 must still resolve correctly (scalar fallback)."""
         curve = HilbertCurve(2, 32)
         region = Region.from_bounds([(0, 3), (0, 3)])
-        with vectorized_refinement(True):
-            ranges = resolve_clusters(curve, region, max_level=4)
-        with vectorized_refinement(False):
-            assert ranges == resolve_clusters(curve, region, max_level=4)
+        ranges = resolve_clusters(curve, region, max_level=4)
+        assert ranges == _resolve_level_by_level(curve, region, 4)
 
     def test_refine_at_max_order_raises(self):
         curve = HilbertCurve(2, 3)

@@ -8,6 +8,7 @@ consistently.
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -65,14 +66,37 @@ class TestDocstrings:
 class TestRepoDocuments:
     @pytest.mark.parametrize(
         "filename",
-        ["README.md", "DESIGN.md", "EXPERIMENTS.md", "CHANGELOG.md",
+        ["README.md", "DESIGN.md", "EXPERIMENTS.md",
          "docs/protocol.md", "docs/api.md", "docs/internals.md",
-         "docs/resilience.md", "docs/serving.md", "docs/overload.md"],
+         "docs/resilience.md", "docs/serving.md", "docs/overload.md",
+         "docs/performance.md", "docs/storage.md"],
     )
     def test_document_exists(self, filename):
         path = REPO_ROOT / filename
         assert path.exists(), f"{filename} missing"
         assert len(path.read_text(encoding="utf-8")) > 500
+
+    def test_referenced_documents_exist(self):
+        """Every back-ticked ``*.md`` / ``*.json`` / ``*.yml`` path in the
+        documents resolves against the repo root or the referencing file's
+        own directory (``internals.md`` inside ``docs/``)."""
+        generated = {"perf/out/report.json"}  # written by perf/run.py
+        documents = [
+            REPO_ROOT / name
+            for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+                         ".claude/skills/verify/SKILL.md")
+        ] + sorted((REPO_ROOT / "docs").glob("*.md"))
+        dangling = [
+            f"{doc.relative_to(REPO_ROOT)}: {ref}"
+            for doc in documents
+            for ref in re.findall(
+                r"`([\w.\-/]+\.(?:md|json|yml))`", doc.read_text(encoding="utf-8")
+            )
+            if ref not in generated
+            and not (REPO_ROOT / ref).exists()
+            and not (doc.parent / ref).exists()
+        ]
+        assert not dangling, dangling
 
     def test_design_covers_every_figure(self):
         text = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
