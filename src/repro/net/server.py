@@ -44,7 +44,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError, ServingError
-from repro.guard.plane import priority_name, priority_rank
+from repro.guard.plane import priority_name
 from repro.net.transport import AsyncioTransport, Transport
 from repro.obs import metrics as obs_metrics
 from repro.util.rng import as_generator
@@ -79,52 +79,112 @@ def encode_result(result: "QueryResult") -> dict[str, Any]:
     }
 
 
-async def read_http_request(reader: asyncio.StreamReader):
-    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed connection."""
+#: One encoder for every response (what ``json.dumps(..., sort_keys=True,
+#: default=str)`` would build afresh on each call).
+_encode_json = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
+class _Unframed(ServingError):
+    """The byte stream is no longer readable as HTTP messages.
+
+    The server answers ``status`` and closes the connection: whatever
+    follows cannot be told apart from the rest of the broken message.
+    """
+
+    def __init__(self, status: bytes, reason: str) -> None:
+        super().__init__(reason)
+        self.status = status
+
+
+async def _read_message(reader: asyncio.StreamReader):
+    """One HTTP/1.1 message as ``(start_line, headers, body)``.
+
+    The whole head is taken with a single ``readuntil``, so its size — and
+    the number of header lines — is bounded by the reader's limit (64 KiB
+    unless the stream was opened with another).  EOF before the message is
+    complete raises :class:`asyncio.IncompleteReadError`.
+    """
     try:
-        line = await reader.readline()
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.LimitOverrunError:
+        raise _Unframed(
+            b"431 Request Header Fields Too Large",
+            "message head exceeds the stream limit",
+        ) from None
+    start, *lines = head[:-4].decode("latin-1").split("\r\n")
+    headers: dict[str, str] = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    try:
+        length = int(headers.get("content-length") or 0)
+        if length < 0:
+            raise ValueError
+    except ValueError:
+        raise _Unframed(
+            b"400 Bad Request",
+            f"malformed content-length {headers['content-length']!r}",
+        ) from None
+    if length > _MAX_REQUEST_BODY:
+        raise _Unframed(
+            b"413 Payload Too Large",
+            f"content-length {length} exceeds {_MAX_REQUEST_BODY} bytes",
+        )
+    body = await reader.readexactly(length) if length else b""
+    return start, headers, body
+
+
+async def read_http_request(reader: asyncio.StreamReader):
+    """Parse one HTTP/1.1 request into ``(method, path, headers, body)``.
+
+    ``None`` when the peer closed the connection instead of (or while)
+    sending one.
+    """
+    try:
+        start, headers, body = await _read_message(reader)
     except (ConnectionError, asyncio.IncompleteReadError):
         return None
-    if not line or line in (b"\r\n", b"\n"):
-        return None
-    parts = line.decode("latin-1").split()
+    parts = start.split()
     if len(parts) < 2:
-        raise ServingError(f"malformed request line: {line!r}")
-    method, path = parts[0].upper(), parts[1]
-    headers = await _read_headers(reader)
-    body = await _read_body(reader, headers)
-    return method, path, headers, body
+        raise _Unframed(b"400 Bad Request", f"malformed request line: {start!r}")
+    return parts[0].upper(), parts[1], headers, body
 
 
 async def read_http_response(reader: asyncio.StreamReader):
     """Parse one HTTP/1.1 response into ``(status_code, headers, body)``."""
-    line = await reader.readline()
-    if not line:
-        raise ServingError("connection closed before response")
-    parts = line.decode("latin-1").split(None, 2)
+    try:
+        start, headers, body = await _read_message(reader)
+    except asyncio.IncompleteReadError:
+        raise ServingError("connection closed before response") from None
+    parts = start.split(None, 2)
     if len(parts) < 2 or not parts[1].isdigit():
-        raise ServingError(f"malformed status line: {line!r}")
-    status = int(parts[1])
-    headers = await _read_headers(reader)
-    body = await _read_body(reader, headers)
-    return status, headers, body
+        raise ServingError(f"malformed status line: {start!r}")
+    return int(parts[1]), headers, body
 
 
-async def _read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
-    headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if not line or line in (b"\r\n", b"\n"):
-            return headers
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+def _response(status: bytes, payload: dict[str, Any], extra: dict[str, str]) -> bytes:
+    """One response — head, ``extra`` header lines, JSON body — as one write."""
+    data = _encode_json(payload).encode()
+    head = (
+        b"HTTP/1.1 " + status + b"\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Content-Length: " + str(len(data)).encode() + b"\r\n"
+    )
+    for name, value in extra.items():
+        head += name.encode("latin-1") + b": " + value.encode("latin-1") + b"\r\n"
+    return head + b"\r\n" + data
 
 
-async def _read_body(reader: asyncio.StreamReader, headers: dict[str, str]) -> bytes:
-    length = int(headers.get("content-length") or 0)
-    if length < 0 or length > _MAX_REQUEST_BODY:
-        raise ServingError(f"unreasonable content-length {length}")
-    return await reader.readexactly(length) if length else b""
+def _int_field(payload: dict, name: str, minimum: int | None = None) -> int | None:
+    """An optional integer field of a request body (a JSON boolean is not one)."""
+    value = payload.get(name)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServingError(f'"{name}" must be an integer, got {value!r}')
+    if minimum is not None and value < minimum:
+        raise ServingError(f'"{name}" must be >= {minimum}, got {value}')
+    return value
 
 
 class QueryServer:
@@ -186,7 +246,9 @@ class QueryServer:
                         f"class quota for {canonical!r} must be >= 0, got {quota}"
                     )
                 self.class_quotas[canonical] = int(quota)
-        #: HTTP requests accepted / failed (4xx responses count as errors).
+        #: ``POST /query`` requests routed, and requests answered 400, 413
+        #: or 431 — bad queries as well as input that could not be read as
+        #: a request at all, so ``errors`` can exceed ``requests``.
         self.requests = 0
         self.errors = 0
         #: Requests refused with 429 (overload shedding at the front door);
@@ -197,6 +259,11 @@ class QueryServer:
         self._class_occupancy: dict[str, int] = {}
         self._sem = asyncio.Semaphore(max_inflight)
         self._server: asyncio.AbstractServer | None = None
+        self._closing = False
+        #: One task per open connection, and the writers of those that are
+        #: between requests — what :meth:`close` drains.
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -204,17 +271,29 @@ class QueryServer:
     async def start(self) -> "QueryServer":
         """Bind the socket (resolving an ephemeral port) and start serving."""
         await self.transport.start()
+        self._closing = False
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._accept, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting, drain, then close the transport.
+
+        A request already received is served and answered; connections
+        waiting for their next request are closed; every connection handler
+        has returned before the transport goes away.
+        """
+        self._closing = True
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+            for writer in self._idle:
+                writer.close()
+            if self._handlers:
+                await asyncio.wait(self._handlers)
+            await server.wait_closed()
         await self.transport.close()
 
     async def serve_forever(self) -> None:
@@ -231,32 +310,36 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
+    def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """Start the handler of a new connection as a task :meth:`close` awaits."""
+        task = asyncio.ensure_future(self._handle_connection(reader, writer))
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(writer)
                 try:
                     request = await read_http_request(reader)
-                except (ServingError, asyncio.IncompleteReadError):
+                except _Unframed as exc:
+                    self.errors += 1
+                    writer.write(_response(exc.status, {"error": str(exc)}, {}))
+                    await writer.drain()
                     break
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     break
                 method, path, headers, body = request
                 status, payload, extra = await self._route(method, path, body)
-                data = json.dumps(payload, sort_keys=True, default=str).encode()
-                head = (
-                    b"HTTP/1.1 " + status + b"\r\n"
-                    b"Content-Type: application/json\r\n"
-                    b"Content-Length: " + str(len(data)).encode() + b"\r\n"
-                )
-                for name, value in extra.items():
-                    head += name.encode("latin-1") + b": " + value.encode("latin-1") + b"\r\n"
-                writer.write(head + b"\r\n" + data)
+                writer.write(_response(status, payload, extra))
                 await writer.drain()
                 if headers.get("connection", "").lower() == "close":
                     break
-        except (ConnectionError, asyncio.CancelledError):
+        except ConnectionError:
             pass
         finally:
             writer.close()
@@ -298,19 +381,22 @@ class QueryServer:
         self.requests += 1
         try:
             payload = json.loads(body.decode("utf-8") or "{}")
-            if not isinstance(payload, dict) or "query" not in payload:
-                raise ServingError('body must be a JSON object with a "query"')
+            if not isinstance(payload, dict) or not isinstance(
+                payload.get("query"), str
+            ):
+                raise ServingError('body must be a JSON object with a string "query"')
             query = payload["query"]
-            origin = payload.get("origin")
-            limit = payload.get("limit")
-            seed = payload.get("seed")
+            origin = _int_field(payload, "origin")
+            limit = _int_field(payload, "limit")
+            seed = _int_field(payload, "seed", minimum=0)
             priority = priority_name(payload.get("priority"))
             rng = as_generator(seed) if seed is not None else None
-        except (UnicodeDecodeError, json.JSONDecodeError, ReproError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, ReproError) as exc:
             self.errors += 1
             return b"400 Bad Request", {"error": str(exc)}, {}
+        occupancy = self._class_occupancy
         quota = self.class_quotas.get(priority)
-        if quota is not None and self._class_occupancy.get(priority, 0) >= quota:
+        if quota is not None and occupancy.get(priority, 0) >= quota:
             return self._reject(f"class {priority!r} quota ({quota}) exhausted")
         if (
             self.max_backlog is not None
@@ -320,23 +406,25 @@ class QueryServer:
             return self._reject(
                 f"backlog full ({self.waiting} waiting, cap {self.max_backlog})"
             )
-        self._class_occupancy[priority] = self._class_occupancy.get(priority, 0) + 1
-        self.waiting += 1
         try:
-            await self._sem.acquire()
-        finally:
-            self.waiting -= 1
-        try:
-            result = await self.transport.submit(
-                query, origin=origin, rng=rng, limit=limit, priority=priority
-            )
+            occupancy[priority] = occupancy.get(priority, 0) + 1
+            self.waiting += 1
+            try:
+                await self._sem.acquire()
+            finally:
+                self.waiting -= 1
+            try:
+                result = await self.transport.submit(
+                    query, origin=origin, rng=rng, limit=limit, priority=priority
+                )
+            finally:
+                self._sem.release()
         except ReproError as exc:
             # A bad query/origin is the client's fault, not the server's.
             self.errors += 1
             return b"400 Bad Request", {"error": str(exc)}, {}
         finally:
-            self._sem.release()
-            self._class_occupancy[priority] -= 1
+            occupancy[priority] -= 1
         return b"200 OK", {
             "result": encode_result(result),
             "stats": result.stats.as_dict(),

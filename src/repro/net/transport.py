@@ -1,58 +1,48 @@
 """Transports: message delivery decoupled from engine logic.
 
-The engines in :mod:`repro.core.engine` expose a delivery-agnostic run API —
-:meth:`~repro.core.engine.QueryEngine.begin_run` posts work entries into an
-:class:`~repro.core.engine.EngineRun` outbox,
-:meth:`~repro.core.engine.QueryEngine.process_message` handles one delivered
-entry (posting follow-ups), and
-:meth:`~repro.core.engine.QueryEngine.finish_run` seals the result.  A
-*transport* owns everything in between: where each posted entry travels,
+An engine (:mod:`repro.core.engine`) posts work entries to a run's outbox in
+``begin_run`` / ``process_message`` and seals the result in ``finish_run``.
+A *transport* owns everything in between: where each posted entry travels,
 when it arrives, and what runs concurrently.
 
-Two implementations:
-
 :class:`SyncTransport`
-    The original single-process simulation: every run is pumped to
-    completion in FIFO post order (:func:`repro.core.engine.drive_sync`)
-    before ``submit`` returns.  Zero concurrency, zero overhead — the
-    reference behaviour.
+    The original single-process simulation: each run is pumped to completion
+    in FIFO post order (:func:`repro.core.engine.drive_sync`).
 
 :class:`AsyncioTransport`
-    Real concurrent delivery.  Every overlay node gets a bounded
-    :class:`asyncio.Queue` inbox drained by a worker task; work entries are
-    wrapped in ``(qid, seq, entry)`` envelopes where ``qid`` is the query
-    correlation id and ``seq`` the per-run post sequence number.  Many
-    queries are in flight at once — their messages interleave freely in the
-    node inboxes — yet each individual run processes its entries in exact
-    ``seq`` order, which is the FIFO post order :func:`drive_sync` uses.
-    **A run therefore computes bit-identical matches, stats, and traces
-    over either transport**; concurrency changes only wall-clock time (and
-    shared-cache hit flags, which depend on arrival order across runs).
+    Concurrent delivery.  An entry travels as a ``(rank, order, qid, seq,
+    entry)`` envelope — ``qid`` names the run, ``seq`` is its post sequence
+    number.  Every node has an *inbox*, a bounded priority queue, and a
+    *wire* that carries one envelope at a time for ``per_message_delay``
+    seconds: an event-loop timer, not a task.  A free wire takes the inbox's
+    most urgent envelope — lowest priority rank (``interactive`` < ``batch``
+    < ``background``, see :mod:`repro.guard`), equal ranks in global enqueue
+    order — so deliveries to distinct nodes overlap and one node serialises.
+    An arriving envelope is parked in its run's reorder buffer, which the
+    run's driver coroutine processes in exact ``seq`` order: the order
+    :func:`drive_sync` uses.  **A run therefore computes bit-identical
+    matches, stats, and traces over either transport**; concurrency changes
+    only wall-clock time (and shared-cache hit flags, which depend on
+    arrival order across runs).
 
-    ``per_message_delay`` simulates network latency: each delivery sleeps
-    in the *node's* worker, so deliveries to distinct nodes overlap while a
-    single node serializes its inbox — the concurrency profile of one
-    event-loop thread per peer.
+    At zero delay there is nothing to wait for: an envelope arrives inside
+    the post that enqueued it, the driver finds its next ``seq`` buffered,
+    and the run executes like :func:`drive_sync` without crossing the event
+    loop — so the driver yields on purpose, every :data:`DRIVER_SLICE`
+    entries.
 
-    Inboxes are **priority queues**: each envelope carries its run's
-    priority rank (``interactive`` < ``batch`` < ``background``, see
-    :mod:`repro.guard`), and a node drains lower ranks first.  A global
-    monotone tiebreaker preserves exact FIFO order among equal ranks, so a
-    uniform-priority workload is byte-for-byte the plain-queue behaviour.
-    When the engine carries an armed :class:`~repro.guard.GuardPlane`, the
-    transport feeds its backlog accounting: every enqueue calls
-    ``note_posted`` and every envelope is either admitted by the engine's
-    ``process_message`` or explicitly abandoned (stale deliveries,
-    discovery-stop leftovers), keeping the per-node pending gauge exact.
+    An armed :class:`~repro.guard.GuardPlane` hears ``note_posted`` for
+    every enqueue, and every envelope is either admitted by the engine's
+    ``process_message`` or handed back with ``note_abandoned`` (stale
+    arrivals, discovery-stop leftovers): its per-node gauge stays exact.
 
-Both transports take :meth:`SquidSystem.query`'s result-cache fast path
-(the same probe and store), so a served query hits the initiator-side cache
-exactly when a local call would.
+Both transports take :meth:`SquidSystem.query`'s result-cache fast path, so
+a served query hits the initiator-side cache exactly when a local call would.
 
-Deadlock freedom (the classic bounded-mailbox pitfall): node workers never
-*put* — they only pop an envelope, optionally sleep, and park it in the
-destination run's reorder buffer.  All puts happen in the run's driver
-coroutine, which a draining worker always unblocks eventually.
+Deadlock freedom (the bounded-mailbox pitfall): only a driver *puts*, and
+only a put can wait.  A full inbox is non-empty, a non-empty inbox has an
+envelope on its wire, and the wire's timer fires whatever the drivers do —
+its callback only pops and parks — so a waiting put is always released.
 """
 
 from __future__ import annotations
@@ -72,6 +62,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import SquidSystem
 
 __all__ = ["Transport", "SyncTransport", "AsyncioTransport"]
+
+#: Entries a run's driver processes back to back before it yields to the
+#: event loop.  Large enough that a cheap query (a handful of visits) never
+#: pays a loop crossing, small enough that ``/healthz``, a 429 or a short
+#: query waits a few milliseconds, not a whole broad range query.
+DRIVER_SLICE = 32
 
 
 class Transport(ABC):
@@ -101,7 +97,6 @@ class Transport(ABC):
     async def __aexit__(self, *exc) -> None:
         await self.close()
 
-    @abstractmethod
     async def submit(
         self,
         query,
@@ -111,6 +106,23 @@ class Transport(ABC):
         priority=None,
     ) -> QueryResult:
         """Resolve one query over this transport; see :meth:`SquidSystem.query`."""
+        hit, key, bound = self.system._cache_probe(self.engine, query, limit)
+        if hit is not None:
+            self.queries_served += 1
+            return hit
+        run = self.engine.begin_run(
+            self.system, bound, origin=origin,
+            rng=rng if rng is not None else self.system._rng,
+            limit=limit, priority=priority,
+        )
+        result = await self._deliver(run)
+        self.system._cache_store(key, bound, result)
+        self.queries_served += 1
+        return result
+
+    @abstractmethod
+    async def _deliver(self, run: "EngineRun") -> QueryResult:
+        """Carry an opened run's entries until none remain; seal its result."""
 
     def _guard_plane(self):
         """The engine's *armed* guard plane, or None (mirrors ``run.guard``)."""
@@ -118,9 +130,6 @@ class Transport(ABC):
         if guard is not None and guard.active:
             return guard
         return None
-
-    def _request_rng(self, rng: RandomLike):
-        return rng if rng is not None else self.system._rng
 
 
 class SyncTransport(Transport):
@@ -131,61 +140,50 @@ class SyncTransport(Transport):
     :meth:`SquidSystem.query` on the same system.
     """
 
-    async def submit(
-        self,
-        query,
-        origin: int | None = None,
-        rng: RandomLike = None,
-        limit: int | None = None,
-        priority=None,
-    ) -> QueryResult:
-        hit, key, bound = self.system._cache_probe(self.engine, query, limit)
-        if hit is not None:
-            self.queries_served += 1
-            return hit
-        run = self.engine.begin_run(
-            self.system, bound, origin=origin,
-            rng=self._request_rng(rng), limit=limit, priority=priority,
-        )
-        result = drive_sync(self.engine, self.system, run)
-        self.system._cache_store(key, bound, result)
-        self.queries_served += 1
-        return result
+    async def _deliver(self, run: "EngineRun") -> QueryResult:
+        return drive_sync(self.engine, self.system, run)
 
 
 class _RunState:
     """Reorder buffer + accounting for one in-flight query run."""
 
-    __slots__ = ("run", "buffer", "ready", "next_seq", "next_to_process", "pending")
+    __slots__ = ("buffer", "wake", "next_seq", "next_to_process", "pending")
 
-    def __init__(self, run: "EngineRun") -> None:
-        self.run = run
-        #: Delivered-but-not-yet-processed entries, keyed by post sequence.
+    def __init__(self) -> None:
+        #: Arrived-but-not-yet-processed entries, keyed by post sequence.
         self.buffer: dict[int, object] = {}
-        #: Signalled by node workers whenever the buffer gains an entry.
-        self.ready = asyncio.Event()
+        #: Set while the driver is suspended; resolved by the arrival of
+        #: the entry it waits for (``next_to_process``).
+        self.wake: asyncio.Future | None = None
         #: Next sequence number to assign to a posted entry.
         self.next_seq = 0
         #: Next sequence number the driver will process.
         self.next_to_process = 0
-        #: Entries posted but not yet processed (in an inbox or the buffer).
+        #: Entries posted but not yet processed (inbox, wire or buffer).
         self.pending = 0
 
 
+class _Inbox(asyncio.PriorityQueue):
+    """One node's queued envelopes, plus the timer of the one on its wire."""
+
+    wire: asyncio.TimerHandle | None = None
+
+
 class AsyncioTransport(Transport):
-    """Concurrent delivery over per-node asyncio inboxes.
+    """Concurrent delivery over per-node inboxes and wire timers.
 
     Parameters
     ----------
     inbox_capacity:
         Bound of each node's inbox queue.  A full inbox backpressures the
-        posting run's driver (its ``put`` awaits) without ever blocking a
-        node worker, so small capacities throttle fan-out but cannot
-        deadlock.
+        posting run's driver (its ``put`` awaits) and never the delivery
+        side, so small capacities throttle fan-out but cannot deadlock.
+        It binds only with a wire delay: at zero delay an envelope leaves
+        the inbox inside the post that put it there.
     per_message_delay:
-        Seconds each delivery spends "on the wire" (slept in the receiving
-        node's worker).  0.0 measures pure protocol overhead; a small
-        positive value makes concurrency measurable on a single core.
+        Seconds each envelope spends on the receiving node's wire.  0.0
+        measures pure protocol overhead; a small positive value makes
+        concurrency measurable on a single core.
     """
 
     def __init__(
@@ -205,138 +203,104 @@ class AsyncioTransport(Transport):
             )
         self.inbox_capacity = int(inbox_capacity)
         self.per_message_delay = float(per_message_delay)
-        #: Envelopes delivered to a live run's reorder buffer.
+        #: Envelopes that arrived in a live run's reorder buffer.
         self.messages_delivered = 0
         #: Envelopes dropped because their run had already finished
         #: (discovery-mode early stop abandons queued entries).
         self.messages_stale = 0
-        self._inboxes: dict[int, asyncio.PriorityQueue] = {}
-        self._workers: dict[int, asyncio.Task] = {}
+        #: Created on first use, so nodes that join later get one too.
+        #: Inboxes outlive crashes — like a network buffer, a mailbox keeps
+        #: accepting envelopes for a dead peer; the engine's
+        #: crashed-processor redelivery reroutes them when processed.
+        self._inboxes: dict[int, _Inbox] = {}
         self._runs: dict[int, _RunState] = {}
         self._qids = itertools.count()
         #: Global enqueue tiebreaker: keeps equal-rank envelopes in exact
         #: FIFO order through the priority queues.
         self._order = itertools.count()
-        self._started = False
 
     @property
     def inflight(self) -> int:
         """Number of query runs currently in flight."""
         return len(self._runs)
 
-    async def start(self) -> "AsyncioTransport":
-        self._started = True
-        for node_id in self.system.overlay.node_ids():
-            self._ensure_inbox(node_id)
-        return self
-
     async def close(self) -> None:
-        for task in self._workers.values():
-            task.cancel()
-        for task in self._workers.values():
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._workers.clear()
+        for box in self._inboxes.values():
+            if box.wire is not None:
+                box.wire.cancel()
         self._inboxes.clear()
         self._runs.clear()
-        self._started = False
 
     # ------------------------------------------------------------------
-    # Node mailboxes
+    # Node inboxes and wires
     # ------------------------------------------------------------------
-    def _ensure_inbox(self, node_id: int) -> asyncio.PriorityQueue:
-        """The node's inbox, created lazily (nodes may join after start).
+    def _send(self, node_id: int, box: _Inbox) -> None:
+        """Put the inbox's most urgent envelope on the node's idle wire.
 
-        Inboxes outlive crashes — like a network buffer, a mailbox keeps
-        accepting envelopes for a dead peer; the engine's crashed-processor
-        redelivery logic reroutes them when they are processed.
+        Which envelope travels is decided here, when the wire frees, not
+        when it was enqueued: lowest rank, then global enqueue order.
+        Taking it releases a driver waiting on the full inbox.
         """
-        box = self._inboxes.get(node_id)
-        if box is None:
-            if not self._started:
-                raise EngineError("AsyncioTransport used before start()")
-            box = self._inboxes[node_id] = asyncio.PriorityQueue(
-                maxsize=self.inbox_capacity
+        envelope = box.get_nowait()
+        if self.per_message_delay:
+            box.wire = asyncio.get_running_loop().call_later(
+                self.per_message_delay, self._arrive, node_id, box, envelope
             )
-            self._workers[node_id] = asyncio.ensure_future(
-                self._node_worker(node_id, box)
-            )
-        return box
+        else:
+            self._arrive(node_id, box, envelope)
 
-    async def _node_worker(self, node_id: int, box: asyncio.PriorityQueue) -> None:
-        """Drain one node's inbox into the destination runs' buffers.
+    def _arrive(self, node_id: int, box: _Inbox, envelope: tuple) -> None:
+        """An envelope reached its node: park it, then send the next one.
 
-        Lower ranks (interactive) are popped ahead of higher ones; the
-        global enqueue counter breaks rank ties in FIFO order.  Workers
-        never block on a put (see module docstring): pop, simulate the wire
-        delay, park the entry, signal the run's driver.  A stale envelope —
-        its run already finished — is dropped, and the armed guard plane
-        (if any) is told so its pending gauge for this node stays exact.
+        The entry goes to its run's reorder buffer, and the run's driver is
+        woken if this is the entry it waits for.  A stale envelope — its
+        run already finished — is dropped, and the armed guard plane (if
+        any) is told so its pending gauge for this node stays exact.
         """
-        delay = self.per_message_delay
-        while True:
-            _rank, _order, qid, seq, entry = await box.get()
-            if delay:
-                await asyncio.sleep(delay)
-            state = self._runs.get(qid)
-            if state is None:
-                self.messages_stale += 1
-                guard = self._guard_plane()
-                if guard is not None:
-                    guard.note_abandoned(node_id)
-                continue
+        box.wire = None
+        _rank, _order, qid, seq, entry = envelope
+        state = self._runs.get(qid)
+        if state is None:
+            self.messages_stale += 1
+            guard = self._guard_plane()
+            if guard is not None:
+                guard.note_abandoned(node_id)
+        else:
             state.buffer[seq] = entry
-            state.ready.set()
             self.messages_delivered += 1
+            wake = state.wake
+            # Already done: the driver was cancelled and has yet to deregister.
+            if wake is not None and seq == state.next_to_process and not wake.done():
+                wake.set_result(None)
+        if not box.empty():
+            self._send(node_id, box)
 
     # ------------------------------------------------------------------
     # Query runs
     # ------------------------------------------------------------------
-    async def submit(
-        self,
-        query,
-        origin: int | None = None,
-        rng: RandomLike = None,
-        limit: int | None = None,
-        priority=None,
-    ) -> QueryResult:
-        if not self._started:
-            await self.start()
-        hit, key, bound = self.system._cache_probe(self.engine, query, limit)
-        if hit is not None:
-            self.queries_served += 1
-            return hit
-        run = self.engine.begin_run(
-            self.system, bound, origin=origin,
-            rng=self._request_rng(rng), limit=limit, priority=priority,
-        )
+    async def _deliver(self, run: "EngineRun") -> QueryResult:
         qid = next(self._qids)
-        state = _RunState(run)
-        self._runs[qid] = state
+        state = self._runs[qid] = _RunState()
         try:
             await self._post(state, qid, run)
-            result = await self._drive(state, qid, run)
+            return await self._drive(state, qid, run)
         finally:
-            # Deregister before any leftover envelope is popped: workers
-            # drop envelopes of unknown runs (abandoned discovery-mode
-            # branches), so nothing leaks into a later run with this qid.
+            # Deregister before any leftover envelope arrives: arrivals for
+            # unknown runs are dropped (abandoned discovery-mode branches),
+            # so nothing leaks into a later run.
             self._runs.pop(qid, None)
-        self.system._cache_store(key, bound, result)
-        self.queries_served += 1
-        return result
 
     async def _post(self, state: _RunState, qid: int, run: "EngineRun") -> None:
         """Envelope and enqueue everything the engine just posted.
 
-        Envelopes lead with the run's priority rank so node inboxes drain
+        Envelopes lead with the run's priority rank so a node's wire takes
         interactive work first; the guard plane (when armed) is told about
         every enqueue so per-node backlog is observable before admission.
         """
         engine = self.engine
         guard = run.guard
         rank = run.priority
+        inboxes = self._inboxes
         for entry in run.take_outbox():
             seq = state.next_seq
             state.next_seq += 1
@@ -344,14 +308,17 @@ class AsyncioTransport(Transport):
             dest = engine.entry_node(run, entry)
             if guard is not None:
                 guard.note_posted(dest)
-            await self._ensure_inbox(dest).put(
-                (rank, next(self._order), qid, seq, entry)
-            )
+            box = inboxes.get(dest)
+            if box is None:
+                box = inboxes[dest] = _Inbox(maxsize=self.inbox_capacity)
+            await box.put((rank, next(self._order), qid, seq, entry))
+            if box.wire is None:
+                self._send(dest, box)
 
     async def _drive(
         self, state: _RunState, qid: int, run: "EngineRun"
     ) -> QueryResult:
-        """Process delivered entries in post (seq) order until none remain.
+        """Process arrived entries in post (seq) order until none remain.
 
         The strict ordering is what buys transport-independence: the engine
         observes exactly the entry sequence :func:`drive_sync` would feed
@@ -359,13 +326,15 @@ class AsyncioTransport(Transport):
         interleaving *between* runs differs.
         """
         engine, system = self.engine, self.system
+        buffer = state.buffer
+        streak = 0  # entries processed since this driver last suspended
         while state.pending:
-            entry = state.buffer.pop(state.next_to_process, None)
+            entry = buffer.pop(state.next_to_process, None)
             if entry is None:
-                state.ready.clear()
-                if state.next_to_process in state.buffer:
-                    continue  # delivered between the pop and the clear
-                await state.ready.wait()
+                state.wake = asyncio.get_running_loop().create_future()
+                await state.wake
+                state.wake = None
+                streak = 0
                 continue
             state.next_to_process += 1
             state.pending -= 1
@@ -376,10 +345,16 @@ class AsyncioTransport(Transport):
                 guard = run.guard
                 if guard is not None:
                     # Buffered-but-unprocessed entries are abandoned here;
-                    # leftovers still in inboxes are handed back by the
-                    # node workers when they pop the stale envelopes.
-                    for buffered in state.buffer.values():
+                    # those still queued or on a wire are handed back when
+                    # they arrive stale.
+                    for buffered in buffer.values():
                         guard.note_abandoned(engine.entry_node(run, buffered))
                 break
             await self._post(state, qid, run)
+            streak += 1
+            if streak == DRIVER_SLICE:
+                # A zero-delay run never waits for an arrival, so it would
+                # hold the loop to its end: let other runs and connections in.
+                await asyncio.sleep(0)
+                streak = 0
         return engine.finish_run(system, run)

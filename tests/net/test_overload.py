@@ -201,6 +201,30 @@ class TestClassQuotas:
         assert stats["errors"] == 0
 
 
+    def test_cancelled_while_waiting_releases_its_place(self):
+        """A request cancelled while it waits for an execution slot gives
+        back both its place in the waiting room and its class occupancy."""
+
+        async def scenario(server):
+            body = json.dumps({"query": "(*, *)", "priority": "batch"}).encode()
+            holder = asyncio.ensure_future(server._handle_query(body))
+            waiter = asyncio.ensure_future(server._handle_query(body))
+            await asyncio.sleep(0.005)
+            waiting, occupied = server.waiting, dict(server._class_occupancy)
+            waiter.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await waiter
+            status, _, _ = await holder
+            return waiting, occupied, status, server.waiting, server._class_occupancy
+
+        waiting, occupied, status, waiting_after, occupied_after = _serve(
+            scenario, max_inflight=1, per_message_delay=0.005
+        )
+        assert (waiting, occupied) == (1, {"batch": 2})
+        assert status == b"200 OK"
+        assert (waiting_after, occupied_after) == (0, {"batch": 0})
+
+
 class TestGuardedEngineServed:
     def test_served_shed_result_is_an_honest_partial(self):
         """An aggressive engine guard sheds through the full serving

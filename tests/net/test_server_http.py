@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.net import (
     encode_result,
 )
 from repro.net.loadgen import run_pool
+from repro.net.server import read_http_response
 from repro.util.rng import as_generator
 
 BUILD = dict(seed=7, n_nodes=16, n_docs=200, bits=8)
@@ -194,3 +196,129 @@ def test_max_inflight_admission_bound():
     report = _serve(scenario, system=system, max_inflight=2)
     assert report.errors == 0
     assert report.completed == len(requests)
+
+
+# ----------------------------------------------------------------------
+# Malformed input: always a 4xx with a JSON body, never a dead handler
+# ----------------------------------------------------------------------
+def _post(body: bytes, head: bytes = b"", length: int | None = None) -> bytes:
+    length = len(body) if length is None else length
+    return (
+        b"POST /query HTTP/1.1\r\n" + head
+        + b"Content-Length: " + str(length).encode() + b"\r\n\r\n" + body
+    )
+
+
+def _json(payload) -> bytes:
+    return _post(json.dumps(payload).encode())
+
+
+_GOOD = _json({"query": "(comp*, *)"})
+
+# (name, request bytes, status, does the connection survive).  A request
+# that was read whole but makes no sense costs only itself; the connection
+# is closed where the server cannot know where the next request would begin.
+MALFORMED = [
+    ("query-int", _json({"query": 5}), 400, True),
+    ("query-null", _json({"query": None}), 400, True),
+    ("limit-str", _json({"query": "(comp*, *)", "limit": "3"}), 400, True),
+    ("seed-str", _json({"query": "(comp*, *)", "seed": "abc"}), 400, True),
+    ("seed-negative", _json({"query": "(comp*, *)", "seed": -1}), 400, True),
+    ("seed-float", _json({"query": "(comp*, *)", "seed": 1.5}), 400, True),
+    ("origin-bool", _json({"query": "(comp*, *)", "origin": True}), 400, True),
+    ("json-100000-deep", _post(b"[" * 100_000 + b"]" * 100_000), 400, True),
+    ("content-length-abc", b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400, False),
+    ("content-length-negative", _post(b"", length=-5), 400, False),
+    ("content-length-2MiB", _post(b"", length=2 << 20), 413, False),
+    ("header-line-70000", _post(b"{}", head=b"X-Pad: " + b"a" * 70_000 + b"\r\n"), 431, False),
+    ("header-lines-20000", _post(b"{}", head=b"X-Pad: a\r\n" * 20_000), 431, False),
+    ("request-line-one-word", b"GARBAGE\r\n\r\n", 400, False),
+]
+
+
+def _read_response(sock: socket.socket) -> tuple[int, dict]:
+    """One response off a blocking socket (which, unlike a stream reader,
+    still hands over what arrived before the peer reset the connection)."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed with no complete response ({data!r})"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    length = next(
+        int(line.split(":")[1]) for line in lines if line.lower().startswith("content-length")
+    )
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed inside a response body"
+        body += chunk
+    return int(lines[0].split()[1]), json.loads(body)
+
+
+def _exchange(port: int, data: bytes, survives: bool):
+    """Send ``data`` on a fresh connection; what came back, and whether a
+    well-formed request on the same connection is still answered."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        try:
+            sock.sendall(data)
+        except ConnectionError:
+            pass  # answered and closed before the whole request was out
+        status, body = _read_response(sock)
+        if survives:
+            sock.sendall(_GOOD)
+            return status, body, _read_response(sock)[0]
+        try:
+            return status, body, sock.recv(65536)
+        except ConnectionResetError:
+            return status, body, b""
+
+
+@pytest.mark.parametrize(
+    "data, expected, survives", [pytest.param(*row[1:], id=row[0]) for row in MALFORMED]
+)
+def test_malformed_request_is_a_4xx(data, expected, survives):
+    async def scenario(server):
+        status, body, after = await asyncio.to_thread(
+            _exchange, server.port, data, survives
+        )
+        async with QueryClient(server.host, server.port) as client:
+            fresh = await client.query("(comp*, *)")
+            return status, body, after, fresh, await client.get("/stats")
+
+    status, body, after, fresh, stats = _serve(scenario)
+    assert status == expected
+    assert body["error"]
+    assert after == (200 if survives else b"")
+    assert fresh["result"]["complete"]
+    assert stats["errors"] == 1
+
+
+def test_close_drains_requests_and_idle_connections():
+    """``close()`` serves what was already received, closes connections that
+    are between requests, and returns with every gauge at zero."""
+    system = build_demo_system(**BUILD)
+
+    async def main():
+        server = await QueryServer(system, per_message_delay=0.005).start()
+        idle_reader, idle_writer = await asyncio.open_connection(server.host, server.port)
+        idle_writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+        assert (await read_http_response(idle_reader))[0] == 200
+        async with QueryClient(server.host, server.port) as busy:
+            in_flight = asyncio.ensure_future(
+                busy.request("POST", "/query", {"query": "(*, *)", "priority": "batch"})
+            )
+            await asyncio.sleep(0.01)
+            assert server.transport.inflight == 1
+            await asyncio.wait_for(server.close(), timeout=10)
+            assert in_flight.done()
+            status, body = in_flight.result()
+        assert await idle_reader.read() == b""  # closed by the server
+        idle_writer.close()
+        return status, body, server.stats(), server._class_occupancy
+
+    status, body, stats, occupancy = asyncio.run(main())
+    assert status == 200 and body["result"]["complete"]
+    assert len(body["result"]["matches"]) == BUILD["n_docs"]
+    assert stats["waiting"] == 0 and stats["inflight"] == 0
+    assert occupancy == {"batch": 0}
