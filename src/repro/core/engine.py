@@ -122,7 +122,12 @@ def _report_query_metrics(engine_name: str, stats: QueryStats) -> None:
 
 
 def _window(curve, cluster: Cluster, low: int, high: int):
-    """The cluster's inclusive index ranges within the window ``[low, high]``."""
+    """The cluster's per-piece index ranges within the window ``[low, high]``.
+
+    Pieces are gap-free, so their union is the one range ``[max(min_index,
+    low), min(max_index, high)]`` a visit scans; the per-piece form is what
+    abandoned branches record and what trace events count.
+    """
     out = []
     for lo, hi in cluster.iter_index_ranges(curve):
         clipped_lo = max(lo, low)
@@ -153,7 +158,7 @@ class EngineRun:
     __slots__ = (
         "query",
         "region",
-        "matcher",
+        "keep",
         "origin_id",
         "stats",
         "matches",
@@ -175,8 +180,8 @@ class EngineRun:
     def __init__(self) -> None:
         self.query = None
         self.region = None
-        #: ``space.matcher(query)``: the data-node post-filter, bound once.
-        self.matcher = None
+        #: ``space.keeper(query)``: the data-node post-filter, bound once.
+        self.keep = None
         self.origin_id = 0
         self.stats = QueryStats()
         self.matches: list = []
@@ -494,7 +499,7 @@ class QueryEngine(ABC):
         bound = system.space.bind(query)
         run.query = bound.query
         run.region = bound.region
-        run.matcher = system.space.matcher(bound)
+        run.keep = system.space.keeper(bound)
         return bound.query, bound.region
 
     # ------------------------------------------------------------------
@@ -574,21 +579,30 @@ class QueryEngine(ABC):
         # end of the index space when the delivery wrapped around the
         # ring (a first-node visit for the tail segment).  Windowing
         # keeps the chain's scans disjoint even when it wraps past 0.
+        # A cluster is one contiguous curve segment, so its slice is one
+        # index range (or nothing).
         window_high = covered if low <= covered else curve.size - 1
-        ranges = _window(curve, cluster, low, window_high)
-        found = self._scan_cluster(system, node_id, ranges, run.matcher)
+        max_index = cluster.max_index(curve)
+        scan_low = max(cluster.min_index(curve), low)
+        scan_high = min(max_index, window_high)
+        ranges = [(scan_low, scan_high)] if scan_low <= scan_high else []
+        found = self._scan_cluster(system, node_id, ranges, run.keep)
         if replica_of is not None:
             # Failover visit: this node stands in for an unreachable
             # peer.  Its replica store restores the peer's share of the
             # data; without replication that share is truthfully
             # reported as unresolved (the fan-out continues regardless).
-            served, ok = self._scan_replicas(node_id, ranges, run.matcher)
+            served, ok = self._scan_replicas(node_id, ranges, run.keep)
             if ok:
                 found = found + served
-            elif ranges:
+            else:
                 run.unresolved.extend(ranges)
         if trace is not None:
-            trace.emit(span, LocalScan(node_id, len(ranges), len(found)))
+            # The event has always carried the cluster's piece count in the
+            # window, not the number of ranges scanned (now at most one);
+            # tests/core/engine_golden.json, recorded before, is the check.
+            pieces = len(_window(curve, cluster, low, window_high))
+            trace.emit(span, LocalScan(node_id, pieces, len(found)))
         if found:
             run.matches.extend(found)
             stats.record_data_node(node_id)
@@ -609,7 +623,7 @@ class QueryEngine(ABC):
             # peer's identifier; ask the ring for its predecessor.
             pred = overlay.predecessor_id(covered)
         if (
-            cluster.max_index(curve) <= covered
+            max_index <= covered
             or pred == covered  # single node: owns everything
             or low > covered  # wrapped: scanned to the end of space
         ):
@@ -645,29 +659,29 @@ class QueryEngine(ABC):
             run.trace.emit(span, event)
 
     @staticmethod
-    def _filter_scan(store, ranges, match) -> list:
-        """The data-node step: scan ``store`` over sorted, disjoint index
-        ranges (one pass over its sorted index list) and keep the elements
-        whose key satisfies the run's matcher.  Stored keys were normalized
-        at publish, which is all the matcher requires."""
-        return [
-            element for element in store.scan_ranges(ranges) if match(element.key)
-        ]
+    def _filter_scan(store, ranges, keep) -> list:
+        """The data-node step: scan ``store`` over the visit's window and
+        keep the elements that satisfy the query — the run's bulk post-filter
+        over the store's candidate list.  Stored keys were normalized at
+        publish, which is all the filter requires.  ``scan_ranges`` is looked
+        up on the store instance and gets the ranges alone: observers (the
+        benchmark's counters) wrap exactly that call."""
+        return keep(store.scan_ranges(ranges))
 
     @classmethod
-    def _scan_cluster(cls, system: "SquidSystem", node_id: int, cluster_ranges, match) -> list:
-        """Search one node's store over the cluster's index ranges.
+    def _scan_cluster(cls, system: "SquidSystem", node_id: int, ranges, keep) -> list:
+        """Search one node's store over the visit's window.
 
         Timed under the ``engine.scan`` phase when profiling is enabled.
         """
         prof = obs_profile._PROFILER
         start = perf_counter() if prof is not None else 0.0
-        found = cls._filter_scan(system.stores[node_id], cluster_ranges, match)
+        found = cls._filter_scan(system.stores[node_id], ranges, keep)
         if prof is not None:
             prof.record("engine.scan", perf_counter() - start)
         return found
 
-    def _scan_replicas(self, node_id: int, ranges, match) -> tuple[list, bool]:
+    def _scan_replicas(self, node_id: int, ranges, keep) -> tuple[list, bool]:
         """Serve an unreachable peer's share from this node's replica store.
 
         Returns ``(matches, served)``; ``served`` is False when no replica
@@ -680,7 +694,7 @@ class QueryEngine(ABC):
         store = manager.replicas.get(node_id)
         if store is None:
             return [], False
-        return self._filter_scan(store, ranges, match), True
+        return self._filter_scan(store, ranges, keep), True
 
     def _local_delay(self, run: EngineRun, node_id: int) -> float:
         """Local processing time at ``node_id`` (the plane's slow peers take longer)."""

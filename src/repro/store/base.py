@@ -13,19 +13,21 @@ The scan contract
 All read paths reduce to one entry point, :meth:`NodeStore.scan_ranges`
 (``scan_range`` is the single-range special case), whose semantics every
 backend must reproduce **exactly** — the cross-backend equivalence suite in
-``tests/store/`` asserts byte-identical output against ``LocalStore``:
+``tests/store/`` asserts byte-identical output against ``LocalStore`` and
+against an explicit reference model:
 
-1. *Selection.*  Given inclusive index ranges, every stored element whose
-   curve index falls in the union of the ranges is yielded **exactly
-   once** — ranges are normalized first (invalid ``low > high`` ranges
-   dropped, the rest sorted by ``low`` and coalesced), so overlapping or
-   unsorted input cannot duplicate elements.
-2. *Ordering.*  Elements are yielded in ascending index order.  Elements
-   sharing an index are grouped by key: key groups appear in first-publish
-   order, and elements inside a group in publish order.  (This is the
-   arrival order a sorted multimap ``index -> {key -> [elements]}``
-   produces, and what result ordering downstream has always observed.)
-3. *Stability.*  Scanning the same stored element twice yields the *same
+1. *Selection.*  Given inclusive index ranges, a scan returns a list in
+   which every stored element whose curve index falls in the union of the
+   ranges appears **exactly once** — ranges are normalized first (invalid
+   ``low > high`` ranges dropped, the rest sorted by ``low`` and
+   coalesced), so overlapping or unsorted input cannot duplicate elements.
+2. *Ordering.*  The list is in ascending index order.  Elements sharing an
+   index are grouped by key: key groups appear in first-publish order, and
+   elements inside a group in publish order.  (This is the arrival order a
+   sorted multimap ``index -> {key -> [elements]}`` produces — the model
+   ``tests/store/reference.py`` keeps — and what result ordering downstream
+   has always observed.)
+3. *Stability.*  Scanning the same stored element twice returns the *same
    object*, not merely an equal one — identity-based result accounting
    (e.g. recall measurement against ``brute_force_matches``) relies on it.
    Disk-backed stores satisfy this with a row cache primed at insert.
@@ -109,9 +111,13 @@ def normalize_ranges(ranges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]
     The returned ranges are sorted by ``low`` and pairwise disjoint (adjacent
     ranges are merged too — the union, and therefore the scan output, is
     identical), so a backend can scan them left to right without ever
-    revisiting an index.
+    revisiting an index.  Zero or one valid range — all an engine visit ever
+    passes — is returned as is.
     """
-    spans = sorted((low, high) for low, high in ranges if low <= high)
+    spans = [(low, high) for low, high in ranges if low <= high]
+    if len(spans) < 2:
+        return spans
+    spans.sort()
     merged: list[tuple[int, int]] = []
     for low, high in spans:
         if merged and low <= merged[-1][1] + 1:
@@ -160,7 +166,12 @@ class NodeStore(ABC):
 
     @abstractmethod
     def add_sorted_bulk(self, elements: list[StoredElement]) -> None:
-        """Bulk insert; amortizes per-element index maintenance."""
+        """Insert a batch given in arrival order (indices in any order).
+
+        Leaves the store exactly as :meth:`add` per element would; called on
+        stores that already hold elements too (``unpublish`` puts back what
+        it kept), where it must not re-sort what is stored.
+        """
 
     @abstractmethod
     def pop_range(self, low: int, high: int) -> list[StoredElement]:
@@ -172,8 +183,9 @@ class NodeStore(ABC):
         """
 
     @abstractmethod
-    def _scan_span(self, low: int, high: int) -> Iterator[StoredElement]:
-        """Yield ``[low, high]`` in contract order; no metrics, no validation."""
+    def _scan_span(self, low: int, high: int) -> Iterable[StoredElement]:
+        """``[low, high]`` in contract order, as a list or a one-shot
+        iterator; no metrics, no validation."""
 
     @abstractmethod
     def all_elements(self) -> Iterator[StoredElement]:
@@ -208,29 +220,29 @@ class NodeStore(ABC):
     # ------------------------------------------------------------------
     # Shared read paths
     # ------------------------------------------------------------------
-    def scan_range(self, low: int, high: int) -> Iterator[StoredElement]:
-        """Yield elements with index in ``[low, high]`` in contract order."""
+    def scan_range(self, low: int, high: int) -> list[StoredElement]:
+        """The elements with index in ``[low, high]``: a list in contract order."""
         if low > high:
-            return
+            return []
         self._count_scan()
-        yield from self._scan_span(low, high)
+        return list(self._scan_span(low, high))
 
-    def scan_ranges(self, ranges) -> Iterator[StoredElement]:
-        """Yield the union of several index ranges in one pass.
+    def scan_ranges(self, ranges) -> list[StoredElement]:
+        """The union of several index ranges: a list in contract order.
 
         This is the single scan entry point the engines and the fault
         plane's replica failover use.  Input ranges are normalized (sorted,
-        coalesced, invalid ranges dropped), so each selected element is
-        yielded exactly once even when the input overlaps; output follows
-        the contract order.  Counts one ``store.range_scans`` metric for
-        the whole non-empty batch.
+        coalesced, invalid ranges dropped), so each selected element appears
+        exactly once even when the input overlaps.  Counts one
+        ``store.range_scans`` metric for the whole non-empty batch.
         """
-        first = True
-        for low, high in normalize_ranges(ranges):
-            if first:
-                first = False
-                self._count_scan()
-            yield from self._scan_span(low, high)
+        found: list[StoredElement] = []
+        spans = normalize_ranges(ranges)
+        if spans:
+            self._count_scan()
+            for low, high in spans:
+                found.extend(self._scan_span(low, high))
+        return found
 
     def has_any_in_range(self, low: int, high: int) -> bool:
         """True if any element index falls in ``[low, high]``."""

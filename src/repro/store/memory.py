@@ -1,142 +1,150 @@
-"""The array-of-buckets in-memory backend (registry name ``"local"``).
+"""The flat sorted in-memory backend (registry name ``"local"``).
 
-This is the original per-node store: a sorted multimap
-``index -> {key -> [elements]}``.  It *defines* the scan contract the other
-backends are tested against (see :mod:`repro.store.base`) and remains the
-default — fastest for paper-scale figures, with every element resident as a
-Python object.
+The default per-node store: two parallel lists kept *at rest* in the scan
+order of :mod:`repro.store.base` — ``_indices``, one curve index per
+element, non-decreasing, and ``_elements``.  A range scan is two bisections
+and one list slice, a handoff (``pop_range``) a slice and a ``del``; only a
+publish pays for the order, with a bisection and a ``list.insert``.
 """
 
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterator
 
-from repro.store.base import NodeStore, StoredElement
+from repro.store.base import NodeStore, StoredElement, regroup_run
 
 __all__ = ["LocalStore", "StoredElement"]
 
+_index_of = attrgetter("index")
+
+
+def _distinct_keys(elements: list[StoredElement]) -> int:
+    """Distinct ``(index, key)`` pairs among ``elements``."""
+    return len({(element.index, element.key) for element in elements})
+
 
 class LocalStore(NodeStore):
-    """Sorted multimap ``index -> {key -> [elements]}``.
+    """Parallel lists ``_indices`` / ``_elements`` in contract order.
 
     *Keys* (unique keyword combinations, the paper's load unit) may collide
     on an index (quantization); *elements* (documents/resources) may share a
-    key.  Load-balancing moves whole index ranges between stores.
+    key.  Inside an equal-index run the elements of one key are adjacent:
+    key groups in first-publish order, publish order inside a group.
     """
 
     backend_name = "local"
 
     def __init__(self, node_id: int | None = None) -> None:
         self._node_id = node_id
-        self._by_index: dict[int, dict[tuple, list[StoredElement]]] = {}
-        self._sorted_indices: list[int] = []
+        self._indices: list[int] = []
+        self._elements: list[StoredElement] = []
         self._key_count = 0
-        self._element_count = 0
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def add(self, element: StoredElement) -> None:
-        """Insert one element (O(log n) on a new index)."""
-        bucket = self._by_index.get(element.index)
-        if bucket is None:
-            bucket = {}
-            self._by_index[element.index] = bucket
-            insort(self._sorted_indices, element.index)
-        per_key = bucket.get(element.key)
-        if per_key is None:
-            bucket[element.key] = [element]
+        """Insert one element: after the last one of its key at its index,
+        else at the end of the index's run (O(log n) + one list shift)."""
+        indices, elements = self._indices, self._elements
+        index, key = element.index, element.key
+        # Walk the equal-index run backwards to the key's group; runs are
+        # quantization collisions, almost always of length 0 or 1.
+        pos = end = bisect_right(indices, index)
+        while pos and indices[pos - 1] == index and elements[pos - 1].key != key:
+            pos -= 1
+        if not pos or indices[pos - 1] != index:
+            pos = end
             self._key_count += 1
-        else:
-            per_key.append(element)
-        self._element_count += 1
+        indices.insert(pos, index)
+        elements.insert(pos, element)
         self._count_added(1)
 
     def add_sorted_bulk(self, elements: list[StoredElement]) -> None:
-        """Bulk insert; amortizes the sorted-index maintenance."""
-        for element in elements:
-            bucket = self._by_index.get(element.index)
-            if bucket is None:
-                bucket = {}
-                self._by_index[element.index] = bucket
-            per_key = bucket.get(element.key)
-            if per_key is None:
-                bucket[element.key] = [element]
-                self._key_count += 1
-            else:
-                per_key.append(element)
-            self._element_count += 1
-        self._sorted_indices = sorted(self._by_index)
+        """Insert a batch given in arrival order, at the cost of the batch.
+
+        Onto an empty store (bulk publish, ``restore``): one stable sort by
+        index, each equal-index run regrouped by key.  Onto a non-empty one
+        (``unpublish`` putting back what it kept): :meth:`add` per element,
+        which leaves every stored element where it is.
+        """
+        if self._elements:
+            for element in elements:
+                self.add(element)
+            return
+        ordered = self._elements
+        for _, run in groupby(sorted(elements, key=_index_of), _index_of):
+            ordered.extend(regroup_run(list(run)))
+        self._indices = [element.index for element in ordered]
+        self._key_count = _distinct_keys(ordered)
         self._count_added(len(elements))
 
     def pop_range(self, low: int, high: int) -> list[StoredElement]:
-        """Remove and return every element with index in ``[low, high]``.
-
-        Used when keys are handed to another node (join splits, runtime load
-        balancing, virtual-node migration).  Returned in scan order.
-        """
+        """Remove and return, in scan order, every element with index in
+        ``[low, high]`` (join splits, load balancing, virtual-node migration)."""
         self._check_range(low, high)
-        lo_pos = bisect_left(self._sorted_indices, low)
-        hi_pos = bisect_right(self._sorted_indices, high)
-        moved: list[StoredElement] = []
-        for index in self._sorted_indices[lo_pos:hi_pos]:
-            bucket = self._by_index.pop(index)
-            for per_key in bucket.values():
-                moved.extend(per_key)
-                self._key_count -= 1
-                self._element_count -= len(per_key)
-        del self._sorted_indices[lo_pos:hi_pos]
+        lo_pos = bisect_left(self._indices, low)
+        hi_pos = bisect_right(self._indices, high, lo_pos)
+        moved = self._elements[lo_pos:hi_pos]
+        del self._indices[lo_pos:hi_pos]
+        del self._elements[lo_pos:hi_pos]
+        self._key_count -= _distinct_keys(moved)
         self._count_moved(len(moved))
         return moved
 
     def clear(self) -> None:
-        self._by_index.clear()
-        self._sorted_indices.clear()
+        self._indices.clear()
+        self._elements.clear()
         self._key_count = 0
-        self._element_count = 0
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def _scan_span(self, low: int, high: int) -> Iterator[StoredElement]:
-        lo_pos = bisect_left(self._sorted_indices, low)
-        hi_pos = bisect_right(self._sorted_indices, high, lo_pos)
-        for index in self._sorted_indices[lo_pos:hi_pos]:
-            for per_key in self._by_index[index].values():
-                yield from per_key
+    def _scan_span(self, low: int, high: int) -> list[StoredElement]:
+        lo_pos = bisect_left(self._indices, low)
+        return self._elements[lo_pos:bisect_right(self._indices, high, lo_pos)]
 
     def has_any_in_range(self, low: int, high: int) -> bool:
-        """True if any element index falls in ``[low, high]``."""
-        pos = bisect_left(self._sorted_indices, low)
-        return pos < len(self._sorted_indices) and self._sorted_indices[pos] <= high
+        pos = bisect_left(self._indices, low)
+        return pos < len(self._indices) and self._indices[pos] <= high
 
     def all_elements(self) -> Iterator[StoredElement]:
-        for index in self._sorted_indices:
-            for per_key in self._by_index[index].values():
-                yield from per_key
+        return iter(self._elements)
 
     def indices(self) -> list[int]:
         """Sorted distinct indices present in the store."""
-        return list(self._sorted_indices)
+        return list(dict.fromkeys(self._indices))
 
     def key_count_at(self, index: int) -> int:
         """Number of distinct keys stored at ``index``."""
-        bucket = self._by_index.get(index)
-        return len(bucket) if bucket else 0
+        run = self._scan_span(index, index)
+        return len(run) if len(run) < 2 else _distinct_keys(run)
 
     def split_point_by_load(self) -> int | None:
-        """Index below which about half the keys live (for boundary shifts)."""
-        if len(self._sorted_indices) < 2:
+        """Index below which about half the keys live (for boundary shifts).
+
+        One pass: a key is counted where the ``(index, key)`` pair changes,
+        the threshold tested at the end of each index's run.
+        """
+        indices = self._indices
+        if not indices or indices[0] == indices[-1]:
             return None
-        counted = 0
         half = self._key_count / 2
-        for index in self._sorted_indices[:-1]:
-            counted += len(self._by_index[index])
-            if counted >= half:
-                return index
-        return self._sorted_indices[-2]
+        counted = 0
+        run_index, run_key = indices[0], None
+        for index, element in zip(indices, self._elements):
+            if index != run_index:
+                if counted >= half or index == indices[-1]:
+                    break  # never the last index: handing it away empties the store
+                run_index, run_key = index, None
+            if element.key != run_key:
+                run_key = element.key
+                counted += 1
+        return run_index
 
     # ------------------------------------------------------------------
     # Accounting
@@ -148,19 +156,11 @@ class LocalStore(NodeStore):
 
     @property
     def element_count(self) -> int:
-        return self._element_count
+        return len(self._elements)
 
     def memory_bytes(self) -> int:
-        """Container-structure estimate: dicts, index list, per-key lists.
-
-        Payload objects are not deep-sized (uniform across backends); the
-        per-entry constant approximates dict-entry + list-slot overhead.
-        """
-        size = sys.getsizeof(self._by_index) + sys.getsizeof(self._sorted_indices)
-        size += len(self._sorted_indices) * 96  # bucket dict per distinct index
-        size += self._key_count * 120  # dict entry + per-key list header
-        size += self._element_count * 64  # list slot + element object header
-        return size
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LocalStore(keys={self._key_count}, elements={self._element_count})"
+        """The two lists plus 56 bytes of object header per element; payloads
+        are not deep-sized (uniform across backends) and an index ``int`` is
+        the one object the element and ``_indices`` share."""
+        columns = sys.getsizeof(self._indices) + sys.getsizeof(self._elements)
+        return columns + len(self._elements) * 56

@@ -18,6 +18,11 @@ from repro import (
     SquidSystem,
     WordDimension,
 )
+from repro.core.engine import _window
+from repro.sfc import CURVES, make_curve
+from repro.sfc.clusters import refine_cluster, root_cluster
+from repro.store.base import normalize_ranges
+from tests.sfc.test_clusters import random_region
 
 words = st.text(alphabet="abcdef", min_size=1, max_size=6)
 small_words = st.text(alphabet="abc", min_size=1, max_size=4)
@@ -132,3 +137,37 @@ class TestCostInvariants:
         a = system.query(f"({prefix}*, *)", origin=origin, rng=0).stats
         b = system.query(f"({prefix}*, *)", origin=origin, rng=0).stats
         assert a.as_row() == b.as_row()
+
+
+class TestVisitWindow:
+    """A cluster is one contiguous curve segment, so the window a visit
+    scans — the cluster's pieces clipped to ``[low, high]`` — is one range.
+    ``_visit`` computes that range directly; ``_window`` is the per-piece
+    statement it must equal."""
+
+    @given(
+        family=st.sampled_from(sorted(CURVES)),
+        shape=st.sampled_from([(2, 4), (3, 3)]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_window_of_a_cluster_is_one_range(self, family, shape, seed):
+        curve = make_curve(family, *shape)
+        rng = np.random.default_rng(seed)
+        region = random_region(curve, rng)
+        clusters = [root_cluster(curve, region)]
+        for _ in range(int(rng.integers(0, curve.order + 1))):
+            k = int(rng.integers(0, curve.size)) if rng.integers(0, 2) else 0
+            clusters = [
+                child
+                for cluster in clusters
+                for child in (
+                    [cluster] if cluster.is_resolved
+                    else refine_cluster(curve, cluster, region, min_index=k)
+                )
+            ] or clusters
+        for cluster in clusters:
+            low, high = (int(v) for v in rng.integers(0, curve.size, size=2))
+            one = (max(cluster.min_index(curve), low), min(cluster.max_index(curve), high))
+            want = [one] if one[0] <= one[1] else []
+            assert normalize_ranges(_window(curve, cluster, low, high)) == want

@@ -16,6 +16,8 @@ from repro.keywords import (
     Wildcard,
     WordDimension,
 )
+from repro.keywords.space import _filter_source
+from repro.store import StoredElement
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=10)
 
@@ -281,7 +283,8 @@ def keys_and_queries(draw):
 
 
 class TestMatcher:
-    """matcher(q)(validate_key(k)) == matches(k, q): bound once, same answer."""
+    """matcher(q)(validate_key(k)) == matches(k, q): bound once, same answer —
+    and keeper(q), the bulk form the engines run, keeps exactly those keys."""
 
     @given(keys_and_queries())
     @settings(max_examples=500)
@@ -289,6 +292,10 @@ class TestMatcher:
         space = mixed_space()
         key, query = key_and_query
         assert space.matcher(query)(space.validate_key(key)) == space.matches(key, query)
+        element = StoredElement(index=0, key=space.validate_key(key))
+        kept = space.keeper(query)([element])
+        assert kept == ([element] if space.matches(key, query) else [])
+        assert all(one is element for one in kept)
 
     def test_text_ast_and_bound_forms_agree(self):
         space = storage_space()
@@ -303,6 +310,88 @@ class TestMatcher:
         space = grid_space()
         match = space.matcher("(*, *-*, -5-2000)")
         assert match(space.validate_key((0, 1000, 100)))
+        elements = [
+            StoredElement(index=n, key=space.validate_key(key))
+            for n, key in enumerate([(0, 1000, 100), (1024, 0, 0), (3, 4, 5)])
+        ]
+        kept = space.keeper("(*, *-*, -5-2000)")(iter(elements))
+        assert kept == elements and kept is not elements
+
+    def test_bulk_filter_keeps_order_and_identity(self):
+        space = storage_space()
+        keys = [("computer", "network"), ("docs", "network"), ("compiler", "net"),
+                ("computer", "graphics"), ("comp", "networks")]
+        elements = [StoredElement(index=n, key=key) for n, key in enumerate(keys)]
+        kept = space.keeper("(comp*, net*)")(elements)
+        assert [e.index for e in kept] == [0, 2, 4]
+        assert all(e is elements[e.index] for e in kept)
+
+    def test_constants_never_reach_the_source(self):
+        """The filter's source is built from the query's shape alone: hostile
+        constants compile to the benign query's source and are only compared."""
+        hostile = ['"', "'); __import__('os').system('true') #", "a\nb\\c", "\\"]
+        space = KeywordSpace(
+            [CategoricalDimension("tag", ["plain", *hostile]), NumericDimension("n", 0, 9)],
+            bits=4,
+        )
+        benign_shape, _ = space._bound_terms((Exact("plain"), NumericRange(1, 2)))
+        for bulk in (True, False):
+            benign_source = _filter_source(benign_shape, bulk)
+            for constant in hostile:
+                shape, constants = space._bound_terms((Exact(constant), NumericRange(1, 2)))
+                assert shape == benign_shape and constants == [constant, 1.0, 2.0]
+                assert _filter_source(shape, bulk) == benign_source
+        assert _filter_source(benign_shape, True) == (
+            "lambda a0, a1, b1: lambda elements: "
+            "[e for e in elements if e.key[0] == a0 and a1 <= e.key[1] <= b1]"
+        )
+        assert _filter_source(benign_shape, False) == (
+            "lambda a0, a1, b1: lambda key: key[0] == a0 and a1 <= key[1] <= b1"
+        )
+        # The same through prefix terms, the shape of "(comp*, net*)": a word
+        # dimension that validates nothing lets the hostile text reach the bind.
+        class AnyText(WordDimension):
+            def validate(self, value):
+                return value
+
+        loose = KeywordSpace([AnyText("a"), AnyText("b")], bits=4)
+        query = (Prefix(hostile[1]), Prefix(hostile[2]))
+        shape, constants = loose._bound_terms(query)
+        assert shape == storage_space()._bound_terms("(comp*, net*)")[0]
+        assert constants == [hostile[1], hostile[2]]
+        assert _filter_source(shape, True) == (
+            "lambda a0, a1: lambda elements: "
+            "[e for e in elements if e.key[0].startswith(a0) and e.key[1].startswith(a1)]"
+        )
+        hit = StoredElement(index=0, key=(hostile[1] + "x", hostile[2]))
+        miss = StoredElement(index=1, key=("x" + hostile[1], hostile[2]))
+        assert loose.keeper(query)([hit, miss]) == [hit]
+        elements = [
+            StoredElement(index=n, key=(tag, 1.5))
+            for n, tag in enumerate(["plain", *hostile])
+        ]
+        for n, constant in enumerate(hostile, 1):
+            query = (Exact(constant), NumericRange(1, 2))
+            assert space.keeper(query)(elements) == [elements[n]]
+            assert [space.matcher(query)(e.key) for e in elements] == [
+                m == n for m in range(len(elements))
+            ]
+
+    def test_one_code_object_per_query_shape(self):
+        space = storage_space()
+        first, second = space.keeper("(comp*, net*)"), space.keeper("(ab*, zz*)")
+        assert first is not second and first.__code__ is second.__code__
+        assert space.matcher("(comp*, net*)").__code__ is space.matcher("(ab*, zz*)").__code__
+        assert first.__code__ is not space.keeper("(comp*, network)").__code__
+        # Every name the compiled filter uses: its argument, the element and
+        # its key attribute, the prefix test's method, the constants' slots
+        # (".0" is the comprehension's own iterator where it is a nested code
+        # object).  No global, no builtin.
+        names, codes = set(), [first.__code__]
+        for code in codes:
+            names.update(code.co_names, code.co_varnames, code.co_freevars)
+            codes.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+        assert names - {".0"} == {"elements", "e", "key", "startswith", "a0", "a1"}
 
     @pytest.mark.parametrize(
         "query",

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SFCError
+from repro.sfc import CURVES, make_curve
 from repro.sfc.clusters import (
     Cell,
     Cluster,
@@ -174,6 +175,15 @@ class TestRefineCluster:
             refine_cluster(curve, cluster, full_region(2, 2))
 
 
+def assert_contiguous(curve, cluster):
+    """A cluster is one curve segment: its pieces tile [min_index, max_index]."""
+    ranges = list(cluster.iter_index_ranges(curve))
+    for (lo1, hi1), (lo2, hi2) in zip(ranges, ranges[1:]):
+        assert hi1 + 1 == lo2
+    assert ranges[0][0] == cluster.min_index(curve)
+    assert ranges[-1][1] == cluster.max_index(curve)
+
+
 class TestClusterProperties:
     def test_pieces_are_contiguous(self):
         curve = HilbertCurve(2, 4)
@@ -182,9 +192,27 @@ class TestClusterProperties:
             region = random_region(curve, rng)
             for level in range(curve.order + 1):
                 for cluster in clusters_at_level(curve, region, level):
-                    ranges = list(cluster.iter_index_ranges(curve))
-                    for (lo1, hi1), (lo2, hi2) in zip(ranges, ranges[1:]):
-                        assert hi1 + 1 == lo2
+                    assert_contiguous(curve, cluster)
+        # Every family, 2-D and 3-D, and the engine's form of the step: a
+        # node refines only the part of a cluster at or beyond an index k.
+        for family in sorted(CURVES):
+            for dims, order in ((2, 4), (3, 3)):
+                curve = make_curve(family, dims, order)
+                for _ in range(6):
+                    region = random_region(curve, rng)
+                    clusters = [root_cluster(curve, region)]
+                    for _level in range(curve.order):
+                        k = int(rng.integers(0, curve.size))
+                        refined = []
+                        for cluster in clusters:
+                            assert_contiguous(curve, cluster)
+                            if cluster.is_resolved:
+                                continue
+                            for child in refine_cluster(curve, cluster, region, min_index=k):
+                                assert_contiguous(curve, child)
+                                assert child.max_index(curve) >= k
+                            refined.extend(refine_cluster(curve, cluster, region))
+                        clusters = refined
 
     def test_clusters_disjoint_and_ordered(self):
         curve = HilbertCurve(2, 4)
