@@ -169,6 +169,7 @@ class EngineRun:
         "guard",
         "priority",
         "unresolved",
+        "scanned",
         "budget",
         "used",
         "outbox",
@@ -196,6 +197,11 @@ class EngineRun:
         #: Numeric priority rank of this query (0 = interactive).
         self.priority = 0
         self.unresolved: list[tuple[int, int]] = []
+        #: Every visit's scan window, in visit order (unmerged): becomes
+        #: :attr:`QueryResult.scanned_ranges`.  Kept only for a system with
+        #: a result cache, the footprint's one consumer — a few hundred
+        #: tuples per broad query are not free to a caller who keeps results.
+        self.scanned: list[tuple[int, int]] | None = None
         self.budget = 0
         self.used = 0
         self.outbox: list = []
@@ -378,6 +384,8 @@ class QueryEngine(ABC):
         # — to runs of an engine built without one.
         guard = self.guard
         run.guard = guard if guard is not None and guard.active else None
+        if system.result_cache is not None:
+            run.scanned = []
         q, region = self._bind_query(system, run, query)
         curve = system.curve
         stats = run.stats
@@ -465,6 +473,7 @@ class QueryEngine(ABC):
             run.trace,
             complete=not resolved_gaps,
             unresolved_ranges=resolved_gaps,
+            scanned_ranges=run.scanned or (),
         )
 
     def result_cache_params(self):
@@ -574,18 +583,29 @@ class QueryEngine(ABC):
                 + model.latency(node_id, run.origin_id)
             )
             stats.record_completion(done_time)
+        if covered == node_id:
+            pred = overlay.nodes[node_id].predecessor
+        else:
+            # Failover visit: `covered` is the unreachable-but-live
+            # peer's identifier; ask the ring for its predecessor.
+            pred = overlay.predecessor_id(covered)
         # The node searches the slice of the cluster it is responsible
         # for on this arrival: up to the covered identifier, or to the
         # end of the index space when the delivery wrapped around the
-        # ring (a first-node visit for the tail segment).  Windowing
-        # keeps the chain's scans disjoint even when it wraps past 0.
-        # A cluster is one contiguous curve segment, so its slice is one
-        # index range (or nothing).
-        window_high = covered if low <= covered else curve.size - 1
+        # ring (a first-node visit for the tail segment) or the node is
+        # alone on it (its arc is the whole space, above its identifier
+        # too).  Windowing keeps the chain's scans disjoint even when it
+        # wraps past 0.  A cluster is one contiguous curve segment, so its
+        # slice is one index range (or nothing).
+        window_high = (
+            covered if low <= covered and pred != covered else curve.size - 1
+        )
         max_index = cluster.max_index(curve)
         scan_low = max(cluster.min_index(curve), low)
         scan_high = min(max_index, window_high)
         ranges = [(scan_low, scan_high)] if scan_low <= scan_high else []
+        if run.scanned is not None:
+            run.scanned += ranges
         found = self._scan_cluster(system, node_id, ranges, run.keep)
         if replica_of is not None:
             # Failover visit: this node stands in for an unreachable
@@ -616,15 +636,9 @@ class QueryEngine(ABC):
         # covered identifier; at the ring's wrap point (a node owning
         # (pred, 2^m) ∪ [0, id]) it means the cluster's remaining part
         # started beyond the predecessor, since linear indices never wrap.
-        if covered == node_id:
-            pred = overlay.nodes[node_id].predecessor
-        else:
-            # Failover visit: `covered` is the unreachable-but-live
-            # peer's identifier; ask the ring for its predecessor.
-            pred = overlay.predecessor_id(covered)
         if (
             max_index <= covered
-            or pred == covered  # single node: owns everything
+            or pred == covered  # single node: owns (and scanned) everything
             or low > covered  # wrapped: scanned to the end of space
         ):
             # The wrap test must come from the scan window itself, not the

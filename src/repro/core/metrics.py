@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import QueryTrace
@@ -28,19 +28,24 @@ def merge_index_ranges(
 ) -> tuple[tuple[int, int], ...]:
     """Sort and coalesce inclusive index ranges into a canonical tuple.
 
-    Used for :attr:`QueryResult.unresolved_ranges`: overlapping or adjacent
-    ranges merge so the unresolved curve segments read as a minimal cover.
+    Used for :attr:`QueryResult.unresolved_ranges` and for the footprint
+    the result cache files from :attr:`QueryResult.scanned_ranges`:
+    overlapping or adjacent ranges merge, so the segments read as a minimal
+    cover.
     """
     if not ranges:
         return ()
     ordered = sorted(ranges)
-    merged: list[tuple[int, int]] = [ordered[0]]
-    for low, high in ordered[1:]:
-        last_low, last_high = merged[-1]
-        if low <= last_high + 1:
-            merged[-1] = (last_low, max(last_high, high))
+    merged: list[tuple[int, int]] = []
+    run_low, run_high = ordered[0]
+    for low, high in ordered:
+        if low <= run_high + 1:
+            if high > run_high:
+                run_high = high
         else:
-            merged.append((low, high))
+            merged.append((run_low, run_high))
+            run_low, run_high = low, high
+    merged.append((run_low, run_high))
     return tuple(merged)
 
 
@@ -278,6 +283,16 @@ class QueryResult:
     #: The inclusive curve-index ranges that went unreached (sorted,
     #: coalesced via :func:`merge_index_ranges`); empty iff ``complete``.
     unresolved_ranges: tuple[tuple[int, int], ...] = ()
+    #: The scan window of every node visit of the run, in visit order and
+    #: unmerged (each lies inside the arc of the node it was scanned for).
+    #: On a complete run their union contains the region's whole curve
+    #: image — ``merge_index_ranges(scanned_ranges)`` is the footprint the
+    #: result cache invalidates by.  Recorded for that cache only: empty on
+    #: a system without one, and on a cache hit.  Bookkeeping, not part of
+    #: the answer: excluded from equality and repr.
+    scanned_ranges: Sequence[tuple[int, int]] = field(
+        default=(), compare=False, repr=False
+    )
 
     @property
     def match_count(self) -> int:

@@ -36,7 +36,7 @@ from repro.core.metrics import QueryResult, QueryStats
 from repro.core.plancache import PlanCache
 from repro.core.resultcache import ResultCache, default_result_cache, result_key
 from repro.errors import DuplicateNodeError, OverlayError
-from repro.keywords.space import BoundQuery, KeywordSpace
+from repro.keywords.space import KeywordSpace
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs.trace import KeyMoved, NodeJoined, NodeLeft, Tracer
@@ -376,7 +376,7 @@ class SquidSystem:
         canonical answers for the region.
         """
         eng = self._coerce_engine(engine)
-        hit, key, bound = self._cache_probe(eng, query, limit)
+        hit, filing, bound = self._cache_probe(eng, query, limit)
         if hit is not None:
             return hit
         result = eng.execute(
@@ -387,17 +387,21 @@ class SquidSystem:
             limit=limit,
             priority=priority,
         )
-        self._cache_store(key, bound, result)
+        self._cache_store(filing, bound, result)
         return result
 
     def _cache_probe(self, engine: QueryEngine, query, limit: int | None):
         """The result-cache fast path of :meth:`query` and of the transports.
 
-        Returns ``(hit, key, bound)``: a cached result, or on a miss the key
-        to :meth:`_cache_store` the answer under (``None`` when the cache is
-        not consulted) and the query to hand to the engine — what the probe
-        built, so the engine does not parse, check and cover the text a
-        second time, or ``query`` unchanged.
+        Returns ``(hit, filing, bound)``: a cached result, or on a miss what
+        :meth:`_cache_store` files the answer under (``None`` when the cache
+        is not consulted) and the query to hand to the engine — what the
+        probe built, so the engine does not parse, check and cover the text
+        a second time, or ``query`` unchanged.
+
+        Query *text* that filed a live entry resolves through the cache's
+        alias, so a repeated text query that hits costs two dictionary
+        lookups and touches nothing in ``keywords`` or ``sfc``.
         """
         cache = self.result_cache
         if cache is None or limit is not None:
@@ -405,25 +409,32 @@ class SquidSystem:
         params = engine.result_cache_params()
         if params is None:
             return None, None, query
-        q = self.space.as_query(query)
-        region = self.space.region(q)
-        key = result_key(self.curve, region, engine.name, params, query=q)
+        alias = (query, engine.name, params) if type(query) is str else None
+        known = cache.aliased(alias) if alias is not None else None
+        if known is not None:
+            bound, key = known
+        else:
+            bound = self.space.bind(query)
+            key = result_key(
+                self.curve, bound.region, engine.name, params, query=bound.query
+            )
         cached = cache.get(key)
         if cached is not None:
             hit = QueryResult(
-                q,
+                bound.query,
                 list(cached),
                 QueryStats(result_cache_hit=True),
                 None,
                 complete=True,
             )
-            return hit, key, None
-        return None, key, BoundQuery(q, region)
+            return hit, None, None
+        return None, (key, alias), bound
 
-    def _cache_store(self, key, bound, result: QueryResult) -> None:
-        """File a fresh answer under the key :meth:`_cache_probe` returned."""
-        if key is not None:
-            self.result_cache.put(key, result, self.curve, bound.region)
+    def _cache_store(self, filing, bound, result: QueryResult) -> None:
+        """File a fresh answer under what :meth:`_cache_probe` returned."""
+        if filing is not None:
+            key, alias = filing
+            self.result_cache.put(key, result, bound, alias)
 
     def query_many(
         self,

@@ -48,8 +48,8 @@ class SystemSpec:
     #: Store backend recipe; workers rebuild per-node stores from it, so a
     #: columnar/SQLite parent gets columnar/SQLite workers.
     store: StoreSpec = field(default_factory=StoreSpec)
-    #: Result-cache configuration as ``(capacity, ttl, invalidation_level)``,
-    #: or None when the parent system has no result cache.  Only the config
+    #: Result-cache configuration as ``(capacity, ttl)``, or None when the
+    #: parent system has no result cache.  Only the config
     #: crosses the process boundary (a custom ``clock`` does not pickle and
     #: cached entries are per-chunk state anyway — the pool re-spawns an
     #: empty cache for every chunk regardless of start method).
@@ -70,9 +70,7 @@ class SystemSpec:
             default_engine=system.default_engine,
             store=system.store_spec,
             result_cache=(
-                (cache.capacity, cache.ttl, cache.invalidation_level)
-                if cache is not None
-                else None
+                (cache.capacity, cache.ttl) if cache is not None else None
             ),
         )
 
@@ -85,10 +83,8 @@ class SystemSpec:
         curve = make_curve(self.curve_name, self.space.dims, self.space.bits)
         ring = ChordRing.build(curve.index_bits, self.node_ids)
         if self.result_cache is not None:
-            capacity, ttl, invalidation_level = self.result_cache
-            cache: "ResultCache | bool" = ResultCache(
-                capacity=capacity, ttl=ttl, invalidation_level=invalidation_level
-            )
+            capacity, ttl = self.result_cache
+            cache: "ResultCache | bool" = ResultCache(capacity=capacity, ttl=ttl)
         else:
             cache = False
         system = SquidSystem(

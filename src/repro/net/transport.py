@@ -106,7 +106,7 @@ class Transport(ABC):
         priority=None,
     ) -> QueryResult:
         """Resolve one query over this transport; see :meth:`SquidSystem.query`."""
-        hit, key, bound = self.system._cache_probe(self.engine, query, limit)
+        hit, filing, bound = self.system._cache_probe(self.engine, query, limit)
         if hit is not None:
             self.queries_served += 1
             return hit
@@ -116,7 +116,7 @@ class Transport(ABC):
             limit=limit, priority=priority,
         )
         result = await self._deliver(run)
-        self.system._cache_store(key, bound, result)
+        self.system._cache_store(filing, bound, result)
         self.queries_served += 1
         return result
 

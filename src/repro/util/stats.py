@@ -19,7 +19,6 @@ __all__ = [
     "imbalance_ratio",
     "coefficient_of_variation",
     "histogram_counts",
-    "percentile",
     "percentiles",
 ]
 
@@ -129,24 +128,15 @@ def histogram_counts(
     return counts
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Percentile ``q`` (0-100) of ``values``; 0.0 for an empty sample."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return 0.0
-    return float(np.percentile(arr, q))
-
-
 def percentiles(
     values: Sequence[float], qs: Sequence[float] = (50, 95, 99)
 ) -> dict[str, float]:
     """Named percentiles of a sample: ``{"p50": ..., "p95": ..., "p99": ...}``.
 
     The shared implementation behind the load generator's latency report.
-    An empty sample yields ``nan`` for every quantile — unlike
-    :func:`percentile`'s 0.0, because a latency report must not present
-    "no data" as "instant" (the load generator's ``--check`` mode asserts
-    the values are finite).
+    An empty sample yields ``nan`` for every quantile, because a latency
+    report must not present "no data" as "instant" (the load generator's
+    ``--check`` mode asserts the values are finite).
     """
     labels = [f"p{int(q) if float(q).is_integer() else q}" for q in qs]
     arr = np.asarray(values, dtype=float)

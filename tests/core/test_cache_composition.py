@@ -40,7 +40,7 @@ def test_zero_stale_results_after_churn_burst():
         space,
         n_nodes=10,
         seed=17,
-        result_cache=ResultCache(capacity=16, invalidation_level=3),
+        result_cache=ResultCache(capacity=16),
     )
     assert system.overlay.route_cache is not None  # both caches in play
     rng = random.Random(9)

@@ -11,8 +11,8 @@ import pytest
 from repro import KeywordSpace, NumericDimension, SquidSystem, WordDimension
 
 
-def assert_exact(system, query):
-    got = sorted(map(id, system.query(query, rng=0).matches))
+def assert_exact(system, query, engine=None):
+    got = sorted(map(id, system.query(query, engine=engine, rng=0).matches))
     want = sorted(map(id, system.brute_force_matches(query)))
     assert got == want
 
@@ -111,3 +111,11 @@ class TestTinyRings:
         result = system.query("(solo, *)", rng=0)
         assert result.match_count == 1
         assert result.stats.processing_node_count == 1
+        # The sole node's arc is the whole space — above its identifier too.
+        for word in ("alpha", "kilo", "zulu"):
+            system.publish((word, word))
+            system.publish((word[::-1], "node"))
+        assert {e.index > 777 for e in system.brute_force_matches("(*, *)")} == {True, False}
+        for engine in ("optimized", "naive"):
+            assert_exact(system, "(*, *)", engine=engine)
+            assert_exact(system, "(*, node)", engine=engine)

@@ -19,8 +19,9 @@ from repro import (
     WordDimension,
 )
 from repro.core.engine import _window
+from repro.core.metrics import merge_index_ranges
 from repro.sfc import CURVES, make_curve
-from repro.sfc.clusters import refine_cluster, root_cluster
+from repro.sfc.clusters import refine_cluster, resolve_clusters, root_cluster
 from repro.store.base import normalize_ranges
 from tests.sfc.test_clusters import random_region
 
@@ -171,3 +172,70 @@ class TestVisitWindow:
             one = (max(cluster.min_index(curve), low), min(cluster.max_index(curve), high))
             want = [one] if one[0] <= one[1] else []
             assert normalize_ranges(_window(curve, cluster, low, high)) == want
+
+
+class TestScanFootprint:
+    """The union of a complete run's scan windows contains the region's
+    curve image — on purpose: the result cache files the merged windows as
+    an entry's invalidation footprint, so a hole in them is a stale answer."""
+
+    ENGINES = {
+        "opt-agg-d1": lambda: OptimizedEngine(aggregate=True, local_depth=1),
+        "opt-noagg-d2": lambda: OptimizedEngine(aggregate=False, local_depth=2),
+        "naive": NaiveEngine,
+    }
+    LETTERS = "abcdefgh"
+
+    @given(
+        family=st.sampled_from(sorted(CURVES)),
+        engine=st.sampled_from(sorted(ENGINES)),
+        n_nodes=st.sampled_from([1, 2, 8, 64]),  # sole-node and wrap-node visits
+        kind=st.sampled_from(["q1", "q2", "q3"]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_scan_windows_cover_the_region(self, family, engine, n_nodes, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "q3":
+            space = KeywordSpace(
+                [NumericDimension(name, 0, 100) for name in "xyz"], bits=4
+            )
+            bounds = np.sort(rng.uniform(0, 100, size=(3, 2)), axis=1)
+            query = "(" + ", ".join(f"{low:.1f}-{high:.1f}" for low, high in bounds) + ")"
+            keys = [tuple(key) for key in rng.uniform(0, 100, size=(20, 3))]
+        else:
+            space = KeywordSpace([WordDimension("k1"), WordDimension("k2")], bits=6)
+
+            def word():
+                return "".join(rng.choice(list(self.LETTERS), size=rng.integers(1, 4)))
+
+            first = word() + ("*" if rng.integers(0, 2) else "")
+            query = f"({first}, *)" if kind == "q1" else f"({first}, {word()}*)"
+            keys = [(word(), word()) for _ in range(20)]
+        # Windows are recorded for the result cache: the system needs one.
+        system = SquidSystem.create(
+            space, n_nodes=n_nodes, curve=family, seed=seed, result_cache=True
+        )
+        system.publish_many(keys)
+        result = system.query(query, engine=self.ENGINES[engine](), rng=seed)
+        assert result.complete and not result.stats.result_cache_hit
+        want = system.brute_force_matches(query)
+        assert sorted(map(id, result.matches)) == sorted(map(id, want))
+
+        footprint = merge_index_ranges(result.scanned_ranges)
+        assert all(low <= high for low, high in footprint)
+        assert all(a[1] + 1 < b[0] for a, b in zip(footprint, footprint[1:]))
+        region = space.region(result.query)
+        for low, high in resolve_clusters(system.curve, region):
+            assert any(f_low <= low and high <= f_high for f_low, f_high in footprint), (
+                f"cluster [{low}, {high}] was not scanned: {footprint}"
+            )
+        # Each raw window was scanned by — and lies inside the arc of — one
+        # processing node, which is why it is finer than any fixed-level cover.
+        for low, high in result.scanned_ranges:
+            owner = system.overlay.owner(low)
+            assert owner in result.stats.processing_nodes
+            assert any(
+                arc_low <= low and high <= arc_high
+                for arc_low, arc_high in system._owned_segments(owner)
+            ), f"window [{low}, {high}] leaves the arc of node {owner}"

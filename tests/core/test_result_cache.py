@@ -19,8 +19,9 @@ from repro.core.resultcache import (
 )
 from repro.core.system import SquidSystem
 from repro.keywords.dimensions import WordDimension
-from repro.keywords.space import KeywordSpace
+from repro.keywords.space import BoundQuery, KeywordSpace
 from repro.obs import collecting
+from repro.sfc.regions import Region
 
 WORDS = ["computer", "computation", "network", "netbook", "storage", "memory"]
 
@@ -37,20 +38,21 @@ def build_system(seed=11, n_nodes=24, n_docs=120, cache=True, engine="optimized"
 
 
 def _prepare(system, query):
-    """The (key, region) pair the system's fast path would use."""
-    q = system.space.as_query(query)
-    region = system.space.region(q)
+    """The (key, bound query) pair the system's fast path would use."""
+    bound = system.space.bind(query)
     engine = system._coerce_engine(None)
     key = result_key(
-        system.curve, region, engine.name, engine.result_cache_params(), query=q
+        system.curve, bound.region, engine.name, engine.result_cache_params(),
+        query=bound.query,
     )
-    return key, region
+    return key, bound
 
 
-def _fake_result(matches=("m",), messages=7, complete=True):
+def _fake_result(matches=("m",), messages=7, complete=True, scanned=((40, 49), (10, 19))):
     stats = QueryStats(messages=messages)
     return QueryResult(
-        query=None, matches=list(matches), stats=stats, complete=complete
+        query=None, matches=list(matches), stats=stats, complete=complete,
+        scanned_ranges=list(scanned),
     )
 
 
@@ -58,9 +60,9 @@ class TestCacheUnit:
     def test_miss_then_hit(self):
         system = build_system()
         cache = ResultCache(capacity=4)
-        key, region = _prepare(system, "(computer, *)")
+        key, bound = _prepare(system, "(computer, *)")
         assert cache.get(key) is None
-        assert cache.put(key, _fake_result(), system.curve, region)
+        assert cache.put(key, _fake_result(), bound)
         assert cache.get(key) == ("m",)
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == 0.5
@@ -72,10 +74,10 @@ class TestCacheUnit:
         keys = {}
         for word in ("computer", "network", "storage"):
             keys[word] = _prepare(system, f"({word}, *)")
-        cache.put(keys["computer"][0], _fake_result(("a",)), system.curve, keys["computer"][1])
-        cache.put(keys["network"][0], _fake_result(("b",)), system.curve, keys["network"][1])
+        cache.put(keys["computer"][0], _fake_result(("a",)), keys["computer"][1])
+        cache.put(keys["network"][0], _fake_result(("b",)), keys["network"][1])
         cache.get(keys["computer"][0])  # refresh: "network" becomes LRU
-        cache.put(keys["storage"][0], _fake_result(("c",)), system.curve, keys["storage"][1])
+        cache.put(keys["storage"][0], _fake_result(("c",)), keys["storage"][1])
         assert cache.evictions == 1
         assert cache.get(keys["network"][0]) is None
         assert cache.get(keys["computer"][0]) == ("a",)
@@ -85,8 +87,8 @@ class TestCacheUnit:
         system = build_system()
         ticks = [0]
         cache = ResultCache(capacity=4, ttl=10, clock=lambda: ticks[0])
-        key, region = _prepare(system, "(computer, *)")
-        cache.put(key, _fake_result(), system.curve, region)
+        key, bound = _prepare(system, "(computer, *)")
+        cache.put(key, _fake_result(), bound)
         ticks[0] = 9
         assert cache.get(key) == ("m",)
         ticks[0] = 10
@@ -97,26 +99,42 @@ class TestCacheUnit:
     def test_partial_results_never_cached(self):
         system = build_system()
         cache = ResultCache(capacity=4)
-        key, region = _prepare(system, "(computer, *)")
-        assert not cache.put(key, _fake_result(complete=False), system.curve, region)
+        key, bound = _prepare(system, "(computer, *)")
+        assert not cache.put(key, _fake_result(complete=False), bound)
         assert cache.partial_skipped == 1
         assert len(cache) == 0
         assert cache.get(key) is None
+
+    def test_unfootprinted_results_never_cached(self):
+        # No scan windows, no footprint: no write could ever invalidate it.
+        system = build_system()
+        cache = ResultCache(capacity=4)
+        key, bound = _prepare(system, "(computer, *)")
+        with collecting() as registry:
+            assert not cache.put(key, _fake_result(scanned=()), bound)
+        assert cache.unfootprinted_skipped == 1
+        assert registry.snapshot()["counters"]["result_cache.unfootprinted_skipped"] == 1
+        assert len(cache) == 0 and cache.get(key) is None
+
+    def test_footprint_is_the_merged_scan_windows(self):
+        system = build_system()
+        cache = ResultCache(capacity=4)
+        key, bound = _prepare(system, "(computer, *)")
+        cache.put(key, _fake_result(scanned=[(40, 49), (10, 19), (20, 25)]), bound)
+        assert cache._entries[key].ranges == ((10, 25), (40, 49))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
         with pytest.raises(ValueError):
             ResultCache(ttl=0)
-        with pytest.raises(ValueError):
-            ResultCache(invalidation_level=0)
 
     def test_spawn_empty_copies_config_only(self):
         ticks = [3]
-        cache = ResultCache(capacity=5, ttl=2.5, invalidation_level=3, clock=lambda: ticks[0])
+        cache = ResultCache(capacity=5, ttl=2.5, clock=lambda: ticks[0])
         cache.hits = 9
         spawned = cache.spawn_empty()
-        assert (spawned.capacity, spawned.ttl, spawned.invalidation_level) == (5, 2.5, 3)
+        assert (spawned.capacity, spawned.ttl) == (5, 2.5)
         assert spawned.clock is cache.clock
         assert spawned.hits == 0 and len(spawned) == 0
 
@@ -214,12 +232,12 @@ class TestInvalidationPrecision:
     def test_invalidate_range_and_all(self):
         system = build_system()
         cache = ResultCache(capacity=4)
-        key, region = _prepare(system, "(computer, *)")
-        cache.put(key, _fake_result(), system.curve, region)
+        key, bound = _prepare(system, "(computer, *)")
+        cache.put(key, _fake_result(), bound)
         low = cache._entries[key].ranges[0][0]
         assert cache.invalidate_range(low, low) == 1
         assert len(cache) == 0
-        cache.put(key, _fake_result(), system.curve, region)
+        cache.put(key, _fake_result(), bound)
         # Inverted and empty ranges drop nothing.
         assert cache.invalidate_range(5, 2) == 0
         assert cache.invalidate_all() == 1
@@ -233,6 +251,8 @@ class TestSystemWiring:
         assert system.result_cache is None
         res = system.query("(computer, *)")
         assert not res.stats.result_cache_hit
+        # Scan windows are the cache's footprint; without one, none are kept.
+        assert res.scanned_ranges == () and res.stats.processing_node_count > 1
 
     def test_process_default_knob(self):
         try:
@@ -281,3 +301,162 @@ class TestSystemWiring:
         assert sorted(str(e.payload) for e in warm.matches) == sorted(
             str(e.payload) for e in cold.matches
         )
+
+
+class TestCost:
+    """What the cache may spend: a hit is a lookup, a miss files the
+    footprint its run scanned, a write tests only the entries it can touch
+    — and nothing outlives the entry it belongs to."""
+
+    def test_repeated_text_hit_parses_and_covers_nothing(self):
+        system = build_system()
+        space, cache = system.space, system.result_cache
+        calls = {"as_query": 0, "region": 0, "get": 0}
+
+        def counted(obj, attr):
+            inner = getattr(obj, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return inner(*args, **kwargs)
+
+            setattr(obj, attr, wrapper)  # instance attribute, as perf/ wraps
+
+        cold = system.query("(comp*, *)")
+        for obj, attr in ((space, "as_query"), (space, "region"), (cache, "get")):
+            counted(obj, attr)
+        warm = system.query("(comp*, *)")
+        assert warm.stats.result_cache_hit
+        assert calls == {"as_query": 0, "region": 0, "get": 1}
+        assert [id(e) for e in warm.matches] == [id(e) for e in cold.matches]
+        assert warm.query == cold.query
+        # The same query as an AST takes the parsing path to the same entry.
+        again = system.query(cold.query)
+        assert again.stats.result_cache_hit and len(cache) == 1
+        assert calls["get"] == 2 and calls["region"] == 1
+
+    @pytest.mark.parametrize("engine", ["optimized", "naive"])
+    def test_filing_a_miss_refines_nothing(self, engine):
+        refinement = ("sfc.refine.scalar_cells", "sfc.refine.vec_calls", "sfc.refine.vec_cells")
+        spent = []
+        for cache in (True, False):
+            system = build_system(cache=cache, engine=engine)
+            origin = system.overlay.node_ids()[0]
+            with collecting() as registry:
+                for query in ("(comp*, *)", "(*, net*)", "(storage, memory)"):
+                    assert not system.query(query, origin=origin).stats.result_cache_hit
+            counters = registry.snapshot()["counters"]
+            spent.append([counters.get(name, 0) for name in refinement])
+        assert spent[0] == spent[1] and any(spent[0])
+
+    def test_indexed_invalidation_equals_the_linear_definition(self):
+        rng = random.Random(5)
+        for bits in (8, 20, 32):  # one bucket per index ... 2**22 indices per bucket
+            size = 1 << bits
+            for _ in range(40):
+                cache = ResultCache(capacity=64)
+                for n in range(rng.randrange(1, 40)):
+                    cache.put(("k", n), _random_result(rng, size), _Bound(_ANYWHERE))
+                for _ in range(30):
+                    live = {key: e.ranges for key, e in cache._entries.items()}
+                    kind = rng.randrange(3)
+                    if kind == 0:
+                        points = [_random_index(rng, live, size)]
+                        cache.invalidate_point(points[0])
+                    elif kind == 1:
+                        points = [_random_index(rng, live, size) for _ in range(3)]
+                        cache.invalidate_points(points)
+                    else:
+                        low = _random_index(rng, live, size)
+                        high = min(size - 1, low + rng.choice([0, 1, size >> 9, size]))
+                        cache.invalidate_range(low, high)
+                    want = {
+                        key for key, ranges in live.items()
+                        if (
+                            _ranges_overlap(ranges, low, high) if kind == 2
+                            else any(_ranges_contain(ranges, p) for p in points)
+                        )
+                    }
+                    assert set(live) - set(cache._entries) == want
+
+    def test_point_invalidation_still_confirms_with_the_region(self):
+        cache = ResultCache(capacity=4)
+        inside = _Bound(Region.from_bounds([(0, 3), (0, 3)]))
+        cache.put("k", _fake_result(scanned=[(0, 99)]), inside)
+        assert cache.invalidate_point(50, (9, 9)) == 0  # in the footprint only
+        assert cache.invalidate_point(50, (2, 3)) == 1
+
+    def test_nothing_outlives_its_entry(self):
+        rng = random.Random(11)
+        ticks = [0]
+        cache = ResultCache(capacity=8, ttl=6, clock=lambda: ticks[0])
+        size = 1 << 16
+        for step in range(2000):
+            ticks[0] += 1
+            action = rng.randrange(8)
+            n = rng.randrange(24)
+            if action < 4:  # files; beyond capacity 8 it evicts
+                alias = ("text", n) if rng.random() < 0.7 else None
+                cache.put(("k", n), _random_result(rng, size), _Bound(_ANYWHERE), alias)
+            elif action == 4:  # lookups expire what is older than the TTL
+                cache.get(("k", n))
+            elif action == 5:
+                cache.invalidate_point(rng.randrange(size))
+            elif action == 6:
+                low = rng.randrange(size)
+                cache.invalidate_range(low, low + rng.randrange(size >> 4))
+            elif rng.random() < 0.1:
+                cache.clear()
+            live = set(map(id, cache._entries.values()))
+            assert len(cache) <= 8
+            for alias, (_, key) in cache._aliases.items():
+                assert cache._entries[key].alias == alias
+            assert len(cache._aliases) == sum(
+                e.alias is not None for e in cache._entries.values()
+            )
+            for group in cache._buckets.values():
+                assert all(id(entry) in live for entry in group)
+        assert cache.evictions and cache.expirations and cache.invalidations
+
+
+def _Bound(region):
+    return BoundQuery(None, region)
+
+
+_ANYWHERE = Region.from_bounds([(0, 1 << 16), (0, 1 << 16)])
+
+
+def _random_result(rng, size):
+    windows = []
+    for _ in range(rng.randrange(1, 12)):
+        low = rng.randrange(size)
+        windows.append((low, min(size - 1, low + rng.choice([0, 3, size >> 10, size >> 4]))))
+    return _fake_result(scanned=windows)
+
+
+def _random_index(rng, live, size):
+    """Half the time an end of some live footprint range, else anywhere."""
+    ends = [end for ranges in live.values() for r in ranges for end in r]
+    if ends and rng.random() < 0.5:
+        return min(size - 1, max(0, rng.choice(ends) + rng.choice([-1, 0, 1])))
+    return rng.randrange(size)
+
+
+# The linear definition the indexed ``invalidate_*`` must agree with: walk
+# an entry's sorted ranges (this was the implementation before the index).
+def _ranges_contain(ranges, index):
+    for low, high in ranges:
+        if low <= index <= high:
+            return True
+        if low > index:
+            return False
+    return False
+
+
+def _ranges_overlap(ranges, low, high):
+    for r_low, r_high in ranges:
+        if r_low <= high and low <= r_high:
+            return True
+        if r_low > high:
+            return False
+    return False

@@ -11,7 +11,6 @@ from repro.util.stats import (
     gini_coefficient,
     histogram_counts,
     imbalance_ratio,
-    percentile,
     percentiles,
     summarize,
 )
@@ -115,14 +114,6 @@ class TestHistogram:
             histogram_counts([1], bins=2, low=1, high=1)
 
 
-class TestPercentile:
-    def test_empty(self):
-        assert percentile([], 50) == 0.0
-
-    def test_median(self):
-        assert percentile([1, 2, 3], 50) == 2.0
-
-
 class TestPercentiles:
     def test_default_labels(self):
         out = percentiles(list(range(101)))
@@ -140,16 +131,14 @@ class TestPercentiles:
     def test_empty_sample_is_nan_not_zero(self):
         out = percentiles([])
         assert set(out) == {"p50", "p95", "p99"}
+        # A latency report must not present "no data" as "instant".
         assert all(np.isnan(v) for v in out.values())
-        # Unlike percentile(), which reports 0.0 — a latency report must
-        # not present "no data" as "instant".
-        assert percentile([], 50) == 0.0
 
     def test_matches_scalar_percentile(self):
         values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
         out = percentiles(values, qs=(50, 90))
-        assert out["p50"] == percentile(values, 50)
-        assert out["p90"] == percentile(values, 90)
+        assert out["p50"] == float(np.percentile(values, 50))
+        assert out["p90"] == float(np.percentile(values, 90))
 
     @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=50))
     def test_monotone_in_q(self, values):
