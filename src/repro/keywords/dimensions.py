@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import string
+import sys
 from abc import ABC, abstractmethod
 from typing import Any
 
@@ -52,7 +53,13 @@ class Dimension(ABC):
 
     @abstractmethod
     def validate(self, value: Any) -> Any:
-        """Normalize/validate a published value; raise :class:`KeywordError`."""
+        """Normalize/validate a published value; raise :class:`KeywordError`.
+
+        Every publish path stores what this returns, and the post-filter
+        reads it once per candidate, so a dimension over a small vocabulary
+        returns *one object per distinct value* (an interned word, the
+        declared category): equal keywords at rest are then the same object.
+        """
 
     @abstractmethod
     def matches_exact(self, stored: Any, queried: Any) -> bool:
@@ -93,7 +100,9 @@ class WordDimension(Dimension):
                 raise KeywordError(
                     f"{self.name}: keyword {value!r} contains non-alphabetic character {ch!r}"
                 )
-        return word
+        # The interpreter's own table; its entries die with their last
+        # reference, so words no store holds any more are not kept alive.
+        return sys.intern(word)
 
     def encode(self, value: Any, bits: int) -> int:
         word = self.validate(value)
@@ -222,11 +231,12 @@ class CategoricalDimension(Dimension):
         self._rank = {c: i for i, c in enumerate(self.categories)}
 
     def validate(self, value: Any) -> str:
-        if value not in self._rank:
+        rank = self._rank.get(value)
+        if rank is None:
             raise KeywordError(
                 f"{self.name}: unknown category {value!r}; expected one of {self.categories}"
             )
-        return value
+        return self.categories[rank]
 
     def encode(self, value: Any, bits: int) -> int:
         rank = self._rank[self.validate(value)]

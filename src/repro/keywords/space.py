@@ -155,8 +155,30 @@ class KeywordSpace:
         return tuple(dim.encode(v, self.bits) for dim, v in zip(self.dimensions, key))
 
     def coordinates_many(self, keys: Iterable[Sequence[Any]]) -> np.ndarray:
-        """Bulk :meth:`coordinates`: returns an ``(N, dims)`` int64 array."""
-        rows = [self.coordinates(key) for key in keys]
+        """Bulk :meth:`coordinates`: returns an ``(N, dims)`` int64 array.
+
+        A word dimension encodes each distinct word once per call: a corpus
+        repeats its vocabulary, and a word's encoding walks its characters
+        twice.  Other dimensions gain nothing from a memo — a numeric value
+        seldom repeats (and ``1``, ``1.0`` and ``True`` would share an
+        entry), a category costs one dictionary probe as it is.
+        """
+        bits, dimensions = self.bits, self.dimensions
+        memos = [{} if isinstance(dim, WordDimension) else None for dim in dimensions]
+        rows = []
+        for key in keys:
+            if len(key) != len(dimensions):
+                raise DimensionMismatchError(len(dimensions), len(key))
+            row = []
+            for dim, memo, value in zip(dimensions, memos, key):
+                if memo is None or not isinstance(value, str):
+                    coord = dim.encode(value, bits)  # no word: encode rejects it
+                else:
+                    coord = memo.get(value)
+                    if coord is None:
+                        coord = memo[value] = dim.encode(value, bits)
+                row.append(coord)
+            rows.append(row)
         if not rows:
             return np.empty((0, self.dims), dtype=np.int64)
         return np.asarray(rows, dtype=np.int64)

@@ -41,6 +41,7 @@ arrival order on the receiving store regardless of backend.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
@@ -54,13 +55,23 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["StoredElement", "StoreStats", "StoreSpec", "NodeStore"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoredElement:
-    """A data element at rest: its curve index, keyword tuple, and payload."""
+    """A data element at rest: its curve index, keyword tuple, and payload.
+
+    Slotted: the three fields live in the object itself, so the post-filter
+    reads ``e.key`` without a second allocation (an instance ``__dict__``)
+    in between.
+    """
 
     index: int
     key: tuple[Any, ...]
     payload: Any = None
+
+
+#: What one element costs a store that holds it: the object alone (header
+#: and three slots), not the key tuple, keywords or payload it points to.
+ELEMENT_BYTES = sys.getsizeof(StoredElement(0, ()))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.store.base import NodeStore, StoredElement, regroup_run
+from repro.store.base import ELEMENT_BYTES, NodeStore, StoredElement, regroup_run
 
 __all__ = ["ColumnarStore"]
 
@@ -148,8 +148,8 @@ class ColumnarStore(NodeStore):
         return int(
             self._idx.nbytes
             + self._elems.nbytes
-            + len(self._pending) * 72  # list slot + element object header
-            + self._elems.size * 56  # element object headers behind the column
+            + len(self._pending) * (8 + ELEMENT_BYTES)  # list slot + element object
+            + self._elems.size * ELEMENT_BYTES  # element objects behind the column
         )
 
     def _stats_detail(self) -> dict:

@@ -15,7 +15,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterator
 
-from repro.store.base import NodeStore, StoredElement, regroup_run
+from repro.store.base import ELEMENT_BYTES, NodeStore, StoredElement, regroup_run
 
 __all__ = ["LocalStore", "StoredElement"]
 
@@ -159,8 +159,11 @@ class LocalStore(NodeStore):
         return len(self._elements)
 
     def memory_bytes(self) -> int:
-        """The two lists plus 56 bytes of object header per element; payloads
-        are not deep-sized (uniform across backends) and an index ``int`` is
-        the one object the element and ``_indices`` share."""
+        """The two lists plus one slotted :class:`StoredElement` per element.
+
+        Not counted: key tuples, keyword values (a word is one interned
+        object however many keys hold it) and payloads — none is deep-sized,
+        uniformly across backends — and the index ``int``, the one object
+        the element and ``_indices`` share."""
         columns = sys.getsizeof(self._indices) + sys.getsizeof(self._elements)
-        return columns + len(self._elements) * 56
+        return columns + len(self._elements) * ELEMENT_BYTES

@@ -82,6 +82,35 @@ class TestCoordinates:
     def test_coordinates_many_empty(self):
         assert storage_space().coordinates_many([]).shape == (0, 2)
 
+    def test_coordinates_many_is_coordinates_per_key(self):
+        """The bulk form encodes a repeated word once; the rows must not show it."""
+        space = KeywordSpace(
+            [WordDimension("kw"), NumericDimension("size", 0, 1024), WordDimension("kw2")],
+            bits=12,
+        )
+        keys = [
+            ("network", 1, "a"),  # "a" encodes to 0: a memo must not take 0 for a miss
+            ("Network", 1.0, "A"),
+            ("NETWORK", True, "a"),
+            ("computer", 512, "network"),
+            ("a", 0, "computer"),
+            ("network", 1, "a"),
+        ]
+        assert space.coordinates(("a", 0, "a")) == (0, 0, 0)
+        rows = space.coordinates_many(iter(keys))
+        assert [tuple(row) for row in rows] == [space.coordinates(key) for key in keys]
+
+    @pytest.mark.parametrize("bad", [5, None, ["net"], b"net", "net work", ""])
+    def test_coordinates_many_rejects_what_coordinates_rejects(self, bad):
+        space = storage_space()
+        for key in [("net", bad), (bad, "net")]:
+            with pytest.raises(KeywordError):
+                space.coordinates(key)
+            with pytest.raises(KeywordError):
+                space.coordinates_many([("net", "net"), key])
+        with pytest.raises(DimensionMismatchError):
+            space.coordinates_many([("net", "net"), ("net",)])
+
 
 class TestRegion:
     def test_exact_query_small_region(self):

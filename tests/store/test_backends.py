@@ -9,12 +9,16 @@ sequences through all backends in lockstep and compare against it.
 
 from __future__ import annotations
 
+import struct
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StoreError
 from repro.store import ColumnarStore, LocalStore, SQLiteStore, StoredElement
+from repro.store.base import ELEMENT_BYTES
 
 BACKENDS = ["local", "columnar", "columnar-small-merge", "sqlite", "sqlite-file"]
 
@@ -217,6 +221,21 @@ class TestAccounting:
             assert isinstance(stats.detail, dict)
         finally:
             store.close()
+
+    def test_local_memory_bytes_against_a_hand_computed_store(self):
+        """Two pointer lists plus one slotted object per element; what an
+        element points to (key tuple, shared words, payload) is not counted."""
+        n = 1000
+        store, bare = LocalStore(), LocalStore()
+        store.add_sorted_bulk(
+            [element(i % 97, i % 5, payload="x" * 1000) for i in range(n)]
+        )
+        bare.add_sorted_bulk([element(i % 97, i % 5) for i in range(n)])
+        assert ELEMENT_BYTES == sys.getsizeof(next(store.all_elements()))
+        lists = sys.getsizeof(store._indices) + sys.getsizeof(store._elements)
+        assert lists >= 2 * n * struct.calcsize("P")
+        assert store.stats().memory_bytes == lists + n * ELEMENT_BYTES
+        assert store.stats().memory_bytes == bare.stats().memory_bytes
 
     def test_metric_parity(self, tmp_path_factory):
         """The same op sequence produces identical counters on every backend."""
