@@ -30,7 +30,7 @@ from repro.core.loadbalance import (
     neighbor_balance_round,
     run_neighbor_balancing,
 )
-from repro.core.metrics import QueryResult, QueryStats
+from repro.core.metrics import HotspotMonitor, QueryResult, QueryStats
 from repro.core.replication import ReplicationManager
 from repro.core.resultcache import ResultCache, set_default_result_cache
 from repro.core.system import SquidSystem
@@ -46,7 +46,6 @@ from repro.keywords import (
     WordDimension,
     parse_terms,
 )
-from repro.core.hotspots import CachingQueryLayer, HotspotMonitor
 from repro.faults import FaultConfig, FaultPlane, RetryPolicy
 from repro.obs import (
     MetricsRegistry,
@@ -61,7 +60,6 @@ from repro.obs import (
 from repro.overlay import CanOverlay, ChordRing, LatencyModel, ProximityChordRing
 from repro.sfc import GrayCurve, HilbertCurve, MortonCurve, make_curve
 from repro.store import (
-    ColumnarStore,
     LocalStore,
     NodeStore,
     SQLiteStore,
@@ -98,12 +96,10 @@ __all__ = [
     "MortonCurve",
     "GrayCurve",
     "make_curve",
-    "CachingQueryLayer",
     "HotspotMonitor",
     "ResultCache",
     "set_default_result_cache",
     "LocalStore",
-    "ColumnarStore",
     "SQLiteStore",
     "NodeStore",
     "StoreSpec",

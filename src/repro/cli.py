@@ -7,7 +7,8 @@ Commands
 ``run FIGURE [--scale S] [--seed N]``
     Run one figure and print its table.
 ``report [--scale S] [--figures f1,f2] [--output PATH]``
-    Run all figures, check the paper's shape claims, emit markdown.
+    Run all figures, check the paper's shape claims, emit markdown; exits 1
+    (failing labels on stderr) when a check is ``FAIL`` — CI's fidelity leg.
 ``demo``
     A 30-second end-to-end demonstration (publish + flexible queries).
 ``trace QUERY [--engine E] [--nodes N] [--seed S] [--json]``
@@ -43,9 +44,9 @@ phases and print the per-phase table after the run.  ``run``, ``report``,
 and ``replicate`` accept ``--workers N`` to execute query batches across N
 worker processes (results are identical for any N; only wall-clock time
 changes).  ``run`` and ``chaos`` accept
-``--store {local,columnar,sqlite}`` to select the node-store backend the
-systems are built on (results are identical for any backend; only
-throughput and memory footprint change — see ``docs/storage.md``),
+``--store NAME`` (a name in ``repro.store.REGISTRY``) to select the
+node-store backend the systems are built on (results are identical for any
+backend; only throughput and memory change — see ``docs/storage.md``),
 ``--curve {hilbert,zorder,gray,onion,auto}`` to select the space-filling
 curve family (answers are identical for any curve; message costs differ —
 ``auto`` picks the cheapest for a sampled workload, see
@@ -339,10 +340,12 @@ def _add_curve_flag(subparser) -> None:
 
 
 def _add_store_flag(subparser) -> None:
+    from repro.store import REGISTRY
+
     subparser.add_argument(
         "--store",
         default=None,
-        choices=["local", "columnar", "sqlite"],
+        choices=sorted(REGISTRY),
         help="node-store backend (default: REPRO_STORE env var or 'local'; "
         "results identical for any backend)",
     )
@@ -412,7 +415,10 @@ def _cmd_report(args) -> int:
         print(f"report written to {args.output}")
     else:
         print(report)
-    return 0
+    failed = [line for line in report.splitlines() if line.startswith("- [FAIL] ")]
+    for line in failed:
+        print(line[2:], file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_demo() -> int:

@@ -2,7 +2,6 @@
 
 from repro.core.adversary import AdversarialEngine, run_attack_experiment
 from repro.core.engine import NaiveEngine, OptimizedEngine, QueryEngine, make_engine
-from repro.core.hotspots import CachingQueryLayer, HotspotMonitor
 from repro.core.snapshot import load_system, save_system
 from repro.core.loadbalance import (
     VirtualNodeManager,
@@ -11,7 +10,7 @@ from repro.core.loadbalance import (
     run_neighbor_balancing,
     sample_join_id,
 )
-from repro.core.metrics import QueryResult, QueryStats
+from repro.core.metrics import HotspotMonitor, QueryResult, QueryStats
 from repro.core.plancache import PlanCache, plan_key
 from repro.core.replication import ReplicationManager
 from repro.core.resultcache import (
@@ -42,7 +41,6 @@ __all__ = [
     "ReplicationManager",
     "AdversarialEngine",
     "run_attack_experiment",
-    "CachingQueryLayer",
     "HotspotMonitor",
     "save_system",
     "load_system",

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import QueryTrace
 
-__all__ = ["QueryStats", "QueryResult", "merge_index_ranges"]
+__all__ = ["QueryStats", "QueryResult", "HotspotMonitor", "merge_index_ranges"]
 
 
 def merge_index_ranges(
@@ -243,7 +243,7 @@ class QueryStats:
 
         A strict superset of :meth:`as_row`; node sets appear as counts
         (``routing_nodes`` etc.), matching the row/table convention used by
-        the experiments and benchmarks.
+        the experiments and ``perf/``.
         """
         return {
             **self.as_row(),
@@ -263,6 +263,28 @@ class QueryStats:
             "lost_branches": self.lost_branches,
             "shed_branches": self.shed_branches,
         }
+
+
+@dataclass
+class HotspotMonitor:
+    """Per-node processing-load accounting over a stream of queries."""
+
+    processing_load: dict[int, int] = field(default_factory=dict)
+
+    def record(self, stats: QueryStats) -> None:
+        for node_id in stats.processing_nodes:
+            self.processing_load[node_id] = self.processing_load.get(node_id, 0) + 1
+
+    def max_load(self) -> int:
+        return max(self.processing_load.values(), default=0)
+
+    def total_load(self) -> int:
+        return sum(self.processing_load.values())
+
+    def hottest(self, count: int = 5) -> list[tuple[int, int]]:
+        """The ``count`` most loaded nodes as ``(node_id, load)`` pairs."""
+        ranked = sorted(self.processing_load.items(), key=lambda kv: -kv[1])
+        return ranked[:count]
 
 
 @dataclass

@@ -44,9 +44,8 @@ class ReplicationManager:
     stores the query engine scans — queries keep returning each element
     exactly once.  Replica stores are built from the system's
     :class:`~repro.store.base.StoreSpec`, so they use the same backend as
-    the primaries (a columnar system keeps columnar replicas, a SQLite
-    system SQLite ones).  The invariant maintained (and checked by
-    :meth:`verify_degree`):
+    the primaries (a SQLite system keeps SQLite replicas).  The invariant
+    maintained (and checked by :meth:`verify_degree`):
 
         every element is stored at its primary (the successor of its index)
         and replicated at the next ``degree`` distinct ring successors.

@@ -7,7 +7,7 @@
   index space doubles as the overlay identifier space,
 * a :class:`~repro.overlay.chord.ChordRing` of peers,
 * one :class:`~repro.store.base.NodeStore` per peer — the backend is chosen
-  by name (``store="local"`` / ``"columnar"`` / ``"sqlite"``, see
+  by name (``store="local"`` / ``"sqlite"``, see
   :mod:`repro.store`), and every store the system ever builds (initial
   ring, later joins) comes from the same :class:`~repro.store.base.StoreSpec`,
 
@@ -183,7 +183,7 @@ class SquidSystem:
 
         ``curve``, ``engine``, and ``store`` are symmetric: each accepts a
         registry name (``curve="hilbert"``, ``engine="optimized"``/``"naive"``,
-        ``store="local"``/``"columnar"``/``"sqlite"``) — ``curve`` and
+        ``store="local"``/``"sqlite"``) — ``curve`` and
         ``engine`` also take ready instances, ``store`` a
         :class:`~repro.store.base.StoreSpec` carrying backend options.
         ``store=None`` and ``curve=None`` use the process defaults (CLI

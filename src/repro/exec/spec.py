@@ -46,7 +46,7 @@ class SystemSpec:
     elements: list[StoredElement]
     default_engine: Any = None
     #: Store backend recipe; workers rebuild per-node stores from it, so a
-    #: columnar/SQLite parent gets columnar/SQLite workers.
+    #: SQLite parent gets SQLite workers.
     store: StoreSpec = field(default_factory=StoreSpec)
     #: Result-cache configuration as ``(capacity, ttl)``, or None when the
     #: parent system has no result cache.  Only the config

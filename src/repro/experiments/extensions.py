@@ -7,7 +7,8 @@ is runnable via ``python -m repro run extA|extB|extC``.
 * ``extA`` — replication: elements lost in a crash burst vs replication
   degree (fault tolerance).
 * ``extB`` — hot-spots: hottest-node load and total messages for a Zipf
-  query stream, with and without result caching.
+  query stream, on a plain system and on its twin with an initiator-side
+  :class:`~repro.core.resultcache.ResultCache` attached.
 * ``extC`` — geographic locality: query completion time on a classic vs
   proximity-selected (PNS) ring across system sizes.
 * ``extD`` — dynamism: query cost and routing-state staleness under node
@@ -32,9 +33,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.hotspots import CachingQueryLayer, HotspotMonitor
-from repro.core.replication import ReplicationManager
 from repro.core.engine import OptimizedEngine
+from repro.core.metrics import HotspotMonitor
+from repro.core.replication import ReplicationManager
 from repro.core.system import SquidSystem
 from repro.experiments.runner import SCALES, FigureResult
 from repro.overlay.proximity import LatencyModel, ProximityChordRing
@@ -103,8 +104,6 @@ def run_hotspots(scale: str = "small", seed: int = 31) -> FigureResult:
     workload = DocumentWorkload.generate(
         2, n_keys, vocabulary_size=preset.vocabulary_size, rng=gen
     )
-    system = SquidSystem.create(workload.space, n_nodes=n_nodes, seed=seed + 1)
-    system.publish_many(workload.keys)
     base_queries = [str(q) for q in q1_queries(workload, count=8, rng=seed + 2)]
     rng = np.random.default_rng(seed + 3)
     weights = np.array([1 / (i + 1) for i in range(len(base_queries))])
@@ -113,35 +112,29 @@ def run_hotspots(scale: str = "small", seed: int = 31) -> FigureResult:
         base_queries[i] for i in rng.choice(len(base_queries), size=120, p=weights)
     ]
 
-    plain_monitor = HotspotMonitor()
-    plain_msgs = 0
-    for q in stream:
-        res = system.query(q, rng=seed + 4)
-        plain_monitor.record(res.stats)
-        plain_msgs += res.stats.messages
-
-    layer = CachingQueryLayer(system)
-    cached_msgs = 0
-    for q in stream:
-        cached_msgs += layer.query(q, rng=seed + 4).stats.messages
-
     result = FigureResult(
         figure="extB",
         title="Hot-spot mitigation: Zipf query stream with result caching",
         columns=["variant", "messages", "hottest_node_load", "hit_rate"],
     )
-    result.add_row(
-        variant="plain",
-        messages=plain_msgs,
-        hottest_node_load=plain_monitor.max_load(),
-        hit_rate=0.0,
-    )
-    result.add_row(
-        variant="cached",
-        messages=cached_msgs,
-        hottest_node_load=layer.monitor.max_load(),
-        hit_rate=round(layer.stats.hit_rate, 3),
-    )
+    for variant, cache in (("plain", False), ("cached", 64)):
+        system = SquidSystem.create(
+            workload.space, n_nodes=n_nodes, seed=seed + 1, result_cache=cache
+        )
+        system.publish_many(workload.keys)
+        monitor = HotspotMonitor()
+        messages = hits = 0
+        for q in stream:
+            stats = system.query(q, rng=seed + 4).stats
+            monitor.record(stats)
+            messages += stats.messages
+            hits += stats.result_cache_hit
+        result.add_row(
+            variant=variant,
+            messages=messages,
+            hottest_node_load=monitor.max_load(),
+            hit_rate=round(hits / len(stream), 3),
+        )
     result.notes.append(f"{len(stream)}-query stream over {len(base_queries)} Zipf-ranked queries")
     return result
 

@@ -2,11 +2,15 @@
 
 Runs every reproduced figure at the requested scale, checks the paper's
 shape claims programmatically, and emits a markdown report.  Invoked by
-``python -m repro report [--scale small|medium|full]``.
+``python -m repro report [--scale small|medium|full]``, which exits 1 when
+any check fails.  A check in :data:`SHAPE_CHECKS` gets its figure's result
+and ``figure(name)``, which returns another figure's result from the same
+run (computed once, at the same scale): some claims compare two sweeps.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Callable
 
@@ -18,8 +22,11 @@ from repro.util.stats import coefficient_of_variation
 
 __all__ = ["generate_report", "SHAPE_CHECKS"]
 
+Check = tuple[str, bool, str]
+Figure = Callable[[str], FigureResult]
 
-def _check_sweep(result: FigureResult) -> list[tuple[str, bool, str]]:
+
+def _check_sweep(result: FigureResult) -> list[Check]:
     """Shape checks shared by the growth-sweep figures."""
     checks = []
     rows = result.rows
@@ -54,7 +61,91 @@ def _check_sweep(result: FigureResult) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _check_snapshot(result: FigureResult) -> list[tuple[str, bool, str]]:
+def _mean_processing_at_largest(result: FigureResult) -> float:
+    largest = result.filtered(nodes=max(result.series("nodes")))
+    return float(np.mean(largest.series("processing_nodes")))
+
+
+def _check_not_monotone(result: FigureResult) -> Check:
+    """Ordering the queries by matches does not order them by cost."""
+    by_size: dict[int, list[dict]] = {}
+    for r in result.rows:
+        by_size.setdefault(r["nodes"], []).append(r)
+    hits = 0
+    for rows in by_size.values():
+        # Ties in matches are laid out in cost order: only a real inversion counts.
+        rows = sorted(rows, key=lambda r: (r["matches"], r["processing_nodes"]))
+        cost = [r["processing_nodes"] for r in rows]
+        hits += cost != sorted(cost)
+    return (
+        "processing cost not monotone in the number of matches",
+        2 * hits > len(by_size),
+        f"{hits}/{len(by_size)} sizes non-monotone",
+    )
+
+
+def _check_cheaper_than(result: FigureResult, q1: FigureResult) -> Check:
+    q2_cost, q1_cost = _mean_processing_at_largest(result), _mean_processing_at_largest(q1)
+    return (
+        f"cheaper than the Q1 queries of {q1.figure}",
+        q2_cost < q1_cost,
+        f"mean processing nodes at the largest size {q1_cost:.1f} -> {q2_cost:.1f}",
+    )
+
+
+def _check_matches_found(result: FigureResult) -> Check:
+    return (
+        "every query finds at least one match at every size",
+        all(r["matches"] >= 1 for r in result.rows),
+        "",
+    )
+
+
+def _check_fig09(result: FigureResult, _figure: Figure) -> list[Check]:
+    return _check_sweep(result) + [_check_not_monotone(result)]
+
+
+def _check_fig11(result: FigureResult, figure: Figure) -> list[Check]:
+    return _check_sweep(result) + [_check_cheaper_than(result, figure("fig09"))]
+
+
+def _check_fig12(result: FigureResult, figure: Figure) -> list[Check]:
+    cost_3d = _mean_processing_at_largest(result)
+    cost_2d = _mean_processing_at_largest(figure("fig09"))
+    return _check_sweep(result) + [
+        _check_not_monotone(result),
+        (
+            "3-D magnitude at least that of the 2-D case (fig09)",
+            cost_3d >= 0.8 * cost_2d,
+            f"mean processing nodes at the largest size {cost_2d:.1f} -> {cost_3d:.1f}",
+        ),
+    ]
+
+
+def _check_fig14(result: FigureResult, figure: Figure) -> list[Check]:
+    return _check_sweep(result) + [_check_cheaper_than(result, figure("fig12"))]
+
+
+def _check_fig15(result: FigureResult, _figure: Figure) -> list[Check]:
+    largest = result.filtered(nodes=max(result.series("nodes")))
+    corr = float(
+        np.corrcoef(largest.series("matches"), largest.series("data_nodes"))[0, 1]
+    )
+    return _check_sweep(result) + [
+        _check_matches_found(result),
+        (
+            "data nodes track matches, not range width",
+            corr > 0,
+            f"correlation {corr:.2f} at the largest size",
+        ),
+    ]
+
+
+def _check_fig17(result: FigureResult, _figure: Figure) -> list[Check]:
+    return _check_sweep(result) + [_check_matches_found(result)]
+
+
+def _check_snapshot(result: FigureResult, _figure: Figure) -> list[Check]:
     rows = result.rows
     checks = []
     checks.append(
@@ -62,6 +153,7 @@ def _check_snapshot(result: FigureResult) -> list[tuple[str, bool, str]]:
             "routing >> processing ~= data, all << system size",
             all(
                 r["data_nodes"] <= r["processing_nodes"] <= r["routing_nodes"] < r["nodes"]
+                and r["processing_nodes"] < r["nodes"] / 2
                 for r in rows
             ),
             "",
@@ -78,7 +170,7 @@ def _check_snapshot(result: FigureResult) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _check_fig18(result: FigureResult) -> list[tuple[str, bool, str]]:
+def _check_fig18(result: FigureResult, _figure: Figure) -> list[Check]:
     counts = np.array(result.series("keys"), dtype=float)
     return [
         (
@@ -94,13 +186,13 @@ def _check_fig18(result: FigureResult) -> list[tuple[str, bool, str]]:
     ]
 
 
-def _check_fig19(result: FigureResult) -> list[tuple[str, bool, str]]:
-    def cov(variant: str) -> float:
-        return coefficient_of_variation(
-            [r["load"] for r in result.rows if r["variant"] == variant]
-        )
-
-    none, join, both = cov("none"), cov("join"), cov("join+runtime")
+def _check_fig19(result: FigureResult, _figure: Figure) -> list[Check]:
+    loads = {
+        variant: [r["load"] for r in result.rows if r["variant"] == variant]
+        for variant in ("none", "join", "join+runtime")
+    }
+    none, join, both = (coefficient_of_variation(series) for series in loads.values())
+    peak_none, peak_both = max(loads["none"]), max(loads["join+runtime"])
     return [
         ("join-time LB improves on no LB", join < none, f"CoV {none:.2f} -> {join:.2f}"),
         (
@@ -108,10 +200,16 @@ def _check_fig19(result: FigureResult) -> list[tuple[str, bool, str]]:
             both < join,
             f"CoV {join:.2f} -> {both:.2f}",
         ),
+        (
+            "key total conserved across schemes; peak load falls",
+            len({sum(series) for series in loads.values()}) == 1
+            and peak_both < peak_none,
+            f"max load {peak_none} -> {peak_both}",
+        ),
     ]
 
 
-def _check_extA(result: FigureResult) -> list[tuple[str, bool, str]]:
+def _check_extA(result: FigureResult, _figure: Figure) -> list[Check]:
     by_degree = {row["degree"]: row for row in result.rows}
     return [
         ("unreplicated crash burst loses data", by_degree[0]["lost"] > 0, ""),
@@ -123,7 +221,7 @@ def _check_extA(result: FigureResult) -> list[tuple[str, bool, str]]:
     ]
 
 
-def _check_extB(result: FigureResult) -> list[tuple[str, bool, str]]:
+def _check_extB(result: FigureResult, _figure: Figure) -> list[Check]:
     plain = next(r for r in result.rows if r["variant"] == "plain")
     cached = next(r for r in result.rows if r["variant"] == "cached")
     return [
@@ -137,7 +235,7 @@ def _check_extB(result: FigureResult) -> list[tuple[str, bool, str]]:
     ]
 
 
-def _check_extC(result: FigureResult) -> list[tuple[str, bool, str]]:
+def _check_extC(result: FigureResult, _figure: Figure) -> list[Check]:
     largest = max(r["nodes"] for r in result.rows)
     classic = next(
         r for r in result.rows if r["nodes"] == largest and r["variant"] == "classic"
@@ -152,7 +250,7 @@ def _check_extC(result: FigureResult) -> list[tuple[str, bool, str]]:
     ]
 
 
-def _check_extD(result: FigureResult) -> list[tuple[str, bool, str]]:
+def _check_extD(result: FigureResult, _figure: Figure) -> list[Check]:
     return [
         (
             "queries stay exact over survivors at every churn rate",
@@ -176,7 +274,7 @@ def _check_extD(result: FigureResult) -> list[tuple[str, bool, str]]:
     ]
 
 
-def _check_extE(result: FigureResult) -> list[tuple[str, bool, str]]:
+def _check_extE(result: FigureResult, _figure: Figure) -> list[Check]:
     ladder_ok = True
     for fraction in {r["dropper_fraction"] for r in result.rows}:
         rows = {
@@ -200,7 +298,7 @@ def _check_extE(result: FigureResult) -> list[tuple[str, bool, str]]:
     ]
 
 
-def _check_extF(result: FigureResult) -> list[tuple[str, bool, str]]:
+def _check_extF(result: FigureResult, _figure: Figure) -> list[Check]:
     by_config = {
         (r["fault_rate"], r["mitigation"]): r for r in result.rows
     }
@@ -243,7 +341,7 @@ def _check_extF(result: FigureResult) -> list[tuple[str, bool, str]]:
     ]
 
 
-def _check_extG(result: FigureResult) -> list[tuple[str, bool, str]]:
+def _check_extG(result: FigureResult, _figure: Figure) -> list[Check]:
     def rate(skew: float, mix: float, ttl) -> float:
         return next(
             r["hit_rate"]
@@ -283,7 +381,7 @@ def _check_extG(result: FigureResult) -> list[tuple[str, bool, str]]:
     ]
 
 
-def _check_extH(result: FigureResult) -> list[tuple[str, bool, str]]:
+def _check_extH(result: FigureResult, _figure: Figure) -> list[Check]:
     curves = sorted({r["curve"] for r in result.rows})
     classes = sorted({r["query_class"] for r in result.rows})
     by = {(r["curve"], r["query_class"]): r for r in result.rows}
@@ -328,19 +426,26 @@ def _check_extH(result: FigureResult) -> list[tuple[str, bool, str]]:
             selected_cheapest,
             "",
         ),
+        (
+            "fewer clusters is fewer peers: Hilbert <= Z-order processing nodes on Q1",
+            by[("hilbert", "Q1")]["processing_nodes"]
+            <= by[("zorder", "Q1")]["processing_nodes"],
+            f"{by[('hilbert', 'Q1')]['processing_nodes']} vs "
+            f"{by[('zorder', 'Q1')]['processing_nodes']}",
+        ),
     ]
 
 
-SHAPE_CHECKS: dict[str, Callable[[FigureResult], list[tuple[str, bool, str]]]] = {
-    "fig09": _check_sweep,
+SHAPE_CHECKS: dict[str, Callable[[FigureResult, Figure], list[Check]]] = {
+    "fig09": _check_fig09,
     "fig10": _check_snapshot,
-    "fig11": _check_sweep,
-    "fig12": _check_sweep,
+    "fig11": _check_fig11,
+    "fig12": _check_fig12,
     "fig13": _check_snapshot,
-    "fig14": _check_sweep,
-    "fig15": _check_sweep,
+    "fig14": _check_fig14,
+    "fig15": _check_fig15,
     "fig16": _check_snapshot,
-    "fig17": _check_sweep,
+    "fig17": _check_fig17,
     "fig18": _check_fig18,
     "fig19": _check_fig19,
     "extA": _check_extA,
@@ -396,6 +501,8 @@ def generate_report(
     from repro.obs import profile as obs_profile
 
     names = figures if figures is not None else sorted(FIGURES)
+    # One result per figure and run, shared by the cross-figure checks.
+    figure = functools.cache(lambda name: run_figure(name, scale=scale))
     lines = [
         f"# Experiment report (scale = {scale})",
         "",
@@ -407,13 +514,13 @@ def generate_report(
     with obs_metrics.collecting() as registry:
         for name in names:
             start = time.time()
-            result = run_figure(name, scale=scale)
-            elapsed = time.time() - start
+            result = figure(name)
             lines.append(f"## {name} — {result.title}")
             lines.append("")
             lines.append(f"*Paper:* {_PAPER_CLAIMS.get(name, '-')}")
             lines.append("")
-            checks = SHAPE_CHECKS[name](result)
+            checks = SHAPE_CHECKS[name](result, figure)
+            elapsed = time.time() - start
             for label, ok, detail in checks:
                 mark = "PASS" if ok else "FAIL"
                 suffix = f" ({detail})" if detail else ""

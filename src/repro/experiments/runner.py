@@ -3,14 +3,14 @@
 Every figure of the paper's evaluation section has a module in this package
 exposing ``run(scale=..., seed=...) -> FigureResult``.  A
 :class:`FigureResult` holds the same rows/series the paper plots, renders as
-an aligned text table, and carries the shape assertions the benchmarks
-check.
+an aligned text table, and is what the shape checks of ``python -m repro
+report`` (:data:`repro.experiments.report.SHAPE_CHECKS`) are evaluated on.
 
 Scales
 ------
 ``full``  — the paper's sizes (1000–5400 nodes, 2·10^4–10^5 keys).
 ``medium``— one quarter of the paper's sizes (CI-friendly minutes).
-``small`` — one tenth (seconds; used by the benchmark suite).
+``small`` — one tenth (seconds; what the tier-1 tests and CI's report leg run).
 """
 
 from __future__ import annotations

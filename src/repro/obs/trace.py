@@ -79,7 +79,7 @@ class MessageSent:
     ``"routed"`` (an unaggregated routed sub-query), ``"reply"`` (the
     destination's identity reply enabling aggregation), ``"batch"`` (the
     batched siblings, sent directly), ``"handoff"`` (naive engine's
-    successor-chain hand-off), ``"cache"`` (cache-layer traffic).
+    successor-chain hand-off).
     ``hops`` is the wire-level hop count charged; ``path`` the overlay path
     for routed messages (``None`` for direct ones).
     """

@@ -14,8 +14,8 @@ This module provides
 * :class:`ProximityChordRing` — a Chord ring whose fingers are chosen by
   PNS against a latency model, plus per-path latency accounting.
 
-The bench (``benchmarks/test_proximity.py``) shows PNS cutting per-lookup
-latency substantially at identical hop counts.
+``tests/overlay/test_proximity.py`` and the ``extC`` experiment show PNS
+cutting per-lookup latency substantially at comparable hop counts.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Backends implement the :class:`~repro.store.base.NodeStore` contract and are
 selected **by name**, mirroring engine/curve selection:
 
 >>> from repro.store import get_store
->>> store = get_store("columnar")
+>>> store = get_store("sqlite")
 >>> store.backend_name
-'columnar'
+'sqlite'
 
 ``REGISTRY`` maps names to classes; the process default (what
 ``SquidSystem.create(...)`` uses when no ``store=`` is given) resolves as
@@ -21,7 +21,6 @@ from typing import Any
 
 from repro.errors import ConfigError
 from repro.store.base import NodeStore, StoredElement, StoreSpec, StoreStats
-from repro.store.columnar import ColumnarStore
 from repro.store.memory import LocalStore
 from repro.store.sqlite import SQLiteStore
 
@@ -31,7 +30,6 @@ __all__ = [
     "StoreSpec",
     "StoreStats",
     "LocalStore",
-    "ColumnarStore",
     "SQLiteStore",
     "REGISTRY",
     "get_store",
@@ -43,7 +41,6 @@ __all__ = [
 #: Name -> backend class.  Third parties may register additional backends.
 REGISTRY: dict[str, type[NodeStore]] = {
     "local": LocalStore,
-    "columnar": ColumnarStore,
     "sqlite": SQLiteStore,
 }
 

@@ -4,7 +4,6 @@ Every overlay node indexes its SFC-mapped keyword tuples in a *node store*.
 This module specifies the store contract that the query engines, the
 replication manager, the load balancer, and the fault plane all program
 against; concrete backends (:class:`~repro.store.memory.LocalStore`,
-:class:`~repro.store.columnar.ColumnarStore`,
 :class:`~repro.store.sqlite.SQLiteStore`) live in sibling modules and are
 selected by name through :func:`repro.store.get_store`.
 
@@ -78,7 +77,7 @@ ELEMENT_BYTES = sys.getsizeof(StoredElement(0, ()))
 class StoreStats:
     """One backend-agnostic snapshot of a store's size and footprint."""
 
-    #: Registry name of the backend (``"local"``, ``"columnar"``, ...).
+    #: Registry name of the backend (``"local"``, ``"sqlite"``).
     backend: str
     #: Data elements held (documents/resources).
     elements: int
@@ -87,7 +86,7 @@ class StoreStats:
     #: Estimated resident bytes of the store's own structures (container
     #: arrays, buffers, caches); payload objects themselves are not deep-sized.
     memory_bytes: int
-    #: Backend-specific extras (e.g. ``disk_bytes``, ``pending`` buffer depth).
+    #: Backend-specific extras (e.g. ``disk_bytes``, ``pending`` write-batch depth).
     detail: dict[str, Any] = field(default_factory=dict)
 
 

@@ -2,8 +2,7 @@
 
 Real discovery traffic repeats: query popularity is Zipf-distributed and
 exhibits temporal locality (what was just asked is likely to be asked
-again).  :class:`ZipfQueryStream` models both, feeding the hot-spot
-experiments (extB) and the caching benchmarks.
+again).  :class:`ZipfQueryStream` models both.
 """
 
 from __future__ import annotations

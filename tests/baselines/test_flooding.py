@@ -73,3 +73,19 @@ class TestSearch:
         a = net.query(q, ttl=3, origin=5)
         b = net.query(q, ttl=3, origin=5)
         assert (a.messages, a.matches_found) == (b.messages, b.matches_found)
+
+
+class TestAgainstSquid:
+    def test_squid_guarantees_recall_far_below_flooding_cost(self, network):
+        """The paper's §2 comparison: flooding needs ~N * degree messages for
+        full recall; Squid finds every match for a fraction of that."""
+        from repro import SquidSystem
+        from repro.workloads.queries import q1_queries
+
+        net, wl = network
+        squid = SquidSystem.create(wl.space, n_nodes=len(net), seed=2)
+        squid.publish_many(wl.keys)
+        for query in q1_queries(wl, count=5, rng=1):
+            result = squid.query(query, rng=4)
+            assert result.match_count == len(squid.brute_force_matches(query)) > 0
+            assert result.stats.messages < net.query(query, ttl=None).messages / 2

@@ -76,3 +76,19 @@ class TestPositionFiltering:
         sys_.publish(("beta", "alpha"))
         matches, _ = sys_.query("(alpha, *)")
         assert matches == [("alpha", "beta")]
+
+
+class TestAgainstSquid:
+    def test_same_exact_answer_but_the_index_ships_posting_lists(self, system):
+        """Both answer an exact query; Squid retrieves only the elements that
+        match all keywords, the inverted index transfers at least that many."""
+        from repro import SquidSystem
+
+        sys_, wl = system
+        squid = SquidSystem.create(wl.space, n_nodes=len(sys_.overlay), seed=6)
+        squid.publish_many(wl.keys)
+        key = wl.keys[0]
+        query = f"({key[0]}, {key[1]})"
+        matches, stats = sys_.query(query)
+        assert squid.query(query, rng=8).match_count == len(matches) > 0
+        assert stats.entries_transferred >= len(matches)

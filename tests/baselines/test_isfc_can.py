@@ -75,3 +75,16 @@ class TestRangeQueries:
         sys_, _ = system
         _, stats = sys_.query_range(500, 1500)
         assert stats.data_nodes <= stats.nodes_visited
+
+
+class TestAgainstSquid:
+    def test_single_attribute_range_parity(self, system):
+        """On one attribute both systems return the complete answer."""
+        from repro import KeywordSpace, SquidSystem
+
+        sys_, values = system
+        space = KeywordSpace([NumericDimension("memory", 0, 4096)], bits=12)
+        squid = SquidSystem.create(space, n_nodes=len(sys_.overlay), seed=11)
+        squid.publish_many([(v,) for v in values])
+        matches, _ = sys_.query_range(1000.0, 1400.0)
+        assert squid.query("(1000.0-1400.0)", rng=12).match_count == len(matches) > 0

@@ -19,6 +19,8 @@ from repro import (
     make_engine,
 )
 from repro.errors import EngineError
+from repro.workloads.documents import DocumentWorkload
+from repro.workloads.queries import q1_queries
 from tests.core.conftest import WORDS, fresh_storage_system
 
 QUERIES_2D = [
@@ -171,6 +173,26 @@ class TestOptimizations:
     def test_local_depth_preserves_exactness(self, storage_system, depth):
         for q in ["(comp*, *)", "(*, net*)", "(*, *)"]:
             assert_exact(storage_system, q, OptimizedEngine(local_depth=depth))
+
+    def test_deeper_local_refinement_trades_messages_for_pruning(self):
+        """The ``local_depth`` knob: finer sub-queries prune better (fewer
+        processing nodes) and, unaggregated, cost more messages."""
+        workload = DocumentWorkload.generate(2, 5000, vocabulary_size=1500, bits=16, rng=7)
+        system = SquidSystem.create(workload.space, n_nodes=300, seed=8)
+        system.publish_many(workload.keys)
+        queries = q1_queries(workload, count=6, rng=9)
+
+        def mean_cost(depth):
+            engine = OptimizedEngine(aggregate=False, local_depth=depth)
+            stats = [system.query(q, engine=engine, rng=11).stats for q in queries]
+            return (
+                np.mean([s.processing_node_count for s in stats]),
+                np.mean([s.messages for s in stats]),
+            )
+
+        (shallow_nodes, shallow_msgs), (deep_nodes, deep_msgs) = mean_cost(1), mean_cost(6)
+        assert deep_nodes < shallow_nodes
+        assert deep_msgs > shallow_msgs
 
     def test_aggregation_does_not_change_work_distribution(self, storage_system):
         with_agg = storage_system.query(

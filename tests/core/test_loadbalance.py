@@ -13,6 +13,8 @@ from repro.core.loadbalance import (
 )
 from repro.errors import LoadBalanceError
 from repro.util.stats import coefficient_of_variation, gini_coefficient
+from repro.workloads.documents import DocumentWorkload
+from repro.workloads.queries import q1_queries
 from tests.core.conftest import WORDS, fresh_storage_system
 
 
@@ -85,6 +87,25 @@ class TestGrowWithJoinLB:
         grow_with_join_lb(system, 20, samples=4, rng=9)
         want = len(system.brute_force_matches("(comp*, *)"))
         assert system.query("(comp*, *)", rng=1).match_count == want
+
+    def test_balanced_nodes_follow_the_data(self):
+        """Join-time LB puts nodes where the keys are, so pruning improves:
+        more of the nodes a query has to process actually hold matches."""
+        workload = DocumentWorkload.generate(2, 8000, vocabulary_size=1500, bits=16, rng=0)
+        queries = q1_queries(workload, count=6, rng=5)
+
+        def data_per_processing_node(system):
+            stats = [system.query(q, rng=6).stats for q in queries]
+            return sum(s.data_node_count for s in stats) / sum(
+                s.processing_node_count for s in stats
+            )
+
+        unbalanced = SquidSystem.create(workload.space, n_nodes=200, seed=3)
+        unbalanced.publish_many(workload.keys)
+        balanced = SquidSystem.create(workload.space, n_nodes=10, seed=3)
+        balanced.publish_many(workload.keys)
+        grow_with_join_lb(balanced, 200, samples=6, rng=3)
+        assert data_per_processing_node(balanced) > data_per_processing_node(unbalanced)
 
 
 class TestNeighborBalancing:

@@ -1,6 +1,6 @@
 """Unit tests for the query metrics accumulator."""
 
-from repro.core.metrics import QueryResult, QueryStats
+from repro.core.metrics import HotspotMonitor, QueryResult, QueryStats
 from repro.store import StoredElement
 
 
@@ -83,3 +83,21 @@ class TestQueryResult:
         result = QueryResult(query=None, matches=[], stats=QueryStats())
         assert result.match_count == 0
         assert result.match_keys() == set()
+
+
+class TestMonitor:
+    def test_records_processing_load(self):
+        stats = QueryStats()
+        stats.record_processing(1, 0)
+        stats.record_processing(2, 0)
+        monitor = HotspotMonitor()
+        monitor.record(stats)
+        monitor.record(stats)
+        assert monitor.max_load() == 2
+        assert monitor.total_load() == 4
+        assert monitor.hottest(1)[0][1] == 2
+
+    def test_empty_monitor(self):
+        monitor = HotspotMonitor()
+        assert monitor.max_load() == 0
+        assert monitor.hottest() == []

@@ -39,6 +39,16 @@ class TestCli:
         assert "fig18" in text
         assert "PASS" in text
 
+    def test_report_exit_code_follows_the_checks(self, monkeypatch, capsys):
+        argv = ["report", "--scale", "small", "--figures", "fig18"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setitem(
+            SHAPE_CHECKS, "fig18", lambda result, figure: [("forced", False, "why")]
+        )
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "[FAIL] forced (why)\n"
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
@@ -64,8 +74,49 @@ class TestReportGenerator:
         assert "fig09" not in text
 
     def test_report_checks_pass_at_small_scale(self):
-        text = generate_report(scale="small", figures=["fig18", "fig19"])
+        text = generate_report(scale="small")  # every paper figure
         assert "FAIL" not in text
+        assert text.count("[PASS]") == 37
+
+    def test_cross_figure_check_runs_the_other_sweep_once(self, monkeypatch):
+        from repro.experiments import report
+
+        ran = []
+        real = report.run_figure
+
+        def counting(name, scale):
+            ran.append(name)
+            return real(name, scale=scale)
+
+        monkeypatch.setattr(report, "run_figure", counting)
+        text = generate_report(scale="small", figures=["fig11"])
+        assert ran == ["fig11", "fig09"]
+        assert "cheaper than the Q1 queries of fig09" in text
+        assert "## fig09" not in text
+        ran.clear()
+        generate_report(scale="small", figures=["fig11", "fig09"])
+        assert ran == ["fig11", "fig09"]  # the run's own fig09 is the one reused
+
+    def test_not_monotone_needs_a_majority_of_sizes(self):
+        from repro.experiments.report import _check_not_monotone
+        from repro.experiments.runner import FigureResult
+
+        def sweep(costs_by_size):
+            result = FigureResult("fig09", "", [])
+            for nodes, costs in costs_by_size.items():
+                for matches, cost in enumerate(costs):
+                    result.add_row(nodes=nodes, matches=matches, processing_nodes=cost)
+            return result
+
+        inverted, ordered = [5, 3, 9], [3, 5, 9]
+        _, ok, detail = _check_not_monotone(sweep({10: inverted, 20: inverted, 30: ordered}))
+        assert ok and detail == "2/3 sizes non-monotone"
+        _, ok, detail = _check_not_monotone(sweep({10: inverted, 20: ordered}))
+        assert not ok and detail == "1/2 sizes non-monotone"
+        tied = FigureResult("fig09", "", [])
+        for cost in (7, 4):  # equal matches: no order to violate
+            tied.add_row(nodes=10, matches=1, processing_nodes=cost)
+        assert not _check_not_monotone(tied)[1]
 
 
 class TestCurveFlag:

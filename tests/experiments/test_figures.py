@@ -1,8 +1,8 @@
 """Integration tests for the figure runners (tiny/small scales).
 
-The benchmark suite asserts the paper's shape claims at full sweeps; here
-we check that each runner produces well-formed results and that the
-registry is complete.
+``python -m repro report`` asserts the paper's shape claims
+(``SHAPE_CHECKS``); here we check that each runner produces well-formed
+results and that the registry is complete.
 """
 
 import pytest
@@ -33,7 +33,9 @@ class TestRegistry:
 
 
 class TestSweepFigures:
-    @pytest.mark.parametrize("figure,n_queries", [("fig09", 6), ("fig11", 5)])
+    @pytest.mark.parametrize(
+        "figure,n_queries", [("fig09", 6), ("fig11", 5), ("fig12", 6), ("fig14", 5)]
+    )
     def test_document_sweeps(self, figure, n_queries):
         result = run_figure(figure, scale="tiny")
         sizes = sorted({row["nodes"] for row in result.rows})
@@ -58,6 +60,10 @@ class TestSnapshotFigures:
         result = run_figure("fig10", scale="tiny")
         assert sorted({row["nodes"] for row in result.rows}) == [60, 90]
         assert len(result.rows) == 2 * 6
+
+    def test_fig13(self):
+        result = run_figure("fig13", scale="tiny")
+        assert len({row["nodes"] for row in result.rows}) == 2
 
     def test_fig16(self):
         result = run_figure("fig16", scale="tiny")

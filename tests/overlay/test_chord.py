@@ -193,6 +193,25 @@ class TestJoinLeave:
             assert incremental.nodes[nid].fingers == bulk.nodes[nid].fingers
             assert incremental.nodes[nid].successor == bulk.nodes[nid].successor
 
+    @pytest.mark.parametrize("operation", ["join", "leave"])
+    def test_membership_cost_does_not_scale_with_the_ring(self, operation):
+        """Paper §3.2: a join or departure costs O(log N) messages — 16x the
+        nodes must not even double it."""
+
+        def mean_cost(n_nodes):
+            ring = ChordRing.with_random_ids(24, n_nodes, rng=0)
+            rng = np.random.default_rng(1)
+            costs = []
+            while len(costs) < 30:
+                node_id = int(rng.integers(0, ring.space))
+                if operation == "join" and node_id not in ring.nodes:
+                    costs.append(ring.join(node_id))
+                elif operation == "leave":
+                    costs.append(ring.leave(ring.owner(node_id)))
+            return np.mean(costs)
+
+        assert 0 < mean_cost(1600) < 2 * mean_cost(100)
+
 
 class TestFailureAndStabilization:
     def test_fail_leaves_stale_fingers(self):
@@ -229,6 +248,14 @@ class TestFailureAndStabilization:
     def test_stabilize_cost_nonnegative(self):
         ring = small_ring()
         assert ring.stabilize_node(10, rng=0) >= 0
+
+    def test_stabilization_round_costs_log_n_per_node(self):
+        ring = ChordRing.with_random_ids(20, 500, rng=2)
+        rng = np.random.default_rng(3)
+        for victim in rng.choice(ring.node_ids(), size=50, replace=False):
+            ring.fail(int(victim))  # give the round real work
+        total = sum(ring.stabilize_node(nid, rng) for nid in ring.node_ids())
+        assert 0 < total / len(ring) < 2 * np.log2(len(ring))
 
 
 class TestSuccessorList:

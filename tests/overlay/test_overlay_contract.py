@@ -120,3 +120,42 @@ class TestOverlayContract:
             worst = max(worst, overlay.route(source, key).hops)
         # Generous family-agnostic bound: even CAN's O(sqrt N) fits.
         assert worst <= 6 * int(np.sqrt(N_NODES)) + 4
+
+
+class TestRoutingEconomics:
+    """What tells the families apart: lookup hops over one identifier space."""
+
+    @staticmethod
+    def mean_hops(overlay, lookups, seed):
+        rng = np.random.default_rng(seed)
+        ids = overlay.node_ids()
+        return np.mean(
+            [
+                overlay.route(
+                    ids[rng.integers(0, len(ids))], int(rng.integers(0, overlay.space))
+                ).hops
+                for _ in range(lookups)
+            ]
+        )
+
+    def test_pastry_beats_chord_beats_can(self):
+        """O(log_16 N) < O(log_2 N) < O(sqrt N) at N = 256."""
+        can = CanOverlay(16, can_dims=2)
+        rng = np.random.default_rng(5)
+        for _ in range(256):
+            can.join(rng)
+        chord = ChordRing.with_random_ids(16, 256, rng=3)
+        pastry = PastryOverlay.with_random_ids(16, 256, rng=4)
+        assert (
+            self.mean_hops(pastry, 150, 6)
+            < self.mean_hops(chord, 150, 6)
+            < self.mean_hops(can, 150, 6)
+        )
+
+    def test_chord_hops_grow_with_log_n(self):
+        """16x the nodes adds a constant number of hops, not a factor."""
+        small, large = (
+            self.mean_hops(ChordRing.with_random_ids(18, n, rng=2), 100, 3)
+            for n in (64, 1024)
+        )
+        assert small < large < small + 4

@@ -98,7 +98,7 @@ class TestProximityRing:
             key = int(rng.integers(0, plain.space))
             plain_lat += model.path_latency(plain.route(source, key).path)
             pns_lat += model.path_latency(pns.route(source, key).path)
-        assert pns_lat < plain_lat
+        assert pns_lat < 0.9 * plain_lat  # a saving worth the extra hops
 
     def test_route_latency_helper(self):
         _, pns, model = build_pair(n_nodes=50, seed=9)

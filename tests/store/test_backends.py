@@ -17,21 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StoreError
-from repro.store import ColumnarStore, LocalStore, SQLiteStore, StoredElement
+from repro.store import LocalStore, SQLiteStore, StoredElement
 from repro.store.base import ELEMENT_BYTES
 
-BACKENDS = ["local", "columnar", "columnar-small-merge", "sqlite", "sqlite-file"]
+BACKENDS = ["local", "sqlite", "sqlite-file"]
 
 
 def make_store(backend: str, tmp_path=None):
     if backend == "local":
         return LocalStore()
-    if backend == "columnar":
-        return ColumnarStore()
-    if backend == "columnar-small-merge":
-        # merge_every=2 forces pending-buffer merges constantly, exercising
-        # the sorted-merge path that the default rarely hits in small tests.
-        return ColumnarStore(merge_every=2)
     if backend == "sqlite":
         return SQLiteStore(batch_size=3)  # tiny batches: flush paths covered
     if backend == "sqlite-file":

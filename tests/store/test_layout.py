@@ -83,7 +83,7 @@ def _assert_shared(system, vocabulary, replication=None):
         assert len({id(word) for word in words}) == len(vocabulary)
 
 
-@pytest.mark.parametrize("backend", ["local", "columnar", "sqlite"])
+@pytest.mark.parametrize("backend", ["local", "sqlite"])
 def test_a_keyword_is_stored_once(backend, tmp_path):
     rng = random.Random(22)
     vocabulary = _vocabulary(rng)

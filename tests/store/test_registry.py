@@ -11,7 +11,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.store import (
     REGISTRY,
-    ColumnarStore,
     LocalStore,
     SQLiteStore,
     StoreSpec,
@@ -28,13 +27,21 @@ def _reset_default():
     set_default_store(None)
 
 
+def create_system(**kwargs):
+    from repro.core.system import SquidSystem
+    from repro.keywords import KeywordSpace, WordDimension
+
+    space = KeywordSpace([WordDimension("a"), WordDimension("b")], bits=4)
+    return SquidSystem.create(space, n_nodes=4, seed=1, **kwargs)
+
+
 class TestGetStore:
     def test_registry_names(self):
-        assert set(REGISTRY) == {"local", "columnar", "sqlite"}
+        assert set(REGISTRY) == {"local", "sqlite"}
 
     @pytest.mark.parametrize(
         "name,cls",
-        [("local", LocalStore), ("columnar", ColumnarStore), ("sqlite", SQLiteStore)],
+        [("local", LocalStore), ("sqlite", SQLiteStore)],
     )
     def test_by_name(self, name, cls):
         store = get_store(name)
@@ -52,7 +59,7 @@ class TestGetStore:
             get_store("redis")
         message = str(exc.value)
         assert "redis" in message
-        for name in ("local", "columnar", "sqlite"):
+        for name in ("local", "sqlite"):
             assert name in message
 
 
@@ -68,8 +75,8 @@ class TestDefaults:
 
     def test_set_default_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "sqlite")
-        set_default_store("columnar")
-        assert get_default_store() == "columnar"
+        set_default_store("local")
+        assert get_default_store() == "local"
         set_default_store(None)  # reset: env visible again
         assert get_default_store() == "sqlite"
 
@@ -78,21 +85,41 @@ class TestDefaults:
             set_default_store("bogus")
 
     def test_system_create_uses_default(self, monkeypatch):
-        from repro.core.system import SquidSystem
-        from repro.keywords import KeywordSpace, WordDimension
+        set_default_store("sqlite")
+        system = create_system()
+        assert system.store_spec.name == "sqlite"
+        assert all(isinstance(s, SQLiteStore) for s in system.stores.values())
 
-        set_default_store("columnar")
-        space = KeywordSpace([WordDimension("a"), WordDimension("b")], bits=4)
-        system = SquidSystem.create(space, n_nodes=4, seed=1)
-        assert system.store_spec.name == "columnar"
-        assert all(
-            isinstance(s, ColumnarStore) for s in system.stores.values()
-        )
+
+class TestDeletedBackend:
+    """``columnar`` is no longer a backend: every way of naming it fails
+    like any unknown name, listing the backends that exist."""
+
+    VALID = "['local', 'sqlite']"
+
+    def test_store_argument(self):
+        with pytest.raises(ConfigError, match="columnar") as exc:
+            create_system(store="columnar")
+        assert self.VALID in str(exc.value)
+
+    def test_environment_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", "columnar")
+        with pytest.raises(ConfigError, match="columnar") as exc:
+            create_system()
+        assert self.VALID in str(exc.value)
+
+    def test_cli_flag(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig18", "--store", "columnar"])
+        assert exc.value.code == 2
+        assert "'local', 'sqlite'" in capsys.readouterr().err
 
 
 class TestStoreSpec:
     def test_as_spec_coercions(self):
-        assert as_spec("columnar") == StoreSpec("columnar")
+        assert as_spec("sqlite") == StoreSpec("sqlite")
         spec = StoreSpec("sqlite", {"batch_size": 9})
         assert as_spec(spec) is spec
 
@@ -112,11 +139,13 @@ class TestStoreSpec:
         store.close()
 
     def test_pickle_round_trip(self):
-        spec = StoreSpec("columnar", {"merge_every": 128})
+        spec = StoreSpec("sqlite", {"batch_size": 128})
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         store = clone.create()
-        assert isinstance(store, ColumnarStore)
+        assert isinstance(store, SQLiteStore)
+        assert store._batch_size == 128
+        store.close()
 
 
 class TestDeprecatedImportPath:

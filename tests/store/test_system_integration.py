@@ -15,7 +15,7 @@ import pytest
 from repro import KeywordSpace, NumericDimension, SquidSystem, WordDimension
 from repro.store import StoreSpec
 
-BACKENDS = ["local", "columnar", "sqlite"]
+BACKENDS = ["local", "sqlite"]
 
 WORDS = ["computer", "compiler", "network", "storage", "memory", "monitor"]
 QUERIES = [
@@ -127,5 +127,4 @@ class TestMembershipChurn:
                 nid: [(e.index, e.key, e.payload) for e in store.all_elements()]
                 for nid, store in system.stores.items()
             }
-        assert snapshots["columnar"] == snapshots["local"]
         assert snapshots["sqlite"] == snapshots["local"]

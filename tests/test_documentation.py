@@ -79,22 +79,31 @@ class TestRepoDocuments:
     def test_referenced_documents_exist(self):
         """Every back-ticked ``*.md`` / ``*.json`` / ``*.yml`` path in the
         documents resolves against the repo root or the referencing file's
-        own directory (``internals.md`` inside ``docs/``)."""
+        own directory (``internals.md`` inside ``docs/``); so does every
+        ``*.py`` path that names a directory, which may also start at
+        ``src/`` or ``src/repro/`` (bare ``engine.py`` shorthand is exempt)."""
         generated = {"perf/out/report.json"}  # written by perf/run.py
         documents = [
             REPO_ROOT / name
             for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
                          ".claude/skills/verify/SKILL.md")
         ] + sorted((REPO_ROOT / "docs").glob("*.md"))
+
+        def resolves(doc, ref):
+            roots = [REPO_ROOT, doc.parent]
+            if ref.endswith(".py"):
+                if "/" not in ref:
+                    return True
+                roots += [REPO_ROOT / "src", REPO_ROOT / "src" / "repro"]
+            return any((root / ref).exists() for root in roots)
+
         dangling = [
             f"{doc.relative_to(REPO_ROOT)}: {ref}"
             for doc in documents
             for ref in re.findall(
-                r"`([\w.\-/]+\.(?:md|json|yml))`", doc.read_text(encoding="utf-8")
+                r"`([\w.\-/]+\.(?:md|json|yml|py))`", doc.read_text(encoding="utf-8")
             )
-            if ref not in generated
-            and not (REPO_ROOT / ref).exists()
-            and not (doc.parent / ref).exists()
+            if ref not in generated and not resolves(doc, ref)
         ]
         assert not dangling, dangling
 
