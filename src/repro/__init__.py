@@ -32,7 +32,7 @@ from repro.core.loadbalance import (
 )
 from repro.core.metrics import HotspotMonitor, QueryResult, QueryStats
 from repro.core.replication import ReplicationManager
-from repro.core.resultcache import ResultCache, set_default_result_cache
+from repro.core.resultcache import ResultCache
 from repro.core.system import SquidSystem
 from repro.keywords import (
     CategoricalDimension,
@@ -98,7 +98,6 @@ __all__ = [
     "make_curve",
     "HotspotMonitor",
     "ResultCache",
-    "set_default_result_cache",
     "LocalStore",
     "SQLiteStore",
     "NodeStore",

@@ -47,13 +47,16 @@ changes).  ``run`` and ``chaos`` accept
 ``--store NAME`` (a name in ``repro.store.REGISTRY``) to select the
 node-store backend the systems are built on (results are identical for any
 backend; only throughput and memory change — see ``docs/storage.md``),
-``--curve {hilbert,zorder,gray,onion,auto}`` to select the space-filling
-curve family (answers are identical for any curve; message costs differ —
-``auto`` picks the cheapest for a sampled workload, see
+``--curve NAME`` (a name in ``repro.sfc.CURVES``, or ``auto``) to select the
+space-filling curve family (answers are identical for any curve; message
+costs differ — ``auto`` picks the cheapest for a sampled workload, see
 ``docs/performance.md``), and
 ``--result-cache N`` to attach an initiator-side result cache of capacity
 N to every system built during the command (match sets are identical with
-or without it; see ``docs/performance.md`` §7).
+or without it; see ``docs/performance.md`` §7).  The flags given are laid
+over ``repro.config.Config.from_env()`` and the command runs inside that one
+config; a setting it rejects ends the command with exit code 2 and a
+one-line ``repro: error: ...``.
 
 The repository benchmark is not a subcommand: run ``python3 perf/run.py``
 from the repo root (``docs/performance.md`` §8).
@@ -63,6 +66,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
+
+from repro.config import Config, using
+from repro.errors import ConfigError
 
 __all__ = ["main"]
 
@@ -277,26 +284,20 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if getattr(args, "workers", None) is not None:
-        from repro.exec import set_default_workers
+    flags = {
+        field: getattr(args, field)
+        for field in ("curve", "store", "result_cache", "workers")
+        if getattr(args, field, None) is not None
+    }
+    try:
+        with using(replace(Config.from_env(), **flags)):
+            return _dispatch(args)
+    except ConfigError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
-        set_default_workers(args.workers)
 
-    if getattr(args, "store", None) is not None:
-        from repro.store import set_default_store
-
-        set_default_store(args.store)
-
-    if getattr(args, "curve", None) is not None:
-        from repro.sfc import set_default_curve
-
-        set_default_curve(args.curve)
-
-    if getattr(args, "result_cache", None) is not None:
-        from repro.core.resultcache import set_default_result_cache
-
-        set_default_result_cache(args.result_cache)
-
+def _dispatch(args) -> int:
     if args.command == "figures":
         return _cmd_figures()
     if args.command == "run":
@@ -329,10 +330,12 @@ def _add_workers_flag(subparser) -> None:
 
 
 def _add_curve_flag(subparser) -> None:
+    from repro.sfc import CURVES
+
     subparser.add_argument(
         "--curve",
         default=None,
-        choices=["hilbert", "zorder", "gray", "onion", "auto"],
+        choices=sorted(CURVES) + ["auto"],
         help="space-filling-curve family for system construction "
         "(answers identical for any curve; costs differ — 'auto' picks "
         "the cheapest for a sampled workload)",
@@ -346,8 +349,7 @@ def _add_store_flag(subparser) -> None:
         "--store",
         default=None,
         choices=sorted(REGISTRY),
-        help="node-store backend (default: REPRO_STORE env var or 'local'; "
-        "results identical for any backend)",
+        help="node-store backend (results identical for any backend)",
     )
 
 
@@ -364,14 +366,14 @@ def _add_result_cache_flag(subparser) -> None:
 
 def _cmd_figures() -> int:
     from repro.experiments import EXTENSIONS, FIGURES
-    from repro.experiments.report import _PAPER_CLAIMS
 
-    print("Paper figures:")
-    for name in sorted(FIGURES):
-        print(f"  {name}: {_PAPER_CLAIMS.get(name, '')}")
-    print("Extension experiments:")
-    for name in sorted(EXTENSIONS):
-        print(f"  {name}: {_PAPER_CLAIMS.get(name, '')}")
+    for heading, table in (
+        ("Paper figures:", FIGURES),
+        ("Extension experiments:", EXTENSIONS),
+    ):
+        print(heading)
+        for name in sorted(table):
+            print(f"  {name}: {table[name].claim}")
     return 0
 
 

@@ -13,11 +13,7 @@ from repro.core.loadbalance import (
 from repro.core.metrics import HotspotMonitor, QueryResult, QueryStats
 from repro.core.plancache import PlanCache, plan_key
 from repro.core.replication import ReplicationManager
-from repro.core.resultcache import (
-    ResultCache,
-    result_key,
-    set_default_result_cache,
-)
+from repro.core.resultcache import ResultCache, result_key
 from repro.core.system import SquidSystem
 
 __all__ = [
@@ -32,7 +28,6 @@ __all__ = [
     "plan_key",
     "ResultCache",
     "result_key",
-    "set_default_result_cache",
     "sample_join_id",
     "grow_with_join_lb",
     "neighbor_balance_round",

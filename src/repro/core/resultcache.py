@@ -61,8 +61,6 @@ from repro.sfc.regions import Region
 __all__ = [
     "ResultCache",
     "result_key",
-    "set_default_result_cache",
-    "default_result_cache",
 ]
 
 #: Width of the invalidation index: footprints are filed under the top
@@ -398,30 +396,3 @@ class ResultCache:
         self._aliases.clear()
         self._buckets.clear()
 
-
-# ----------------------------------------------------------------------
-# Process-wide default (CLI plumbing, mirrors exec.set_default_workers)
-# ----------------------------------------------------------------------
-_DEFAULT_CAPACITY: int | None = None
-
-
-def set_default_result_cache(capacity: int | None) -> None:
-    """Set the process default for ``SquidSystem(result_cache=None)``.
-
-    ``capacity`` of None turns the default off (systems built without an
-    explicit ``result_cache=`` get no cache, the historical behaviour); a
-    positive integer makes every such system create a
-    :class:`ResultCache` of that capacity.  Wired to the CLI's
-    ``--result-cache`` flag.
-    """
-    global _DEFAULT_CAPACITY
-    if capacity is not None and capacity < 1:
-        raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-    _DEFAULT_CAPACITY = capacity
-
-
-def default_result_cache() -> ResultCache | None:
-    """A fresh cache per the process default, or None when unset."""
-    if _DEFAULT_CAPACITY is None:
-        return None
-    return ResultCache(capacity=_DEFAULT_CAPACITY)

@@ -34,15 +34,16 @@ import numpy as np
 from repro.core.engine import OptimizedEngine, QueryEngine, make_engine
 from repro.core.metrics import QueryResult, QueryStats
 from repro.core.plancache import PlanCache
-from repro.core.resultcache import ResultCache, default_result_cache, result_key
-from repro.errors import DuplicateNodeError, OverlayError
+from repro.config import current
+from repro.core.resultcache import ResultCache, result_key
+from repro.errors import ConfigError, DuplicateNodeError, OverlayError
 from repro.keywords.space import KeywordSpace
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs.trace import KeyMoved, NodeJoined, NodeLeft, Tracer
 from repro.overlay.base import ring_contains_open_closed
 from repro.overlay.chord import ChordRing
-from repro.sfc import get_default_curve, make_curve, sample_box_regions, select_curve
+from repro.sfc import CURVES, sample_box_regions, select_curve
 from repro.sfc.base import SpaceFillingCurve
 from repro.sfc.regions import Region
 from repro.store import NodeStore, StoredElement, StoreSpec, as_spec
@@ -75,35 +76,34 @@ def _sample_regions(
 
 
 def _resolve_curve(
-    curve: "SpaceFillingCurve | str | None",
+    curve: "SpaceFillingCurve | str",
     space: KeywordSpace,
     rng: RandomLike = None,
     curve_sample: Iterable[Any] | None = None,
 ) -> SpaceFillingCurve:
     """Resolve a ``curve=`` argument into a curve instance.
 
-    ``None`` uses the process default (CLI ``--curve`` flag or the
-    ``REPRO_CURVE`` environment variable; ``"hilbert"`` otherwise); the name
-    ``"auto"`` selects the cheapest family for a sampled workload via
-    :func:`repro.sfc.select_curve`.  The order is fixed to the space's bit
-    depth — the overlay identifier width depends on it.
+    The name ``"auto"`` selects the cheapest family for a sampled workload
+    via :func:`repro.sfc.select_curve`.  The order is fixed to the space's
+    bit depth — the overlay identifier width depends on it.
     """
     if isinstance(curve, SpaceFillingCurve):
         return curve
-    name = curve if curve is not None else get_default_curve()
-    if name == "auto":
+    if curve == "auto":
         regions = _sample_regions(space, curve_sample, rng)
         choice = select_curve(regions, space.dims, space.bits)
         return choice.make(space.dims)
-    return make_curve(name, space.dims, space.bits)
+    if curve not in CURVES:
+        raise ConfigError(
+            f"unknown curve {curve!r}; choose from {sorted(CURVES) + ['auto']}"
+        )
+    return CURVES[curve](space.dims, space.bits)
 
 
 def _coerce_result_cache(
     knob: "ResultCache | int | bool | None",
 ) -> ResultCache | None:
-    if knob is None:
-        return default_result_cache()
-    if knob is False:
+    if knob is None or knob is False:
         return None
     if knob is True:
         return ResultCache()
@@ -127,7 +127,9 @@ class SquidSystem:
     ) -> None:
         self.space = space
         gen = as_generator(rng)
-        self.curve = _resolve_curve(curve, space, rng=gen)
+        # What the caller leaves unsaid comes from one place (repro.config).
+        config = current()
+        self.curve = _resolve_curve(curve if curve is not None else config.curve, space, rng=gen)
         if self.curve.dims != space.dims or self.curve.order != space.bits:
             raise OverlayError(
                 "curve geometry must match the keyword space "
@@ -142,7 +144,7 @@ class SquidSystem:
         self.overlay = overlay
         #: Recipe every per-node store is built from (initial ring and later
         #: joins alike); picklable, so spawn workers rebuild the same backend.
-        self.store_spec: StoreSpec = as_spec(store)
+        self.store_spec: StoreSpec = as_spec(store if store is not None else config.store)
         self.stores: dict[int, NodeStore] = {
             node_id: self.store_spec.create(node_id=node_id)
             for node_id in overlay.node_ids()
@@ -159,10 +161,11 @@ class SquidSystem:
         self.plan_cache: PlanCache | None = PlanCache()
         #: Initiator-side result cache (see :mod:`repro.core.resultcache`).
         #: Accepts an instance, a capacity (int), True (defaults), False
-        #: (off), or None — None defers to the process default set by
-        #: :func:`repro.core.resultcache.set_default_result_cache` (the CLI
+        #: (off), or None — None defers to ``repro.config`` (the CLI
         #: ``--result-cache`` flag), which is off unless configured.
-        self.result_cache: ResultCache | None = _coerce_result_cache(result_cache)
+        self.result_cache: ResultCache | None = _coerce_result_cache(
+            result_cache if result_cache is not None else config.result_cache
+        )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -186,15 +189,16 @@ class SquidSystem:
         ``store="local"``/``"sqlite"``) — ``curve`` and
         ``engine`` also take ready instances, ``store`` a
         :class:`~repro.store.base.StoreSpec` carrying backend options.
-        ``store=None`` and ``curve=None`` use the process defaults (CLI
-        ``--store`` / ``--curve`` flags or the ``REPRO_STORE`` /
-        ``REPRO_CURVE`` environment variables; ``"local"`` / ``"hilbert"``
-        otherwise).  ``curve="auto"`` picks the cheapest registered family
-        for a workload sample (``curve_sample``: query strings or
-        :class:`~repro.sfc.regions.Region` objects; a seeded mix of random
-        cube queries when omitted) via :func:`repro.sfc.select_curve`.
+        ``store=None``, ``curve=None`` and ``result_cache=None`` take the
+        value of :func:`repro.config.current`.  ``curve="auto"`` picks the
+        cheapest registered family for a workload sample (``curve_sample``:
+        query strings or :class:`~repro.sfc.regions.Region` objects; a
+        seeded mix of random cube queries when omitted) via
+        :func:`repro.sfc.select_curve`.
         """
         gen = as_generator(seed)
+        if curve is None:
+            curve = current().curve
         sfc = _resolve_curve(curve, space, rng=gen, curve_sample=curve_sample)
         ring = ChordRing.with_random_ids(sfc.index_bits, n_nodes, rng=gen)
         return cls(
@@ -452,11 +456,10 @@ class SquidSystem:
         Returns a :class:`~repro.exec.pool.BatchResult` with per-query
         results in input order, a merged :class:`QueryStats`, and a merged
         metrics snapshot.  Results are bit-identical for any ``workers``
-        value (``None`` uses the process-wide default; see
-        :func:`repro.exec.set_default_workers`); only wall-clock time
-        changes.  ``seed`` feeds per-chunk RNG derivation, replacing the
-        system's own generator for the batch so batches are reproducible
-        regardless of prior query history.
+        value (``None`` uses :func:`repro.config.current`'s); only
+        wall-clock time changes.  ``seed`` feeds per-chunk RNG derivation,
+        replacing the system's own generator for the batch so batches are
+        reproducible regardless of prior query history.
         """
         from repro.exec.pool import QueryPool
 

@@ -6,13 +6,7 @@ results that are bit-identical for any worker count.  See
 :mod:`repro.exec.spec` for the spawn-mode rebuild path.
 """
 
-from repro.exec.pool import (
-    DEFAULT_CHUNK_SIZE,
-    BatchResult,
-    QueryPool,
-    get_default_workers,
-    set_default_workers,
-)
+from repro.exec.pool import DEFAULT_CHUNK_SIZE, BatchResult, QueryPool
 from repro.exec.spec import SystemSpec
 
 __all__ = [
@@ -20,6 +14,4 @@ __all__ = [
     "BatchResult",
     "QueryPool",
     "SystemSpec",
-    "get_default_workers",
-    "set_default_workers",
 ]

@@ -59,6 +59,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 import numpy as np
 
+from repro.config import current
 from repro.core.metrics import QueryResult, QueryStats
 from repro.errors import EngineError
 from repro.exec.spec import SystemSpec
@@ -73,34 +74,12 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "BatchResult",
     "QueryPool",
-    "get_default_workers",
-    "set_default_workers",
 ]
 
 #: Queries per chunk (the distribution unit).  Fixed — independent of the
 #: worker count — so results are reproducible across pool sizes; large
 #: enough that per-chunk cache warm-up is amortized over the chunk.
 DEFAULT_CHUNK_SIZE = 32
-
-#: Process-wide default worker count, set by the CLI ``--workers`` flag so
-#: experiment sweeps pick it up without threading a parameter through every
-#: figure module.
-_DEFAULT_WORKERS = 1
-
-
-def set_default_workers(workers: int) -> int:
-    """Set the process-wide default worker count; returns the previous."""
-    global _DEFAULT_WORKERS
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    previous = _DEFAULT_WORKERS
-    _DEFAULT_WORKERS = workers
-    return previous
-
-
-def get_default_workers() -> int:
-    """The process-wide default worker count (1 unless configured)."""
-    return _DEFAULT_WORKERS
 
 
 @dataclass(frozen=True)
@@ -246,9 +225,9 @@ class QueryPool:
         The deployment to query.  Not copied at construction; each
         :meth:`run` observes its current state.
     workers:
-        Worker processes per run.  ``None`` uses the process-wide default
-        (see :func:`set_default_workers`); ``1`` executes in-process with
-        no ``multiprocessing`` at all.  Results are identical either way.
+        Worker processes per run.  ``None`` uses
+        :func:`repro.config.current`'s ``workers``; ``1`` executes in-process
+        with no ``multiprocessing`` at all.  Results are identical either way.
     chunk_size:
         Queries per distribution unit (default
         :data:`DEFAULT_CHUNK_SIZE`).  Must stay fixed for results to be
@@ -267,7 +246,7 @@ class QueryPool:
         start_method: str | None = None,
     ) -> None:
         self.system = system
-        self.workers = workers if workers is not None else get_default_workers()
+        self.workers = workers if workers is not None else current().workers
         if self.workers < 1:
             raise EngineError(f"workers must be >= 1, got {self.workers}")
         self.chunk_size = chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE

@@ -1,58 +1,41 @@
 """Reproduction of the paper's evaluation section (Figures 9-19).
 
-Each figure module exposes ``run(scale, seed) -> FigureResult``; the
-registry below maps figure identifiers to those runners.  ``scale`` is one
-of ``"small"``, ``"medium"``, ``"full"`` (see
+:data:`FIGURES` (:mod:`repro.experiments.figures`) and :data:`EXTENSIONS`
+(:mod:`repro.experiments.extensions`) map an identifier to its
+:class:`~repro.experiments.runner.FigureRow`; calling a row, or
+:func:`run_figure`, returns a ``FigureResult``.  ``scale`` is one of
+``"small"``, ``"medium"``, ``"full"`` (see
 :data:`repro.experiments.runner.SCALES`); ``"full"`` uses the paper's
 system sizes.
 """
 
-from repro.experiments import (
-    fig09_q1_2d,
-    fig10_metrics_2d,
-    fig11_q2_2d,
-    fig12_q1_3d,
-    fig13_metrics_3d,
-    fig14_q2_3d,
-    fig15_range_kr,
-    fig16_metrics_range,
-    fig17_range_rrr,
-    fig18_key_distribution,
-    fig19_load_balance,
-)
 from repro.experiments.extensions import EXTENSIONS
-from repro.experiments.runner import SCALES, FigureResult, ScalePreset
-
-FIGURES = {
-    "fig09": fig09_q1_2d.run,
-    "fig10": fig10_metrics_2d.run,
-    "fig11": fig11_q2_2d.run,
-    "fig12": fig12_q1_3d.run,
-    "fig13": fig13_metrics_3d.run,
-    "fig14": fig14_q2_3d.run,
-    "fig15": fig15_range_kr.run,
-    "fig16": fig16_metrics_range.run,
-    "fig17": fig17_range_rrr.run,
-    "fig18": fig18_key_distribution.run,
-    "fig19": fig19_load_balance.run,
-}
+from repro.experiments.figures import FIGURES
+from repro.experiments.runner import SCALES, FigureResult, FigureRow, ScalePreset
 
 __all__ = [
     "FIGURES",
     "EXTENSIONS",
     "SCALES",
     "FigureResult",
+    "FigureRow",
     "ScalePreset",
+    "figure_row",
     "run_figure",
 ]
 
 
-def run_figure(figure: str, scale: str = "small", **kwargs) -> FigureResult:
-    """Run one reproduced figure (``"fig09"``..) or extension (``"extA"``..)."""
-    runner = FIGURES.get(figure) or EXTENSIONS.get(figure)
-    if runner is None:
+def figure_row(figure: str) -> FigureRow:
+    """The table row of a figure (``"fig09"``..) or extension (``"extA"``..)."""
+    row = FIGURES.get(figure) or EXTENSIONS.get(figure)
+    if row is None:
         raise KeyError(
             f"unknown figure {figure!r}; choose from "
             f"{sorted(FIGURES) + sorted(EXTENSIONS)}"
         )
-    return runner(scale=scale, **kwargs)
+    return row
+
+
+def run_figure(figure: str, scale: str = "small", **kwargs) -> FigureResult:
+    """Run one reproduced figure or extension at a scale preset."""
+    return figure_row(figure)(scale=scale, **kwargs)

@@ -1,32 +1,12 @@
 """Extension experiments — quantifying the paper's §5 future-work features.
 
-These go beyond the paper's Figures 9-19; each produces a
-:class:`~repro.experiments.runner.FigureResult` like the paper figures and
-is runnable via ``python -m repro run extA|extB|extC``.
+These go beyond the paper's Figures 9-19; each is a
+:class:`~repro.experiments.runner.FigureRow` of :data:`EXTENSIONS`, like the
+paper figures, and is runnable via ``python -m repro run extA`` (.. ``extH``).
 
-* ``extA`` — replication: elements lost in a crash burst vs replication
-  degree (fault tolerance).
-* ``extB`` — hot-spots: hottest-node load and total messages for a Zipf
-  query stream, on a plain system and on its twin with an initiator-side
-  :class:`~repro.core.resultcache.ResultCache` attached.
-* ``extC`` — geographic locality: query completion time on a classic vs
-  proximity-selected (PNS) ring across system sizes.
-* ``extD`` — dynamism: query cost and routing-state staleness under node
-  churn, with and without the paper's periodic stabilization.
-* ``extE`` — attack resistance: recall under query-dropping adversaries,
-  plain vs retry vs retry+replication.
-* ``extF`` — resilience: recall, completeness, and message cost under a
-  seeded fault plane (message drops) at increasing fault rates, none vs
-  retry vs retry+replication.
-* ``extG`` — result caching: hit rate, messages saved, and staleness of
-  the initiator-side :class:`~repro.core.resultcache.ResultCache` across
-  query skew x publish mix x TTL (every cached answer is checked against
-  a brute-force scan — the stale column must stay 0).
-* ``extH`` — curve-family ablation: cluster count and end-to-end message
-  cost per query class (Q1/Q2/Q3) for every registered curve family
-  (hilbert, gray, zorder, onion), with the workload-adaptive selector's
-  choice marked per workload.  Match counts must be identical across
-  curves — the mapping is a cost knob, never a correctness knob.
+What each one measures is the docstring of its runner below; what it
+claims, the row's ``claim``; what holds a run to it, its entry in
+:data:`repro.experiments.report.SHAPE_CHECKS`.
 """
 
 from __future__ import annotations
@@ -37,7 +17,7 @@ from repro.core.engine import OptimizedEngine
 from repro.core.metrics import HotspotMonitor
 from repro.core.replication import ReplicationManager
 from repro.core.system import SquidSystem
-from repro.experiments.runner import SCALES, FigureResult
+from repro.experiments.runner import FigureResult, FigureRow, ScalePreset
 from repro.overlay.proximity import LatencyModel, ProximityChordRing
 from repro.util.rng import as_generator
 from repro.workloads.documents import DocumentWorkload
@@ -53,9 +33,8 @@ __all__ = [
 ]
 
 
-def run_replication(scale: str = "small", seed: int = 30) -> FigureResult:
+def run_replication(row: FigureRow, preset: ScalePreset, seed: int) -> FigureResult:
     """Elements lost in a 15% crash burst, by replication degree."""
-    preset = SCALES[scale]
     n_nodes = preset.node_counts[1]
     n_keys = preset.key_counts[1]
     gen = as_generator(seed)
@@ -63,8 +42,8 @@ def run_replication(scale: str = "small", seed: int = 30) -> FigureResult:
         2, n_keys, vocabulary_size=preset.vocabulary_size, rng=gen
     )
     result = FigureResult(
-        figure="extA",
-        title="Crash-burst data loss vs replication degree (15% of peers crash)",
+        row.id,
+        row.title,
         columns=["degree", "elements", "lost", "recovered", "replica_overhead"],
     )
     for degree in (0, 1, 2, 3):
@@ -95,9 +74,8 @@ def run_replication(scale: str = "small", seed: int = 30) -> FigureResult:
     return result
 
 
-def run_hotspots(scale: str = "small", seed: int = 31) -> FigureResult:
+def run_hotspots(row: FigureRow, preset: ScalePreset, seed: int) -> FigureResult:
     """Zipf query stream: load and messages with/without result caching."""
-    preset = SCALES[scale]
     n_nodes = preset.node_counts[1]
     n_keys = preset.key_counts[1]
     gen = as_generator(seed)
@@ -113,8 +91,8 @@ def run_hotspots(scale: str = "small", seed: int = 31) -> FigureResult:
     ]
 
     result = FigureResult(
-        figure="extB",
-        title="Hot-spot mitigation: Zipf query stream with result caching",
+        row.id,
+        row.title,
         columns=["variant", "messages", "hottest_node_load", "hit_rate"],
     )
     for variant, cache in (("plain", False), ("cached", 64)):
@@ -139,9 +117,8 @@ def run_hotspots(scale: str = "small", seed: int = 31) -> FigureResult:
     return result
 
 
-def run_response_time(scale: str = "small", seed: int = 32) -> FigureResult:
+def run_response_time(row: FigureRow, preset: ScalePreset, seed: int) -> FigureResult:
     """Query completion time: classic Chord fingers vs PNS, across sizes."""
-    preset = SCALES[scale]
     gen = as_generator(seed)
     workload = DocumentWorkload.generate(
         2,
@@ -151,8 +128,8 @@ def run_response_time(scale: str = "small", seed: int = 32) -> FigureResult:
     )
     queries = q1_queries(workload, count=4, rng=seed + 1)
     result = FigureResult(
-        figure="extC",
-        title="Query completion time (latency units): classic vs PNS fingers",
+        row.id,
+        row.title,
         columns=["nodes", "variant", "mean_completion", "mean_first_match"],
     )
     for n_nodes in preset.node_counts[:3]:
@@ -183,7 +160,7 @@ def run_response_time(scale: str = "small", seed: int = 32) -> FigureResult:
     return result
 
 
-def run_churn(scale: str = "small", seed: int = 33) -> FigureResult:
+def run_churn(row: FigureRow, preset: ScalePreset, seed: int) -> FigureResult:
     """Query exactness and routing staleness under churn (paper §3.2).
 
     Runs Poisson join/leave/crash churn on the discrete-event simulator at
@@ -192,7 +169,6 @@ def run_churn(scale: str = "small", seed: int = 33) -> FigureResult:
     """
     from repro.sim import ChurnConfig, ChurnProcess, Simulator, StabilizationProcess
 
-    preset = SCALES[scale]
     n_nodes = preset.node_counts[0]
     n_keys = preset.key_counts[0]
     gen = as_generator(seed)
@@ -202,8 +178,8 @@ def run_churn(scale: str = "small", seed: int = 33) -> FigureResult:
     query = f"({workload.keys[0][0][:3]}*, *)"
 
     result = FigureResult(
-        figure="extD",
-        title="Churn: stale routing state and query exactness over survivors",
+        row.id,
+        row.title,
         columns=[
             "churn_rate",
             "stabilized",
@@ -248,12 +224,11 @@ def run_churn(scale: str = "small", seed: int = 33) -> FigureResult:
     return result
 
 
-def run_attack(scale: str = "small", seed: int = 34) -> FigureResult:
+def run_attack(row: FigureRow, preset: ScalePreset, seed: int) -> FigureResult:
     """Recall under query-dropping adversaries (paper §5, attacks)."""
     from repro.core.adversary import run_attack_experiment
     from repro.workloads.queries import q1_queries as make_q1
 
-    preset = SCALES[scale]
     n_nodes = preset.node_counts[0]
     n_keys = preset.key_counts[0]
     gen = as_generator(seed)
@@ -262,8 +237,8 @@ def run_attack(scale: str = "small", seed: int = 34) -> FigureResult:
     )
     queries = [str(q) for q in make_q1(workload, count=4, rng=seed + 1)]
     result = FigureResult(
-        figure="extE",
-        title="Recall under query-dropping adversaries",
+        row.id,
+        row.title,
         columns=["dropper_fraction", "mitigation", "recall", "messages"],
     )
     for fraction in (0.0, 0.1, 0.2, 0.3):
@@ -294,7 +269,7 @@ def run_attack(scale: str = "small", seed: int = 34) -> FigureResult:
     return result
 
 
-def run_faults(scale: str = "small", seed: int = 35) -> FigureResult:
+def run_faults(row: FigureRow, preset: ScalePreset, seed: int) -> FigureResult:
     """Recall and message cost vs. message-fault rate (resilient execution).
 
     Pushes every dispatched message of the optimized engine through a
@@ -309,7 +284,6 @@ def run_faults(scale: str = "small", seed: int = 35) -> FigureResult:
     from repro.faults import FaultConfig, FaultPlane, RetryPolicy
     from repro.workloads.queries import q1_queries as make_q1
 
-    preset = SCALES[scale]
     n_nodes = preset.node_counts[0]
     n_keys = preset.key_counts[0]
     gen = as_generator(seed)
@@ -318,8 +292,8 @@ def run_faults(scale: str = "small", seed: int = 35) -> FigureResult:
     )
     queries = [str(q) for q in make_q1(workload, count=4, rng=seed + 1)]
     result = FigureResult(
-        figure="extF",
-        title="Resilient execution: recall and cost vs message-fault rate",
+        row.id,
+        row.title,
         columns=[
             "fault_rate",
             "mitigation",
@@ -377,7 +351,7 @@ def run_faults(scale: str = "small", seed: int = 35) -> FigureResult:
     return result
 
 
-def run_result_cache(scale: str = "small", seed: int = 36) -> FigureResult:
+def run_result_cache(row: FigureRow, preset: ScalePreset, seed: int) -> FigureResult:
     """Result-cache hit rate and staleness: skew x publish mix x TTL sweep.
 
     Replays synthetic traces (:func:`~repro.workloads.trace.synthetic_trace`)
@@ -394,7 +368,6 @@ def run_result_cache(scale: str = "small", seed: int = 36) -> FigureResult:
     from repro.workloads.queries import q1_queries as make_q1
     from repro.workloads.trace import synthetic_trace
 
-    preset = SCALES[scale]
     n_nodes = preset.node_counts[0]
     n_keys = max(200, preset.key_counts[0] // 4)
     n_ops = 240
@@ -410,8 +383,8 @@ def run_result_cache(scale: str = "small", seed: int = 36) -> FigureResult:
         for i in as_generator(seed + 2).choice(len(workload.keys), size=48, replace=False)
     ]
     result = FigureResult(
-        figure="extG",
-        title="Result cache: hit rate and staleness vs skew, update mix, TTL",
+        row.id,
+        row.title,
         columns=[
             "skew",
             "publish_mix",
@@ -481,7 +454,7 @@ def run_result_cache(scale: str = "small", seed: int = 36) -> FigureResult:
     return result
 
 
-def run_curve_ablation(scale: str = "small", seed: int = 37) -> FigureResult:
+def run_curve_ablation(row: FigureRow, preset: ScalePreset, seed: int) -> FigureResult:
     """Cluster count and message cost per query class, per curve family.
 
     The paper fixes the Hilbert curve; this ablation measures what that
@@ -504,7 +477,6 @@ def run_curve_ablation(scale: str = "small", seed: int = 37) -> FigureResult:
     )
     from repro.workloads.resources import ResourceWorkload
 
-    preset = SCALES[scale]
     n_nodes = preset.node_counts[0]
     n_keys = preset.key_counts[0]
     doc = DocumentWorkload.generate(
@@ -531,8 +503,8 @@ def run_curve_ablation(scale: str = "small", seed: int = 37) -> FigureResult:
         selections[id(workload)] = choice.name
 
     result = FigureResult(
-        figure="extH",
-        title="Curve ablation: clusters and message cost per query class",
+        row.id,
+        row.title,
         columns=[
             "curve",
             "query_class",
@@ -576,13 +548,68 @@ def run_curve_ablation(scale: str = "small", seed: int = 37) -> FigureResult:
     return result
 
 
-EXTENSIONS = {
-    "extA": run_replication,
-    "extB": run_hotspots,
-    "extC": run_response_time,
-    "extD": run_churn,
-    "extE": run_attack,
-    "extF": run_faults,
-    "extG": run_result_cache,
-    "extH": run_curve_ablation,
+EXTENSIONS: dict[str, FigureRow] = {
+    row.id: row
+    for row in (
+        FigureRow(
+            "extA",
+            "Crash-burst data loss vs replication degree (15% of peers crash)",
+            "Future work (fault tolerance): replication prevents crash data loss.",
+            30,
+            run_replication,
+        ),
+        FigureRow(
+            "extB",
+            "Hot-spot mitigation: Zipf query stream with result caching",
+            "Future work (hot-spots): result caching absorbs repeated queries.",
+            31,
+            run_hotspots,
+        ),
+        FigureRow(
+            "extC",
+            "Query completion time (latency units): classic vs PNS fingers",
+            "Future work (geographic locality): PNS cuts query latency.",
+            32,
+            run_response_time,
+        ),
+        FigureRow(
+            "extD",
+            "Churn: stale routing state and query exactness over survivors",
+            "Future work quantified (dynamism): exactness survives churn.",
+            33,
+            run_churn,
+        ),
+        FigureRow(
+            "extE",
+            "Recall under query-dropping adversaries",
+            "Future work (attacks): retry + replication restore recall.",
+            34,
+            run_attack,
+        ),
+        FigureRow(
+            "extF",
+            "Resilient execution: recall and cost vs message-fault rate",
+            "Robustness: retry + replication keep queries exact and complete "
+            "under injected message faults; unmitigated faults are reported honestly.",
+            35,
+            run_faults,
+        ),
+        FigureRow(
+            "extG",
+            "Result cache: hit rate and staleness vs skew, update mix, TTL",
+            "Perf: an initiator-side result cache absorbs skewed query streams "
+            "without ever serving a stale answer (interval invalidation + TTL).",
+            36,
+            run_result_cache,
+        ),
+        FigureRow(
+            "extH",
+            "Curve ablation: clusters and message cost per query class",
+            "§3.2 generalized: the curve mapping determines clustering and "
+            "hence message cost per query class; answers never depend on it, and the "
+            "adaptive selector picks the cheapest family for a sampled workload.",
+            37,
+            run_curve_ablation,
+        ),
+    )
 }

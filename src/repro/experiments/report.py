@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.experiments import FIGURES, run_figure
+from repro.experiments import FIGURES, figure_row, run_figure
 from repro.experiments.runner import FigureResult
 from repro.util.stats import coefficient_of_variation
 
@@ -102,14 +102,27 @@ def _check_matches_found(result: FigureResult) -> Check:
 
 
 def _check_fig09(result: FigureResult, _figure: Figure) -> list[Check]:
+    """Expected shape: processing and data nodes are a small fraction of the
+    system and grow sublinearly; data nodes track processing nodes closely;
+    processing cost is not monotone in match count.
+    """
     return _check_sweep(result) + [_check_not_monotone(result)]
 
 
 def _check_fig11(result: FigureResult, figure: Figure) -> list[Check]:
+    """Expected shape: significantly cheaper than Q1 (Figure 9) — "query
+    optimization and pruning are effective when both keywords are at least
+    partially known".
+    """
     return _check_sweep(result) + [_check_cheaper_than(result, figure("fig09"))]
 
 
 def _check_fig12(result: FigureResult, figure: Figure) -> list[Check]:
+    """Expected shape: the same pattern as 2-D (Figure 9) with magnitudes
+    2-3x larger — "for the same types of queries there are more clusters in
+    the 3D case than in the 2D case" (a longer curve fragments a
+    fixed-keyword query into more segments).
+    """
     cost_3d = _mean_processing_at_largest(result)
     cost_2d = _mean_processing_at_largest(figure("fig09"))
     return _check_sweep(result) + [
@@ -123,10 +136,15 @@ def _check_fig12(result: FigureResult, figure: Figure) -> list[Check]:
 
 
 def _check_fig14(result: FigureResult, figure: Figure) -> list[Check]:
+    """Expected shape: the Q2-beats-Q1 pruning effect of Figure 11, in 3-D."""
     return _check_sweep(result) + [_check_cheaper_than(result, figure("fig12"))]
 
 
 def _check_fig15(result: FigureResult, _figure: Figure) -> list[Check]:
+    """Expected shape: "the results do not depend on the size of the range
+    (because the index space is not uniformly populated), but more on the
+    number of matches found and the distribution of the data."
+    """
     largest = result.filtered(nodes=max(result.series("nodes")))
     corr = float(
         np.corrcoef(largest.series("matches"), largest.series("data_nodes"))[0, 1]
@@ -142,10 +160,16 @@ def _check_fig15(result: FigureResult, _figure: Figure) -> list[Check]:
 
 
 def _check_fig17(result: FigureResult, _figure: Figure) -> list[Check]:
+    """Expected shape: as Figure 15 — cost tracks the matches and the data
+    distribution rather than the range widths.
+    """
     return _check_sweep(result) + [_check_matches_found(result)]
 
 
 def _check_snapshot(result: FigureResult, _figure: Figure) -> list[Check]:
+    """Expected shape (Figures 10, 13, 16): routing >> processing ~= data,
+    messages ~ 2x processing nodes, everything far below the system size.
+    """
     rows = result.rows
     checks = []
     checks.append(
@@ -171,6 +195,11 @@ def _check_snapshot(result: FigureResult, _figure: Figure) -> list[Check]:
 
 
 def _check_fig18(result: FigureResult, _figure: Figure) -> list[Check]:
+    """Expected shape: strongly non-uniform — the SFC preserves keyword
+    locality, so Zipf-skewed, lexicographically clustered keywords produce
+    dense and empty regions of the curve.  This is the motivation for §3.5's
+    load balancing.
+    """
     counts = np.array(result.series("keys"), dtype=float)
     return [
         (
@@ -187,6 +216,11 @@ def _check_fig18(result: FigureResult, _figure: Figure) -> list[Check]:
 
 
 def _check_fig19(result: FigureResult, _figure: Figure) -> list[Check]:
+    """Expected shape: the raw (no-LB) distribution is very uneven (Figure
+    18's skew lands on uniformly-placed nodes); join-time balancing clearly
+    improves it; join + runtime balancing is close to even ("the load is
+    almost evenly distributed in this case").
+    """
     loads = {
         variant: [r["load"] for r in result.rows if r["variant"] == variant]
         for variant in ("none", "join", "join+runtime")
@@ -458,34 +492,6 @@ SHAPE_CHECKS: dict[str, Callable[[FigureResult, Figure], list[Check]]] = {
     "extH": _check_extH,
 }
 
-_PAPER_CLAIMS = {
-    "extA": "Future work (fault tolerance): replication prevents crash data loss.",
-    "extB": "Future work (hot-spots): result caching absorbs repeated queries.",
-    "extC": "Future work (geographic locality): PNS cuts query latency.",
-    "extD": "Future work quantified (dynamism): exactness survives churn.",
-    "extE": "Future work (attacks): retry + replication restore recall.",
-    "extF": "Robustness: retry + replication keep queries exact and complete "
-    "under injected message faults; unmitigated faults are reported honestly.",
-    "extG": "Perf: an initiator-side result cache absorbs skewed query streams "
-    "without ever serving a stale answer (interval invalidation + TTL).",
-    "extH": "§3.2 generalized: the curve mapping determines clustering and "
-    "hence message cost per query class; answers never depend on it, and the "
-    "adaptive selector picks the cheapest family for a sampled workload.",
-    "fig09": "Q1 2D: processing/data nodes are a small, sublinearly growing "
-    "fraction of the system; data tracks processing; cost not monotone in matches.",
-    "fig10": "All metrics 2D: routing >> processing ~= data; messages ~ 2x processing.",
-    "fig11": "Q2 2D: significantly cheaper than Q1 (pruning works with 2 keywords).",
-    "fig12": "Q1 3D: same pattern as 2D, magnitude 2-3x larger.",
-    "fig13": "All metrics 3D: same shape as fig10, larger magnitude.",
-    "fig14": "Q2 3D: cheaper than Q1 3D.",
-    "fig15": "(keyword, range, *): cost tracks matches/data distribution, not range width.",
-    "fig16": "All metrics, range queries: same shape as fig10/13.",
-    "fig17": "(range, range, range): as fig15 with all dimensions ranged.",
-    "fig18": "Raw key distribution over the index space is highly skewed.",
-    "fig19": "Join-time LB clearly helps; join + runtime LB nearly even.",
-}
-
-
 def generate_report(
     scale: str = "small",
     figures: list[str] | None = None,
@@ -501,8 +507,16 @@ def generate_report(
     from repro.obs import profile as obs_profile
 
     names = figures if figures is not None else sorted(FIGURES)
-    # One result per figure and run, shared by the cross-figure checks.
-    figure = functools.cache(lambda name: run_figure(name, scale=scale))
+
+    # One result per figure and run, shared by the cross-figure checks and
+    # by a snapshot, which cuts the run's own sweep instead of repeating it.
+    @functools.cache
+    def figure(name: str) -> FigureResult:
+        of = figure_row(name).of
+        if of is not None:
+            return run_figure(name, scale=scale, sweep=figure(of))
+        return run_figure(name, scale=scale)
+
     lines = [
         f"# Experiment report (scale = {scale})",
         "",
@@ -517,7 +531,7 @@ def generate_report(
             result = figure(name)
             lines.append(f"## {name} — {result.title}")
             lines.append("")
-            lines.append(f"*Paper:* {_PAPER_CLAIMS.get(name, '-')}")
+            lines.append(f"*Paper:* {figure_row(name).claim}")
             lines.append("")
             checks = SHAPE_CHECKS[name](result, figure)
             elapsed = time.time() - start

@@ -1,10 +1,11 @@
-"""Experiment framework: results, tables, and scaling presets.
+"""Experiment framework: figure rows, results, tables, and scaling presets.
 
-Every figure of the paper's evaluation section has a module in this package
-exposing ``run(scale=..., seed=...) -> FigureResult``.  A
-:class:`FigureResult` holds the same rows/series the paper plots, renders as
-an aligned text table, and is what the shape checks of ``python -m repro
-report`` (:data:`repro.experiments.report.SHAPE_CHECKS`) are evaluated on.
+Every figure of the paper's evaluation section, and every extension
+experiment, is one :class:`FigureRow`; calling it returns a
+:class:`FigureResult`, which holds the same rows/series the paper plots,
+renders as an aligned text table, and is what the shape checks of ``python
+-m repro report`` (:data:`repro.experiments.report.SHAPE_CHECKS`) are
+evaluated on.
 
 Scales
 ------
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-__all__ = ["SCALES", "ScalePreset", "FigureResult", "format_table"]
+__all__ = ["SCALES", "ScalePreset", "FigureResult", "FigureRow", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,31 @@ class FigureResult:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.to_text()
+
+
+@dataclass(frozen=True)
+class FigureRow:
+    """One row of a figure table: what a figure is, claims, and is run by."""
+
+    id: str
+    title: str
+    #: The paper's claim (for an extension, what it quantifies), one line.
+    claim: str
+    #: Seed of a run that names none.
+    seed: int
+    #: ``runner(row, scale, seed, **inputs) -> FigureResult``.
+    runner: Callable[..., FigureResult]
+    #: For a snapshot: the id of the sweep it cuts, which a caller that has
+    #: already run it may pass as ``sweep=``.
+    of: str | None = None
+
+    def __call__(
+        self, scale: str = "small", seed: int | None = None, **inputs: Any
+    ) -> FigureResult:
+        """Run the figure at a scale preset (see :data:`SCALES`)."""
+        return self.runner(
+            self, SCALES[scale], self.seed if seed is None else seed, **inputs
+        )
 
 
 def format_table(columns: list[str], rows: Iterable[dict[str, Any]]) -> str:

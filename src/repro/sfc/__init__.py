@@ -16,15 +16,12 @@ Public surface:
 * :mod:`~repro.sfc.select` — adaptive curve/order selection from a workload
   sample (:func:`select_curve`).
 
-Curve families are selected **by name**, mirroring the store backends: the
-process default (what ``SquidSystem.create(...)`` uses when no ``curve=`` is
-given) resolves as explicit :func:`set_default_curve` call > ``REPRO_CURVE``
-environment variable > ``"hilbert"``.
+Curve families are selected **by name**, mirroring the store backends; what
+``SquidSystem.create(...)`` uses when no ``curve=`` is given comes from
+:mod:`repro.config`.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.errors import ConfigError
 from repro.sfc.analysis import ClusterStats, cluster_stats, locality_ratio
@@ -72,8 +69,6 @@ __all__ = [
     "locality_ratio",
     "CURVES",
     "make_curve",
-    "get_default_curve",
-    "set_default_curve",
     "CurveChoice",
     "select_curve",
     "sample_box_regions",
@@ -89,9 +84,6 @@ CURVES: dict[str, type[SpaceFillingCurve]] = {
     "onion": OnionCurve,
 }
 
-_DEFAULT_CURVE: str | None = None
-
-
 def make_curve(name: str, dims: int, order: int) -> SpaceFillingCurve:
     """Instantiate a registered curve family by name.
 
@@ -105,24 +97,3 @@ def make_curve(name: str, dims: int, order: int) -> SpaceFillingCurve:
             f"unknown curve {name!r}; choose from {sorted(CURVES)}"
         ) from None
     return cls(dims, order)
-
-
-def get_default_curve() -> str:
-    """The process-default curve family (see module docstring for resolution)."""
-    if _DEFAULT_CURVE is not None:
-        return _DEFAULT_CURVE
-    env = os.environ.get("REPRO_CURVE", "").strip()
-    return env if env else "hilbert"
-
-
-def set_default_curve(name: str | None) -> None:
-    """Set (or with ``None`` reset) the process-default curve family.
-
-    This is what the CLI ``--curve`` flag calls; it overrides the
-    ``REPRO_CURVE`` environment variable.  ``"auto"`` is accepted and defers
-    to workload-adaptive selection at system construction.
-    """
-    global _DEFAULT_CURVE
-    if name is not None and name != "auto" and name not in CURVES:
-        raise ConfigError(f"unknown curve {name!r}; choose from {sorted(CURVES)}")
-    _DEFAULT_CURVE = name

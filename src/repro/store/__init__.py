@@ -8,15 +8,12 @@ selected **by name**, mirroring engine/curve selection:
 >>> store.backend_name
 'sqlite'
 
-``REGISTRY`` maps names to classes; the process default (what
-``SquidSystem.create(...)`` uses when no ``store=`` is given) resolves as
-explicit :func:`set_default_store` call > ``REPRO_STORE`` environment
-variable > ``"local"``.
+``REGISTRY`` maps names to classes; what ``SquidSystem.create(...)`` uses
+when no ``store=`` is given comes from :mod:`repro.config`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 from repro.errors import ConfigError
@@ -34,8 +31,6 @@ __all__ = [
     "REGISTRY",
     "get_store",
     "as_spec",
-    "get_default_store",
-    "set_default_store",
 ]
 
 #: Name -> backend class.  Third parties may register additional backends.
@@ -43,9 +38,6 @@ REGISTRY: dict[str, type[NodeStore]] = {
     "local": LocalStore,
     "sqlite": SQLiteStore,
 }
-
-_DEFAULT_STORE: str | None = None
-
 
 def get_store(name: str, **options: Any) -> NodeStore:
     """Instantiate a store backend by registry name.
@@ -63,37 +55,13 @@ def get_store(name: str, **options: Any) -> NodeStore:
     return cls(**options)
 
 
-def get_default_store() -> str:
-    """The process-default backend name (see module docstring for resolution)."""
-    if _DEFAULT_STORE is not None:
-        return _DEFAULT_STORE
-    env = os.environ.get("REPRO_STORE", "").strip()
-    return env if env else "local"
-
-
-def set_default_store(name: str | None) -> None:
-    """Set (or with ``None`` reset) the process-default backend name.
-
-    This is what the CLI ``--store`` flag calls; it overrides the
-    ``REPRO_STORE`` environment variable.
-    """
-    global _DEFAULT_STORE
-    if name is not None and name not in REGISTRY:
-        raise ConfigError(
-            f"unknown store backend {name!r}; choose from {sorted(REGISTRY)}"
-        )
-    _DEFAULT_STORE = name
-
-
-def as_spec(store: "str | StoreSpec | None") -> StoreSpec:
+def as_spec(store: "str | StoreSpec") -> StoreSpec:
     """Coerce a user-facing ``store=`` argument into a :class:`StoreSpec`.
 
-    ``None`` resolves the process default; a string names a backend with
-    default options; a spec passes through.  The name is validated here so
-    misconfiguration fails at system construction, not at first node join.
+    A string names a backend with default options; a spec passes through.
+    The name is validated here so misconfiguration fails at system
+    construction, not at first node join.
     """
-    if store is None:
-        store = get_default_store()
     if isinstance(store, StoreSpec):
         spec = store
     elif isinstance(store, str):

@@ -16,8 +16,6 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Iterator
-
 __all__ = [
     "bit_mask",
     "gray_encode",
@@ -25,16 +23,6 @@ __all__ = [
     "rotate_left",
     "rotate_right",
     "trailing_set_bits",
-    "trailing_zero_bits",
-    "bit_at",
-    "set_bit",
-    "popcount",
-    "bit_length_ceil",
-    "extract_dim_bits",
-    "interleave_bits",
-    "deinterleave_bits",
-    "iter_bits_msb",
-    "reverse_bits",
 ]
 
 
@@ -112,88 +100,3 @@ def trailing_set_bits(value: int) -> int:
         count += 1
         value >>= 1
     return count
-
-
-def trailing_zero_bits(value: int) -> int:
-    """Number of consecutive 0-bits at the least-significant end.
-
-    ``value`` must be positive (the count is unbounded for zero).
-    """
-    if value <= 0:
-        raise ValueError("trailing_zero_bits requires a positive integer")
-    return (value & -value).bit_length() - 1
-
-
-def bit_at(value: int, position: int) -> int:
-    """Return bit ``position`` (LSB = 0) of ``value`` as 0 or 1."""
-    return (value >> position) & 1
-
-
-def set_bit(value: int, position: int, bit: int) -> int:
-    """Return ``value`` with bit ``position`` forced to ``bit`` (0 or 1)."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    mask = 1 << position
-    return (value | mask) if bit else (value & ~mask)
-
-
-def popcount(value: int) -> int:
-    """Number of set bits in ``value``."""
-    if value < 0:
-        raise ValueError("popcount requires a non-negative integer")
-    return bin(value).count("1")
-
-
-def bit_length_ceil(value: int) -> int:
-    """Smallest ``k`` such that ``value < 2**k`` (0 for value == 0)."""
-    if value < 0:
-        raise ValueError("bit_length_ceil requires a non-negative integer")
-    return value.bit_length()
-
-
-def extract_dim_bits(index: int, dim: int, dims: int, order: int) -> int:
-    """Extract the ``order`` bits of dimension ``dim`` from a Morton index.
-
-    The Morton (Z-order) index interleaves coordinate bits MSB-first with
-    dimension 0 occupying the most significant bit of each ``dims``-bit group.
-    """
-    coord = 0
-    for level in range(order):
-        group_shift = (order - 1 - level) * dims
-        bit = (index >> (group_shift + dims - 1 - dim)) & 1
-        coord = (coord << 1) | bit
-    return coord
-
-
-def interleave_bits(coords: tuple[int, ...], order: int) -> int:
-    """Morton-interleave ``coords`` (each ``order`` bits) into one integer.
-
-    Dimension 0 contributes the most significant bit of each level group,
-    i.e. ``interleave_bits((x, y), k)`` produces ``x_k y_k x_{k-1} y_{k-1} ...``.
-    """
-    dims = len(coords)
-    index = 0
-    for level in range(order - 1, -1, -1):
-        for dim, coord in enumerate(coords):
-            index = (index << 1) | ((coord >> level) & 1)
-    return index
-
-
-def deinterleave_bits(index: int, dims: int, order: int) -> tuple[int, ...]:
-    """Inverse of :func:`interleave_bits`."""
-    return tuple(extract_dim_bits(index, dim, dims, order) for dim in range(dims))
-
-
-def iter_bits_msb(value: int, width: int) -> Iterator[int]:
-    """Yield the low ``width`` bits of ``value`` from most significant down."""
-    for position in range(width - 1, -1, -1):
-        yield (value >> position) & 1
-
-
-def reverse_bits(value: int, width: int) -> int:
-    """Reverse the low ``width`` bits of ``value``."""
-    result = 0
-    for _ in range(width):
-        result = (result << 1) | (value & 1)
-        value >>= 1
-    return result

@@ -11,12 +11,8 @@ import random
 import pytest
 
 from repro.core.metrics import QueryResult, QueryStats
-from repro.core.resultcache import (
-    ResultCache,
-    default_result_cache,
-    result_key,
-    set_default_result_cache,
-)
+from repro.config import Config, using
+from repro.core.resultcache import ResultCache, result_key
 from repro.core.system import SquidSystem
 from repro.keywords.dimensions import WordDimension
 from repro.keywords.space import BoundQuery, KeywordSpace
@@ -255,18 +251,14 @@ class TestSystemWiring:
         assert res.scanned_ranges == () and res.stats.processing_node_count > 1
 
     def test_process_default_knob(self):
-        try:
-            set_default_result_cache(32)
-            assert default_result_cache().capacity == 32
-            space = KeywordSpace([WordDimension("kw")], bits=6)
+        space = KeywordSpace([WordDimension("kw")], bits=6)
+        with using(Config(result_cache=32)):
             system = SquidSystem.create(space, n_nodes=4, seed=1)
-            assert system.result_cache is not None
-            assert system.result_cache.capacity == 32
-        finally:
-            set_default_result_cache(None)
-        assert default_result_cache() is None
-        with pytest.raises(ValueError):
-            set_default_result_cache(0)
+            off = SquidSystem.create(space, n_nodes=4, seed=1, result_cache=False)
+        assert system.result_cache is not None
+        assert system.result_cache.capacity == 32
+        assert off.result_cache is None
+        assert SquidSystem.create(space, n_nodes=4, seed=1).result_cache is None
 
     def test_limit_queries_bypass_the_cache(self):
         system = build_system()

@@ -8,21 +8,17 @@ import json
 
 import pytest
 
+from repro.config import Config, using
 from repro.errors import EngineError
-from repro.exec import (
-    DEFAULT_CHUNK_SIZE,
-    QueryPool,
-    get_default_workers,
-    set_default_workers,
-)
-from repro.experiments.common import build_document_system
+from repro.exec import DEFAULT_CHUNK_SIZE, QueryPool
 from repro.obs import collecting
 from repro.workloads.queries import q1_queries, q2_queries
+from tests.exec.conftest import grown
 
 
 @pytest.fixture(scope="module")
 def built():
-    return build_document_system(
+    return grown(
         dims=2, n_nodes=20, n_keys=250, vocabulary_size=50, bits=10, seed=11
     )
 
@@ -127,18 +123,13 @@ def test_invalid_parameters_raise(built):
         QueryPool(built.system, chunk_size=0)
     with pytest.raises(EngineError):
         QueryPool(built.system, start_method="not-a-method")
-    with pytest.raises(ValueError):
-        set_default_workers(0)
 
 
 def test_default_workers_global(built):
-    previous = set_default_workers(3)
-    try:
-        assert get_default_workers() == 3
+    with using(Config(workers=3)):
         assert QueryPool(built.system).workers == 3
         assert QueryPool(built.system, workers=2).workers == 2
-    finally:
-        set_default_workers(previous)
+    assert QueryPool(built.system).workers == 1
 
 
 def test_pool_leaves_system_state_intact(built, queries):

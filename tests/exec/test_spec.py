@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from repro.config import Config, using
 from repro.exec import SystemSpec
-from repro.experiments.common import build_document_system
+from repro.store import StoreSpec
 from repro.workloads.queries import q1_queries
+from tests.exec.conftest import grown
 
 
 def test_spec_rebuild_preserves_membership_and_data():
-    built = build_document_system(
+    built = grown(
         dims=2, n_nodes=12, n_keys=120, vocabulary_size=30, bits=10, seed=4
     )
     system = built.system
@@ -26,7 +28,7 @@ def test_spec_rebuild_preserves_membership_and_data():
 
 
 def test_spec_rebuild_answers_queries_identically():
-    built = build_document_system(
+    built = grown(
         dims=2, n_nodes=12, n_keys=120, vocabulary_size=30, bits=10, seed=4
     )
     system = built.system
@@ -41,10 +43,24 @@ def test_spec_rebuild_answers_queries_identically():
     assert original.stats.as_dict() == copied.stats.as_dict()
 
 
+def test_spec_rebuild_consults_no_default():
+    """A worker's system is the spec's, whatever config is active around it."""
+    with using(Config()):
+        system = grown(
+            dims=2, n_nodes=8, n_keys=40, vocabulary_size=20, bits=8, seed=1
+        ).system
+    spec = SystemSpec.from_system(system)
+    with using(Config(curve="onion", store="sqlite", result_cache=8)):
+        rebuilt = spec.build()
+    assert rebuilt.curve.name == "hilbert"
+    assert rebuilt.store_spec == StoreSpec("local")
+    assert rebuilt.result_cache is None
+
+
 def test_spec_is_picklable():
     import pickle
 
-    built = build_document_system(
+    built = grown(
         dims=2, n_nodes=8, n_keys=40, vocabulary_size=20, bits=8, seed=1
     )
     spec = SystemSpec.from_system(built.system)

@@ -1,5 +1,7 @@
 """Tests for the CLI and the report generator."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cli import main
@@ -53,15 +55,33 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "env,argv,expected",
+        [
+            ({"REPRO_CURVE": "bogus"}, ["demo"], "'gray', 'hilbert', 'onion', 'zorder', 'auto'"),
+            ({"REPRO_STORE": "bogus"}, ["demo"], "['local', 'sqlite']"),
+            ({}, ["run", "fig09", "--workers", "0"], "workers must be >= 1"),
+            ({}, ["run", "fig09", "--result-cache", "0"], "capacity must be >= 1"),
+        ],
+    )
+    def test_bad_setting_is_a_message_not_a_traceback(
+        self, monkeypatch, capsys, env, argv, expected
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1
+        assert expected in err and "Traceback" not in err
+
 
 class TestReportGenerator:
     def test_every_figure_has_checks_and_claims(self):
         from repro.experiments import EXTENSIONS, FIGURES
-        from repro.experiments.report import _PAPER_CLAIMS
 
-        everything = set(FIGURES) | set(EXTENSIONS)
-        assert set(SHAPE_CHECKS) == everything
-        assert set(_PAPER_CLAIMS) == everything
+        rows = {**FIGURES, **EXTENSIONS}
+        assert set(SHAPE_CHECKS) == set(rows)
+        assert all(row.id == name and row.title and row.claim for name, row in rows.items())
 
     def test_extension_report(self):
         text = generate_report(scale="small", figures=["extB"])
@@ -97,6 +117,24 @@ class TestReportGenerator:
         generate_report(scale="small", figures=["fig11", "fig09"])
         assert ran == ["fig11", "fig09"]  # the run's own fig09 is the one reused
 
+    def test_snapshot_cuts_the_run_s_own_sweep(self, monkeypatch):
+        from repro.experiments import figures, run_figure
+
+        sweeps = []
+        real = figures.growth_sweep
+
+        def counting(figure, *args, **kwargs):
+            sweeps.append(figure)
+            return real(figure, *args, **kwargs)
+
+        monkeypatch.setattr(figures, "growth_sweep", counting)
+        text = generate_report(scale="small", figures=["fig09", "fig10"])
+        assert sweeps == ["fig09"]
+        assert "## fig10" in text and "FAIL" not in text
+        alone = run_figure("fig10")  # no report around it: runs fig09 itself
+        assert sweeps == ["fig09", "fig09"]
+        assert alone.notes == ["snapshots at [(320, 6000), (540, 10000)] from fig09"]
+
     def test_not_monotone_needs_a_majority_of_sizes(self):
         from repro.experiments.report import _check_not_monotone
         from repro.experiments.runner import FigureResult
@@ -120,18 +158,15 @@ class TestReportGenerator:
 
 
 class TestCurveFlag:
-    @pytest.fixture(autouse=True)
-    def _reset_default_curve(self):
-        from repro.sfc import set_default_curve
+    def test_run_with_curve_flag(self, capsys, monkeypatch):
+        from repro import cli
+        from repro.config import current
 
-        yield
-        set_default_curve(None)
-
-    def test_run_with_curve_flag(self, capsys):
+        before, during = current(), []
+        monkeypatch.setattr(cli, "_cmd_run", lambda args: during.append(current()) or 0)
         assert main(["run", "fig18", "--scale", "small", "--curve", "onion"]) == 0
-        from repro.sfc import get_default_curve
-
-        assert get_default_curve() == "onion"
+        assert during == [replace(before, curve="onion")]
+        assert current() == before  # the flag does not outlive the command
 
     def test_rejects_unknown_curve(self):
         with pytest.raises(SystemExit):  # argparse choices

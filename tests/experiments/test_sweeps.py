@@ -1,13 +1,7 @@
-"""Unit tests for the sweep helpers behind the figure modules."""
+"""Unit tests for the sweep helpers behind the figure table."""
 
-import pytest
-
-from repro.experiments.runner import SCALES, FigureResult, ScalePreset
-from repro.experiments.sweeps import (
-    document_growth_sweep,
-    resource_growth_sweep,
-    snapshot_runs,
-)
+from repro.experiments.figures import documents, growth_sweep, resources, snapshot
+from repro.experiments.runner import ScalePreset
 from repro.keywords.query import Exact, Query, Wildcard
 from repro.workloads.queries import q1_queries, q3_full_range_queries
 
@@ -21,11 +15,11 @@ TINY = ScalePreset(
 
 class TestDocumentGrowthSweep:
     def test_rows_per_size_and_query(self):
-        result = document_growth_sweep(
+        result = growth_sweep(
             "figX",
             "unit test sweep",
-            dims=2,
             scale=TINY,
+            make_workload=documents(2),
             make_queries=lambda wl: q1_queries(wl, count=3, rng=0),
             seed=1,
         )
@@ -35,11 +29,11 @@ class TestDocumentGrowthSweep:
         assert sizes == list(TINY.node_counts)
 
     def test_queries_fixed_across_sizes(self):
-        result = document_growth_sweep(
+        result = growth_sweep(
             "figX",
             "t",
-            dims=2,
             scale=TINY,
+            make_workload=documents(2),
             make_queries=lambda wl: q1_queries(wl, count=2, rng=0),
             seed=2,
         )
@@ -50,11 +44,11 @@ class TestDocumentGrowthSweep:
         assert len(query_sets) == 1  # the same queries at every size
 
     def test_notes_mention_sweep(self):
-        result = document_growth_sweep(
+        result = growth_sweep(
             "figX",
             "t",
-            dims=2,
             scale=TINY,
+            make_workload=documents(2),
             make_queries=lambda wl: [Query((Exact(wl.keys[0][0]), Wildcard()))],
             seed=3,
         )
@@ -63,10 +57,11 @@ class TestDocumentGrowthSweep:
 
 class TestResourceGrowthSweep:
     def test_rows(self):
-        result = resource_growth_sweep(
+        result = growth_sweep(
             "figY",
             "unit resource sweep",
             scale=TINY,
+            make_workload=resources,
             make_queries=lambda wl: q3_full_range_queries(wl, count=2, rng=0),
             seed=4,
         )
@@ -76,27 +71,27 @@ class TestResourceGrowthSweep:
 
 class TestSnapshotRuns:
     def test_extracts_requested_sizes(self):
-        sweep = document_growth_sweep(
+        sweep = growth_sweep(
             "figX",
             "t",
-            dims=2,
             scale=TINY,
+            make_workload=documents(2),
             make_queries=lambda wl: q1_queries(wl, count=2, rng=0),
             seed=5,
         )
-        snap = snapshot_runs("figZ", "snapshot", sweep, [(30, 300), (60, 600)])
+        snap = snapshot("figZ", "snapshot", sweep, [(30, 300), (60, 600)])
         assert sorted({r["nodes"] for r in snap.rows}) == [30, 60]
         assert len(snap.rows) == 2 * 2
         assert snap.figure == "figZ"
 
     def test_missing_snapshot_size_yields_no_rows(self):
-        sweep = document_growth_sweep(
+        sweep = growth_sweep(
             "figX",
             "t",
-            dims=2,
             scale=TINY,
+            make_workload=documents(2),
             make_queries=lambda wl: q1_queries(wl, count=1, rng=0),
             seed=6,
         )
-        snap = snapshot_runs("figZ", "s", sweep, [(999, 999)])
+        snap = snapshot("figZ", "s", sweep, [(999, 999)])
         assert snap.rows == []

@@ -1,9 +1,10 @@
-"""The curve registry, process defaults, and the adaptive selector."""
+"""The curve registry, the default family, and the adaptive selector."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.config import Config, using
 from repro.errors import ConfigError
 from repro.keywords import KeywordSpace, WordDimension
 from repro.sfc import (
@@ -14,19 +15,18 @@ from repro.sfc import (
     MortonCurve,
     OnionCurve,
     Region,
-    get_default_curve,
     make_curve,
     sample_box_regions,
     select_curve,
-    set_default_curve,
 )
 from repro.sfc.select import _exactness_shift, _rescale_region
 
 
-@pytest.fixture(autouse=True)
-def _reset_default():
-    yield
-    set_default_curve(None)
+def create_system(**kwargs):
+    from repro.core.system import SquidSystem
+
+    space = KeywordSpace([WordDimension("a"), WordDimension("b")], bits=6)
+    return SquidSystem.create(space, n_nodes=5, seed=9, **kwargs)
 
 
 class TestRegistry:
@@ -58,48 +58,44 @@ class TestRegistry:
 
 
 class TestDefaults:
+    """What a system is built on when no ``curve=`` is given (``repro.config``)."""
+
     def test_builtin_default_is_hilbert(self, monkeypatch):
         monkeypatch.delenv("REPRO_CURVE", raising=False)
-        assert get_default_curve() == "hilbert"
+        assert isinstance(create_system().curve, HilbertCurve)
 
     def test_env_variable_selects_family(self, monkeypatch):
         monkeypatch.setenv("REPRO_CURVE", "onion")
-        assert get_default_curve() == "onion"
+        assert isinstance(create_system().curve, OnionCurve)
 
     def test_set_default_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CURVE", "zorder")
-        set_default_curve("gray")
-        assert get_default_curve() == "gray"
-        set_default_curve(None)  # reset: env visible again
-        assert get_default_curve() == "zorder"
+        with using(Config(curve="gray")):
+            assert isinstance(create_system().curve, GrayCurve)
+        assert isinstance(create_system().curve, MortonCurve)  # env visible again
 
     def test_set_default_validates(self):
-        with pytest.raises(ConfigError):
-            set_default_curve("bogus")
+        with using(Config(curve="bogus")), pytest.raises(ConfigError) as exc:
+            create_system()
+        for name in [*CURVES, "auto"]:  # every name the config accepts
+            assert name in str(exc.value)
 
     def test_set_default_accepts_auto(self):
-        set_default_curve("auto")
-        assert get_default_curve() == "auto"
+        with using(Config(curve="auto")):
+            assert create_system().curve.name in CURVES
 
-    def test_system_uses_default(self, monkeypatch):
-        from repro.core.system import SquidSystem
-
-        monkeypatch.delenv("REPRO_CURVE", raising=False)
-        space = KeywordSpace([WordDimension("a"), WordDimension("b")], bits=6)
-        set_default_curve("onion")
-        system = SquidSystem.create(space, n_nodes=4, seed=3)
-        assert isinstance(system.curve, OnionCurve)
+    def test_system_uses_default(self):
+        with using(Config(curve="onion")):
+            assert isinstance(create_system().curve, OnionCurve)
+        assert isinstance(create_system(curve="gray").curve, GrayCurve)
 
     def test_default_does_not_disturb_ring_ids(self, monkeypatch):
         """Switching the default family must not consume extra seed draws:
         node identifiers stay bit-identical across curve choices."""
-        from repro.core.system import SquidSystem
-
         monkeypatch.delenv("REPRO_CURVE", raising=False)
-        space = KeywordSpace([WordDimension("a"), WordDimension("b")], bits=6)
-        baseline = SquidSystem.create(space, n_nodes=5, seed=9)
-        set_default_curve("onion")
-        other = SquidSystem.create(space, n_nodes=5, seed=9)
+        baseline = create_system()
+        with using(Config(curve="onion")):
+            other = create_system()
         assert baseline.overlay.node_ids() == other.overlay.node_ids()
 
 

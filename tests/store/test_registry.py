@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+from repro.config import Config, using
 from repro.errors import ConfigError
 from repro.store import (
     REGISTRY,
@@ -15,16 +16,8 @@ from repro.store import (
     SQLiteStore,
     StoreSpec,
     as_spec,
-    get_default_store,
     get_store,
-    set_default_store,
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_default():
-    yield
-    set_default_store(None)
 
 
 def create_system(**kwargs):
@@ -64,31 +57,32 @@ class TestGetStore:
 
 
 class TestDefaults:
+    """What a system is built on when no ``store=`` is given (``repro.config``)."""
+
     def test_builtin_default_is_local(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        assert get_default_store() == "local"
+        assert create_system().store_spec == StoreSpec("local")
 
     def test_env_variable_selects_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "sqlite")
-        assert get_default_store() == "sqlite"
-        assert as_spec(None).name == "sqlite"
+        assert create_system().store_spec == StoreSpec("sqlite")
 
     def test_set_default_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "sqlite")
-        set_default_store("local")
-        assert get_default_store() == "local"
-        set_default_store(None)  # reset: env visible again
-        assert get_default_store() == "sqlite"
+        with using(Config(store="local")):
+            assert create_system().store_spec.name == "local"
+        assert create_system().store_spec.name == "sqlite"  # env visible again
 
     def test_set_default_validates(self):
-        with pytest.raises(ConfigError):
-            set_default_store("bogus")
+        with using(Config(store="bogus")), pytest.raises(ConfigError, match="bogus"):
+            create_system()
 
-    def test_system_create_uses_default(self, monkeypatch):
-        set_default_store("sqlite")
-        system = create_system()
+    def test_system_create_uses_default(self):
+        with using(Config(store="sqlite")):
+            system = create_system()
         assert system.store_spec.name == "sqlite"
         assert all(isinstance(s, SQLiteStore) for s in system.stores.values())
+        assert create_system(store="local").store_spec.name == "local"
 
 
 class TestDeletedBackend:

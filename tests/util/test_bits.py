@@ -5,22 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.bits import (
-    bit_at,
-    bit_length_ceil,
     bit_mask,
-    deinterleave_bits,
-    extract_dim_bits,
     gray_decode,
     gray_encode,
-    interleave_bits,
-    iter_bits_msb,
-    popcount,
-    reverse_bits,
     rotate_left,
     rotate_right,
-    set_bit,
     trailing_set_bits,
-    trailing_zero_bits,
 )
 
 
@@ -59,7 +49,7 @@ class TestGrayCode:
     @given(st.integers(min_value=0, max_value=2**32))
     def test_adjacent_codes_differ_one_bit(self, value):
         diff = gray_encode(value) ^ gray_encode(value + 1)
-        assert popcount(diff) == 1
+        assert bin(diff).count("1") == 1
 
     @given(st.integers(min_value=0, max_value=2**32))
     def test_step_flips_trailing_set_bit_position(self, value):
@@ -111,7 +101,7 @@ class TestRotations:
     def test_rotation_preserves_popcount(self):
         for value in range(16):
             for count in range(8):
-                assert popcount(rotate_left(value, count, 4)) == popcount(value)
+                assert bin(rotate_left(value, count, 4)).count("1") == bin(value).count("1")
 
     def test_value_too_wide_raises(self):
         with pytest.raises(ValueError):
@@ -128,69 +118,3 @@ class TestTrailingBits:
         assert trailing_set_bits(0b0111) == 3
         assert trailing_set_bits(0b1011) == 2
         assert trailing_set_bits(0b1000) == 0
-
-    def test_trailing_zero(self):
-        assert trailing_zero_bits(0b1000) == 3
-        assert trailing_zero_bits(1) == 0
-
-    def test_trailing_zero_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            trailing_zero_bits(0)
-
-
-class TestBitAccess:
-    def test_bit_at(self):
-        assert bit_at(0b0100, 2) == 1
-        assert bit_at(0b0100, 1) == 0
-
-    def test_set_bit(self):
-        assert set_bit(0b0000, 2, 1) == 0b0100
-        assert set_bit(0b0111, 1, 0) == 0b0101
-
-    def test_set_bit_rejects_bad_bit(self):
-        with pytest.raises(ValueError):
-            set_bit(0, 0, 2)
-
-    def test_iter_bits_msb(self):
-        assert list(iter_bits_msb(0b1010, 4)) == [1, 0, 1, 0]
-
-    def test_reverse_bits(self):
-        assert reverse_bits(0b1000, 4) == 0b0001
-        assert reverse_bits(0b1011, 4) == 0b1101
-
-    @given(st.integers(min_value=0, max_value=255))
-    def test_reverse_involution(self, value):
-        assert reverse_bits(reverse_bits(value, 8), 8) == value
-
-    def test_bit_length_ceil(self):
-        assert bit_length_ceil(0) == 0
-        assert bit_length_ceil(1) == 1
-        assert bit_length_ceil(8) == 4
-
-
-class TestInterleave:
-    def test_interleave_2d(self):
-        # x = 0b11, y = 0b00 -> groups (x_1 y_1)(x_0 y_0) = 10 10
-        assert interleave_bits((0b11, 0b00), 2) == 0b1010
-
-    def test_deinterleave_roundtrip_exhaustive_small(self):
-        for x in range(8):
-            for y in range(8):
-                idx = interleave_bits((x, y), 3)
-                assert deinterleave_bits(idx, 2, 3) == (x, y)
-
-    @given(
-        st.tuples(
-            st.integers(min_value=0, max_value=2**10 - 1),
-            st.integers(min_value=0, max_value=2**10 - 1),
-            st.integers(min_value=0, max_value=2**10 - 1),
-        )
-    )
-    def test_roundtrip_3d(self, coords):
-        idx = interleave_bits(coords, 10)
-        assert deinterleave_bits(idx, 3, 10) == coords
-
-    def test_extract_dim_bits(self):
-        idx = interleave_bits((0b101, 0b011), 3)
-        assert extract_dim_bits(idx, 0, 2, 3) == 0b101
-        assert extract_dim_bits(idx, 1, 2, 3) == 0b011
