@@ -40,11 +40,8 @@ Commands
     ``--max-shed-fraction``, finite percentiles) — the CI overload smoke.
 
 ``run`` and ``report`` accept ``--profile`` to time the hot SFC/engine
-phases and print the per-phase table after the run.  ``run``, ``report``,
-and ``replicate`` accept ``--workers N`` to execute query batches across N
-worker processes (results are identical for any N; only wall-clock time
-changes).  ``run`` and ``chaos`` accept
-``--store NAME`` (a name in ``repro.store.REGISTRY``) to select the
+phases and print the per-phase table after the run.  ``run`` and ``chaos``
+accept ``--store NAME`` (a name in ``repro.store.REGISTRY``) to select the
 node-store backend the systems are built on (results are identical for any
 backend; only throughput and memory change — see ``docs/storage.md``),
 ``--curve NAME`` (a name in ``repro.sfc.CURVES``, or ``auto``) to select the
@@ -92,7 +89,6 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument(
         "--profile", action="store_true", help="time hot phases and print the table"
     )
-    _add_workers_flag(run_p)
     _add_curve_flag(run_p)
     _add_store_flag(run_p)
     _add_result_cache_flag(run_p)
@@ -101,7 +97,6 @@ def main(argv: list[str] | None = None) -> int:
     repl_p.add_argument("figure", help="figure id, e.g. fig09")
     repl_p.add_argument("--scale", default="small", choices=["small", "medium", "full"])
     repl_p.add_argument("--seeds", default="1,2,3", help="comma-separated seeds")
-    _add_workers_flag(repl_p)
 
     rep_p = sub.add_parser("report", help="run all figures, emit markdown report")
     rep_p.add_argument("--scale", default="small", choices=["small", "medium", "full"])
@@ -110,7 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     rep_p.add_argument(
         "--profile", action="store_true", help="append a per-phase profile section"
     )
-    _add_workers_flag(rep_p)
 
     sub.add_parser("demo", help="end-to-end demonstration")
 
@@ -286,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
 
     flags = {
         field: getattr(args, field)
-        for field in ("curve", "store", "result_cache", "workers")
+        for field in ("curve", "store", "result_cache")
         if getattr(args, field, None) is not None
     }
     try:
@@ -317,16 +311,6 @@ def _dispatch(args) -> int:
     if args.command == "loadgen":
         return _cmd_loadgen(args)
     return 2  # pragma: no cover - argparse enforces the choices
-
-
-def _add_workers_flag(subparser) -> None:
-    subparser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for query batches (results identical for any N)",
-    )
 
 
 def _add_curve_flag(subparser) -> None:

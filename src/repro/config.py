@@ -1,19 +1,18 @@
 """The one place a default comes from.
 
-Four things have a default that the caller of ``SquidSystem.create(...)`` or
-``QueryPool(...)`` may leave unsaid: the curve family, the node-store
-backend, the result-cache capacity and the worker count.  Each resolves the
-same way — an explicit argument, else the innermost active :class:`Config`
-(:func:`using`; the CLI's ``--curve`` / ``--store`` / ``--result-cache`` /
-``--workers`` flags build one over :meth:`Config.from_env`), else the
-``REPRO_CURVE`` / ``REPRO_STORE`` environment variables read at the call,
-else the built-in value:
+Three things have a default that the caller of ``SquidSystem.create(...)``
+may leave unsaid: the curve family, the node-store backend and the
+result-cache capacity.  Each resolves the same way — an explicit argument,
+else the innermost active :class:`Config` (:func:`using`; the CLI's
+``--curve`` / ``--store`` / ``--result-cache`` flags build one over
+:meth:`Config.from_env`), else the ``REPRO_CURVE`` / ``REPRO_STORE``
+environment variables read at the call, else the built-in value:
 
 >>> Config()
-Config(curve='hilbert', store='local', result_cache=None, workers=1)
->>> with using(Config(curve="onion", workers=4)):
-...     current().curve, current().workers
-('onion', 4)
+Config(curve='hilbert', store='local', result_cache=None)
+>>> with using(Config(curve="onion", result_cache=8)):
+...     current().curve, current().result_cache
+('onion', 8)
 
 The two names are validated where they are resolved into objects
 (:func:`repro.sfc.make_curve`, :func:`repro.store.as_spec`), which raise a
@@ -35,7 +34,7 @@ __all__ = ["Config", "current", "using"]
 
 @dataclass(frozen=True)
 class Config:
-    """What a system or pool is built with where its caller does not say."""
+    """What a system is built with where its caller does not say."""
 
     #: Curve family name in ``repro.sfc.CURVES``, or ``"auto"``.
     curve: str = "hilbert"
@@ -43,12 +42,8 @@ class Config:
     store: str = "local"
     #: Capacity of the initiator-side result cache; ``None`` attaches none.
     result_cache: int | None = None
-    #: Worker processes a query batch is sharded across.
-    workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.result_cache is not None and self.result_cache < 1:
             raise ConfigError(
                 f"result cache capacity must be >= 1, got {self.result_cache}"

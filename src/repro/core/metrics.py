@@ -165,57 +165,6 @@ class QueryStats:
     def record_shed_branch(self, count: int = 1) -> None:
         self.shed_branches += count
 
-    # ------------------------------------------------------------------
-    # Reduction (batch execution)
-    # ------------------------------------------------------------------
-    def merge(self, other: "QueryStats") -> "QueryStats":
-        """Fold another query's statistics into this accumulator.
-
-        Node sets union, additive costs add, ``max_refinement_level`` and
-        ``completion_time`` take the maximum, ``time_to_first_match`` the
-        minimum, and ``plan_cache_hit`` becomes true if *any* merged query
-        hit the cache.  Merging is associative and order-insensitive (up to
-        the boolean), which makes a batch's stats independent of how its
-        chunks were distributed over workers.  Returns ``self``.
-        """
-        self.routing_nodes |= other.routing_nodes
-        self.processing_nodes |= other.processing_nodes
-        self.data_nodes |= other.data_nodes
-        self.messages += other.messages
-        self.hops += other.hops
-        self.clusters_processed += other.clusters_processed
-        self.pruned_branches += other.pruned_branches
-        self.aggregated_batches += other.aggregated_batches
-        self.aborted_in_flight += other.aborted_in_flight
-        self.retries += other.retries
-        self.failovers += other.failovers
-        self.messages_dropped += other.messages_dropped
-        self.messages_duplicated += other.messages_duplicated
-        self.lost_branches += other.lost_branches
-        self.shed_branches += other.shed_branches
-        self.max_refinement_level = max(
-            self.max_refinement_level, other.max_refinement_level
-        )
-        self.completion_time = max(self.completion_time, other.completion_time)
-        if other.time_to_first_match is not None:
-            if self.time_to_first_match is None:
-                self.time_to_first_match = other.time_to_first_match
-            else:
-                self.time_to_first_match = min(
-                    self.time_to_first_match, other.time_to_first_match
-                )
-        self.plan_cache_hit = self.plan_cache_hit or other.plan_cache_hit
-        self.result_cache_hit = self.result_cache_hit or other.result_cache_hit
-        return self
-
-    @classmethod
-    def reduce(cls, stats: "list[QueryStats] | Any") -> "QueryStats":
-        """Merge an iterable of per-query stats into one fresh accumulator."""
-        merged = cls()
-        for s in stats:
-            merged.merge(s)
-        return merged
-
     @property
     def routing_node_count(self) -> int:
         return len(self.routing_nodes)

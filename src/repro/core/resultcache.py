@@ -186,15 +186,6 @@ class ResultCache:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def spawn_empty(self) -> "ResultCache":
-        """A fresh cache with the same configuration and zeroed counters.
-
-        Used by :class:`~repro.exec.pool.QueryPool` to give every chunk its
-        own cache (mirroring the plan/route cache swap) so batch results are
-        bit-identical for any worker count.
-        """
-        return ResultCache(capacity=self.capacity, ttl=self.ttl, clock=self.clock)
-
     # ------------------------------------------------------------------
     # Lookup / install
     # ------------------------------------------------------------------

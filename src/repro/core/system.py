@@ -143,7 +143,7 @@ class SquidSystem:
             )
         self.overlay = overlay
         #: Recipe every per-node store is built from (initial ring and later
-        #: joins alike); picklable, so spawn workers rebuild the same backend.
+        #: joins alike).
         self.store_spec: StoreSpec = as_spec(store if store is not None else config.store)
         self.stores: dict[int, NodeStore] = {
             node_id: self.store_spec.create(node_id=node_id)
@@ -439,35 +439,6 @@ class SquidSystem:
         if filing is not None:
             key, alias = filing
             self.result_cache.put(key, result, bound, alias)
-
-    def query_many(
-        self,
-        queries: Iterable[Any],
-        workers: int | None = None,
-        seed: RandomLike = 0,
-        engine: QueryEngine | str | None = None,
-        origin: int | None = None,
-        limit: int | None = None,
-        priority: str | int | None = None,
-        chunk_size: int | None = None,
-    ):
-        """Resolve a batch of queries, optionally across worker processes.
-
-        Returns a :class:`~repro.exec.pool.BatchResult` with per-query
-        results in input order, a merged :class:`QueryStats`, and a merged
-        metrics snapshot.  Results are bit-identical for any ``workers``
-        value (``None`` uses :func:`repro.config.current`'s); only
-        wall-clock time changes.  ``seed`` feeds per-chunk RNG derivation,
-        replacing the system's own generator for the batch so batches are
-        reproducible regardless of prior query history.
-        """
-        from repro.exec.pool import QueryPool
-
-        pool = QueryPool(self, workers=workers, chunk_size=chunk_size)
-        return pool.run(
-            queries, seed=seed, engine=engine, origin=origin, limit=limit,
-            priority=priority,
-        )
 
     def _coerce_engine(self, engine: QueryEngine | str | None) -> QueryEngine:
         if engine is None:

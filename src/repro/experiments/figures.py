@@ -30,7 +30,7 @@ from repro.core.loadbalance import grow_with_join_lb, run_neighbor_balancing
 from repro.core.system import SquidSystem
 from repro.experiments.runner import FigureResult, FigureRow, ScalePreset
 from repro.keywords.query import Query
-from repro.util.rng import RandomLike, as_generator
+from repro.util.rng import as_generator
 from repro.util.stats import coefficient_of_variation, gini_coefficient
 from repro.workloads.documents import DocumentWorkload
 from repro.workloads.queries import (
@@ -94,20 +94,18 @@ def grow_system(
 def sweep_queries(
     system: SquidSystem,
     queries: Sequence[Query],
-    seed: RandomLike = 0,
+    gen: np.random.Generator,
     extra: dict | None = None,
-    workers: int | None = None,
 ) -> list[dict]:
-    """Run each query once from a random origin; one metrics row per query.
-
-    Queries execute through :meth:`SquidSystem.query_many`, so sweeps
-    parallelize across worker processes (``workers=None`` follows
-    :func:`repro.config.current`, which the CLI ``--workers`` flag sets).
-    Rows are identical for any worker count.
-    """
-    batch = system.query_many(queries, workers=workers, seed=seed)
+    """Run each query once from a random origin; one metrics row per query."""
+    # The recorded rows (tests/experiments/figures_golden.json) depend on
+    # this draw: one integer from ``gen`` seeds the generator of every origin.
+    rng = np.random.default_rng(
+        np.random.SeedSequence(int(gen.integers(0, 2**63 - 1)), spawn_key=(0,))
+    )
+    results = [system.query(query, rng=rng) for query in queries]
     rows = []
-    for i, (query, result) in enumerate(zip(queries, batch.results)):
+    for i, (query, result) in enumerate(zip(queries, results)):
         row = {"query": str(query), "query_id": f"query{i + 1}", "matches": result.match_count}
         row.update(result.stats.as_row())
         if extra:
@@ -169,7 +167,7 @@ def growth_sweep(
         system = grow_system(workload, n_nodes, n_keys, gen)
         result.rows.extend(
             sweep_queries(
-                system, queries, seed=gen, extra={"nodes": n_nodes, "keys": n_keys}
+                system, queries, gen, extra={"nodes": n_nodes, "keys": n_keys}
             )
         )
     result.notes.append(note.format(count=len(queries), sizes=scale.node_counts))

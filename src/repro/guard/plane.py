@@ -29,10 +29,10 @@ Accounting is conservative and explicit: transports call
 :meth:`GuardPlane.note_posted` when they enqueue an entry,
 :meth:`GuardPlane.admit` when a node is about to process it, and
 :meth:`GuardPlane.note_abandoned` for entries discarded unprocessed
-(discovery-limit early stop, stale envelopes), so the pending gauge does
-not drift.  ``guard.*`` metrics are emitted only when a guard actually
-trips, keeping zero-overload metric registries byte-identical to
-unguarded runs.
+(discovery-limit early stop, stale envelopes, a served run cancelled or
+failing mid-flight), so the pending gauge does not drift.  ``guard.*``
+metrics are emitted only when a guard actually trips, keeping
+zero-overload metric registries byte-identical to unguarded runs.
 """
 
 from __future__ import annotations
@@ -235,9 +235,7 @@ class GuardPlane:
     One plane instance is shared by every run of the engine(s) it is
     attached to, so the pending gauges see *concurrent* load — that is
     the point.  The plane is single-threaded state (asyncio or the sync
-    pump); under the multiprocess :class:`~repro.exec.pool.QueryPool`
-    each worker holds its own forked copy, so guard studies should run
-    with ``workers=1`` (the same caveat as the fault plane).
+    pump).
     """
 
     def __init__(self, config: GuardConfig | None = None) -> None:

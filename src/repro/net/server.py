@@ -361,7 +361,7 @@ class QueryServer:
             return b"200 OK", self.stats(), {}
         if method == "GET" and path == "/metrics":
             reg = obs_metrics.active()
-            return b"200 OK", (dict(reg.snapshot()) if reg is not None else {}), {}
+            return b"200 OK", (reg.snapshot() if reg is not None else {}), {}
         if method == "POST" and path == "/query":
             return await self._handle_query(body)
         return b"404 Not Found", {"error": f"no route {method} {path}"}, {}

@@ -32,9 +32,11 @@ when it arrives, and what runs concurrently.
     entries.
 
     An armed :class:`~repro.guard.GuardPlane` hears ``note_posted`` for
-    every enqueue, and every envelope is either admitted by the engine's
-    ``process_message`` or handed back with ``note_abandoned`` (stale
-    arrivals, discovery-stop leftovers): its per-node gauge stays exact.
+    every completed enqueue, and every envelope is either admitted by the
+    engine's ``process_message`` (asking the guard is a visit's first step)
+    or handed back with ``note_abandoned``: a stale arrival, or an entry
+    its driver left in the reorder buffer on stopping early, being cancelled
+    or raising.  Its per-node gauge stays exact.
 
 Both transports take :meth:`SquidSystem.query`'s result-cache fast path, so
 a served query hits the initiator-side cache exactly when a local call would.
@@ -289,13 +291,22 @@ class AsyncioTransport(Transport):
             # unknown runs are dropped (abandoned discovery-mode branches),
             # so nothing leaks into a later run.
             self._runs.pop(qid, None)
+            guard = run.guard
+            if guard is not None:
+                # However the driver left — done, discovery stop, cancelled
+                # or raising — what it leaves parked will never be processed.
+                # Envelopes still queued or on a wire are handed back when
+                # they arrive stale.
+                for entry in state.buffer.values():
+                    guard.note_abandoned(self.engine.entry_node(run, entry))
 
     async def _post(self, state: _RunState, qid: int, run: "EngineRun") -> None:
         """Envelope and enqueue everything the engine just posted.
 
         Envelopes lead with the run's priority rank so a node's wire takes
         interactive work first; the guard plane (when armed) is told about
-        every enqueue so per-node backlog is observable before admission.
+        every enqueue so per-node backlog is observable before admission —
+        once the put is done, since a full inbox's put can be cancelled.
         """
         engine = self.engine
         guard = run.guard
@@ -306,12 +317,12 @@ class AsyncioTransport(Transport):
             state.next_seq += 1
             state.pending += 1
             dest = engine.entry_node(run, entry)
-            if guard is not None:
-                guard.note_posted(dest)
             box = inboxes.get(dest)
             if box is None:
                 box = inboxes[dest] = _Inbox(maxsize=self.inbox_capacity)
             await box.put((rank, next(self._order), qid, seq, entry))
+            if guard is not None:
+                guard.note_posted(dest)
             if box.wire is None:
                 self._send(dest, box)
 
@@ -342,13 +353,6 @@ class AsyncioTransport(Transport):
                 # Discovery-mode stop: the entries still pending are the
                 # abandoned in-flight branches drive_sync would count.
                 run.stats.aborted_in_flight = state.pending
-                guard = run.guard
-                if guard is not None:
-                    # Buffered-but-unprocessed entries are abandoned here;
-                    # those still queued or on a wire are handed back when
-                    # they arrive stale.
-                    for buffered in buffer.values():
-                        guard.note_abandoned(engine.entry_node(run, buffered))
                 break
             await self._post(state, qid, run)
             streak += 1

@@ -19,11 +19,9 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    RegistrySnapshot,
     active,
     collecting,
     get_registry,
-    merge_snapshots,
     set_registry,
 )
 from repro.obs.profile import (
@@ -62,8 +60,6 @@ __all__ = [
     "NodeJoined",
     "NodeLeft",
     "MetricsRegistry",
-    "RegistrySnapshot",
-    "merge_snapshots",
     "Counter",
     "Gauge",
     "Histogram",

@@ -25,28 +25,19 @@ or, scoped::
 
 Snapshots are plain nested dictionaries with sorted keys: two identical
 (seeded) runs produce byte-identical snapshots, which tests rely on.
-
-Snapshots are also *mergeable*: :meth:`RegistrySnapshot.merge` combines the
-metrics of independent runs (counters and histogram buckets add, gauges
-take the right-hand value, histogram min/max widen), which is how the
-parallel query pool (:mod:`repro.exec`) reduces per-worker registries into
-one report.  Merging is associative, so any grouping of workers produces
-the same totals.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "RegistrySnapshot",
-    "merge_snapshots",
     "set_registry",
     "get_registry",
     "active",
@@ -139,70 +130,6 @@ class Histogram:
         return f"Histogram({self.name}, count={self.count}, mean={self.mean:.2f})"
 
 
-class RegistrySnapshot(dict):
-    """One registry's metrics as a nested dict, plus merge semantics.
-
-    A plain ``dict`` subclass (``{"counters": ..., "gauges": ...,
-    "histograms": ...}``) so existing snapshot consumers keep working;
-    :meth:`merge` adds the combination rules used to reduce per-worker
-    registries into a single report:
-
-    * **counters** — summed;
-    * **gauges** — the right-hand (later) snapshot wins, mirroring the
-      registry's own last-write-wins rule;
-    * **histograms** — bucket counts, ``count`` and ``sum`` add; ``min``
-      and ``max`` widen (``None``-aware).
-
-    Merging is associative and the key order of the result is sorted, so
-    reducing worker snapshots in chunk order is deterministic regardless
-    of how many workers produced them.
-    """
-
-    @staticmethod
-    def _merge_histogram(left: dict[str, Any], right: dict[str, Any]) -> dict[str, Any]:
-        buckets = dict(left["buckets"])
-        for label, count in right["buckets"].items():
-            buckets[label] = buckets.get(label, 0) + count
-        mins = [m for m in (left["min"], right["min"]) if m is not None]
-        maxes = [m for m in (left["max"], right["max"]) if m is not None]
-        return {
-            "count": left["count"] + right["count"],
-            "sum": left["sum"] + right["sum"],
-            "min": min(mins) if mins else None,
-            "max": max(maxes) if maxes else None,
-            "buckets": buckets,
-        }
-
-    def merge(self, other: dict[str, Any]) -> "RegistrySnapshot":
-        """A new snapshot combining ``self`` with ``other`` (see class doc)."""
-        counters = dict(self.get("counters", {}))
-        for name, value in other.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        gauges = dict(self.get("gauges", {}))
-        gauges.update(other.get("gauges", {}))
-        histograms = {n: dict(h, buckets=dict(h["buckets"])) for n, h in self.get("histograms", {}).items()}
-        for name, hist in other.get("histograms", {}).items():
-            if name in histograms:
-                histograms[name] = self._merge_histogram(histograms[name], hist)
-            else:
-                histograms[name] = dict(hist, buckets=dict(hist["buckets"]))
-        return RegistrySnapshot(
-            {
-                "counters": dict(sorted(counters.items())),
-                "gauges": dict(sorted(gauges.items())),
-                "histograms": dict(sorted(histograms.items())),
-            }
-        )
-
-
-def merge_snapshots(snapshots: Iterable[dict[str, Any]]) -> RegistrySnapshot:
-    """Reduce an iterable of snapshots into one (order matters for gauges)."""
-    merged = RegistrySnapshot({"counters": {}, "gauges": {}, "histograms": {}})
-    for snap in snapshots:
-        merged = merged.merge(snap)
-    return merged
-
-
 class MetricsRegistry:
     """Named counters/gauges/histograms with deterministic snapshots."""
 
@@ -233,57 +160,15 @@ class MetricsRegistry:
         return histogram
 
     # -- reporting -------------------------------------------------------
-    def snapshot(self) -> RegistrySnapshot:
-        """All metrics as a nested dict with sorted keys (deterministic).
-
-        The returned :class:`RegistrySnapshot` is a ``dict`` subclass, so
-        it indexes and compares exactly like the plain dictionaries earlier
-        versions returned, and additionally supports :meth:`RegistrySnapshot.merge`.
-        """
-        return RegistrySnapshot(
-            {
-                "counters": {n: c.value for n, c in sorted(self._counters.items())},
-                "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-                "histograms": {
-                    n: h.snapshot() for n, h in sorted(self._histograms.items())
-                },
-            }
-        )
-
-    def merge_snapshot(self, snap: dict[str, Any]) -> None:
-        """Fold a snapshot's totals into this live registry.
-
-        Used to surface a parallel batch's merged worker metrics in the
-        caller's active registry: counters increment, gauges overwrite, and
-        histogram buckets are replayed (bucket bounds are recovered from
-        the snapshot's ``<=B`` labels, so only histograms snapshotted by
-        this module merge back).
-        """
-        for name, value in snap.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snap.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, hist in snap.get("histograms", {}).items():
-            labels = [b for b in hist["buckets"] if b != "inf"]
-            bounds = tuple(float(label[2:]) for label in labels)
-            target = self.histogram(name, bounds or DEFAULT_BUCKETS)
-            if tuple(f"<={b:g}" for b in target.bounds) != tuple(labels):
-                raise ValueError(
-                    f"histogram {name!r} bucket bounds differ from the snapshot's"
-                )
-            for pos, label in enumerate(list(labels) + ["inf"]):
-                target.bucket_counts[pos] += hist["buckets"][label]
-            target.count += hist["count"]
-            target.total += hist["sum"]
-            for bound_attr, pick in (("min", min), ("max", max)):
-                incoming = hist[bound_attr]
-                if incoming is not None:
-                    current = getattr(target, bound_attr)
-                    setattr(
-                        target,
-                        bound_attr,
-                        incoming if current is None else pick(current, incoming),
-                    )
+    def snapshot(self) -> dict[str, Any]:
+        """All metrics as a nested dict with sorted keys (deterministic)."""
+        return {
+            "counters": {n: c.value for n, c in sorted(self._counters.items())},
+            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
+            "histograms": {
+                n: h.snapshot() for n, h in sorted(self._histograms.items())
+            },
+        }
 
     def to_text(self) -> str:
         """Aligned one-metric-per-line rendering of a snapshot."""

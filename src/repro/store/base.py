@@ -92,10 +92,8 @@ class StoreStats:
 
 @dataclass(frozen=True)
 class StoreSpec:
-    """A picklable recipe for building a store: registry name + options.
+    """A recipe for building a store: registry name + options.
 
-    :class:`~repro.exec.spec.SystemSpec` carries one of these so spawn-started
-    workers rebuild the same backend the parent used;
     :class:`~repro.core.system.SquidSystem` and
     :class:`~repro.core.replication.ReplicationManager` create every per-node
     store through it.
@@ -287,8 +285,7 @@ class NodeStore(ABC):
         """The full contents in scan order, as a picklable list.
 
         ``restore(snapshot())`` on any backend rebuilds a scan-identical
-        store — the replication and spawn-rebuild paths rely on snapshots
-        being backend-portable.
+        store: snapshots are backend-portable.
         """
         return list(self.all_elements())
 

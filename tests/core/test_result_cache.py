@@ -125,15 +125,6 @@ class TestCacheUnit:
         with pytest.raises(ValueError):
             ResultCache(ttl=0)
 
-    def test_spawn_empty_copies_config_only(self):
-        ticks = [3]
-        cache = ResultCache(capacity=5, ttl=2.5, clock=lambda: ticks[0])
-        cache.hits = 9
-        spawned = cache.spawn_empty()
-        assert (spawned.capacity, spawned.ttl) == (5, 2.5)
-        assert spawned.clock is cache.clock
-        assert spawned.hits == 0 and len(spawned) == 0
-
     def test_result_key_separates_engines_params_and_query_text(self):
         system = build_system()
         q = system.space.as_query("(computer, *)")

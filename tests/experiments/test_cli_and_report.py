@@ -60,7 +60,6 @@ class TestCli:
         [
             ({"REPRO_CURVE": "bogus"}, ["demo"], "'gray', 'hilbert', 'onion', 'zorder', 'auto'"),
             ({"REPRO_STORE": "bogus"}, ["demo"], "['local', 'sqlite']"),
-            ({}, ["run", "fig09", "--workers", "0"], "workers must be >= 1"),
             ({}, ["run", "fig09", "--result-cache", "0"], "capacity must be >= 1"),
         ],
     )

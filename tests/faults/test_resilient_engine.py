@@ -9,10 +9,9 @@ marked ``complete=False`` with the unreached index ranges accounted in
 """
 
 import numpy as np
-import pytest
 
 from repro.core.engine import OptimizedEngine
-from repro.core.metrics import QueryStats, merge_index_ranges
+from repro.core.metrics import merge_index_ranges
 from repro.core.replication import ReplicationManager
 from repro.faults import FaultConfig, FaultPlane, RetryPolicy
 from tests.core.conftest import fresh_storage_system
@@ -197,36 +196,8 @@ class TestTraceUnderFaults:
 
 
 class TestStatsPlumbing:
-    def test_merge_sums_resilience_counters(self):
-        a, b = QueryStats(), QueryStats()
-        a.record_retry(), a.record_dropped(), a.record_lost_branch()
-        b.record_retry(), b.record_failover(), b.record_duplicate()
-        merged = a.merge(b)
-        assert merged.retries == 2
-        assert merged.failovers == 1
-        assert merged.messages_dropped == 1
-        assert merged.messages_duplicated == 1
-        assert merged.lost_branches == 1
-        for key in (
-            "retries", "failovers", "messages_dropped",
-            "messages_duplicated", "lost_branches",
-        ):
-            assert key in merged.as_dict()
-
     def test_merge_index_ranges(self):
         assert merge_index_ranges([]) == ()
         assert merge_index_ranges([(5, 9), (0, 2)]) == ((0, 2), (5, 9))
         assert merge_index_ranges([(0, 3), (4, 6), (10, 12)]) == ((0, 6), (10, 12))
         assert merge_index_ranges([(0, 5), (2, 8), (8, 9)]) == ((0, 9),)
-
-    def test_batch_incomplete_count(self):
-        system = fresh_storage_system(n_nodes=32, n_keys=300, seed=1)
-        clean = system.query_many(QUERIES, workers=1, seed=0)
-        assert clean.incomplete_count() == 0
-        plane = FaultPlane(FaultConfig(drop_rate=0.3, seed=7))
-        engine = OptimizedEngine(fault_plane=plane)
-        lossy = system.query_many(QUERIES, workers=1, seed=0, engine=engine)
-        assert lossy.incomplete_count() > 0
-        assert lossy.incomplete_count() == sum(
-            1 for r in lossy.results if not r.complete
-        )

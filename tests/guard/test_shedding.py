@@ -201,29 +201,6 @@ class TestPriorityThreading:
         with pytest.raises(GuardError):
             system.query(SHED_QUERY, rng=0, priority="urgent")
 
-    def test_query_many_accepts_priority_and_stays_identical(self):
-        """Unguarded batches are priority-inert: any class, same results."""
-        system = _build_system()
-        queries = [SHED_QUERY, "(comp*, *)"]
-        ref = system.query_many(queries, workers=1, seed=3)
-        batch = system.query_many(queries, workers=1, seed=3,
-                                  priority="background")
-        for a, b in zip(ref.results, batch.results):
-            assert sorted(e.payload for e in a.matches) == sorted(
-                e.payload for e in b.matches
-            )
-            assert a.stats.as_dict() == b.stats.as_dict()
-
-    def test_query_many_merges_shed_branches(self):
-        """A guarded batch engine's sheds survive the stats merge."""
-        system = _build_system()
-        engine = OptimizedEngine(guard=GuardPlane(GuardConfig(**AGGRESSIVE)))
-        batch = system.query_many(
-            [SHED_QUERY], workers=1, seed=3, engine=engine, priority="batch",
-        )
-        assert batch.stats.shed_branches > 0
-        assert batch.stats.as_dict()["shed_branches"] > 0
-
 
 def test_idle_guard_preserves_fault_rng_stream():
     """The guard consumes no RNG: fault decisions are unchanged.

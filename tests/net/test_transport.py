@@ -17,6 +17,8 @@ import json
 
 import pytest
 
+from repro.core.engine import OptimizedEngine
+from repro.guard import GuardConfig, GuardPlane
 from repro.net import (
     AsyncioTransport,
     SyncTransport,
@@ -370,3 +372,78 @@ def test_close_with_envelopes_on_the_wire():
             await task
 
     asyncio.run(main())
+
+
+# ----------------------------------------------------------------------
+# The guard plane's pending gauge when a served run ends early
+# ----------------------------------------------------------------------
+def _guarded_system():
+    """The demo system on an engine with an armed guard that never sheds."""
+    guard = GuardPlane(GuardConfig(queue_high=10**6))
+    engine = OptimizedEngine(guard=guard)
+    return build_demo_system(n_nodes=64, n_docs=2_000, engine=engine), guard
+
+
+def _pending(system, guard) -> dict[int, int]:
+    return {n: guard.pending(n) for n in system.overlay.node_ids() if guard.pending(n)}
+
+
+def test_a_raising_run_hands_its_buffered_entries_back():
+    """At zero delay a visit's fan-out is parked in the reorder buffer as it
+    is posted.  When the second visit's store scan raises — after its node
+    admitted the entry — the siblings parked behind it are never processed
+    and must leave the gauge with the run."""
+    system, guard = _guarded_system()
+    engine = system.default_engine
+    scan, calls = engine._scan_cluster, []
+
+    def failing_scan(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("scan failed")
+        return scan(*args)
+
+    engine._scan_cluster = failing_scan
+
+    async def main():
+        async with AsyncioTransport(system) as transport:
+            with pytest.raises(RuntimeError, match="scan failed"):
+                await transport.submit("(comp*, *)", origin=system.overlay.node_ids()[0])
+            assert transport.inflight == 0
+
+    asyncio.run(main())
+    assert len(calls) == 2
+    assert _pending(system, guard) == {}
+    assert guard.stats.abandoned >= 1
+
+
+@pytest.mark.parametrize(
+    "inbox_capacity,every",
+    [(2, 0.001), (128, 0.003)],
+    ids=["waiting-in-put", "entries-parked"],
+)
+def test_cancelled_runs_leave_no_pending_entries(inbox_capacity, every):
+    """Forty broad runs whose first envelopes all queue at one node,
+    cancelled one by one.  Cancelled every half wire delay behind two-slot
+    inboxes, the drivers wait in a full inbox's ``put`` (an entry is noted
+    only once its put is done); every one and a half, they wait for an
+    arrival with later entries parked (handed back as the driver unwinds).
+    What is queued or on a wire is handed back as it lands stale."""
+    system, guard = _guarded_system()
+
+    async def main():
+        async with AsyncioTransport(
+            system, inbox_capacity=inbox_capacity, per_message_delay=0.002
+        ) as transport:
+            tasks = [asyncio.ensure_future(transport.submit("(*, *)")) for _ in range(40)]
+            for task in tasks:
+                await asyncio.sleep(every)
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            assert transport.inflight == 0
+            boxes = transport._inboxes.values()
+            while any(box.wire is not None or not box.empty() for box in boxes):
+                await asyncio.sleep(0.005)
+
+    asyncio.run(asyncio.wait_for(main(), timeout=30))
+    assert _pending(system, guard) == {}

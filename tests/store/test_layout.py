@@ -19,7 +19,6 @@ import pytest
 from repro import CategoricalDimension, KeywordSpace, SquidSystem, WordDimension
 from repro.core.replication import ReplicationManager
 from repro.core.snapshot import load_system, save_system
-from repro.exec.spec import SystemSpec
 from repro.store import StoredElement
 
 
@@ -122,15 +121,10 @@ def test_a_keyword_is_stored_once(backend, tmp_path):
     assert sum(len(store) for store in system.stores.values()) == 1001
     _assert_shared(system, vocabulary, replication)
 
-    # Rebuilds: a JSON snapshot re-validates every key; a spec carries the
-    # elements themselves, pickled for spawn-started workers (whose words
-    # are then shared among the rebuilt elements, not with the intern table).
+    # A rebuild from a JSON snapshot re-validates every key.
     path = tmp_path / "system.json"
     save_system(system, path)
     _assert_shared(load_system(path), vocabulary)
-    spec = SystemSpec.from_system(system)
-    _assert_shared(spec.build(), vocabulary)
-    _assert_shared(pickle.loads(pickle.dumps(spec)).build(), vocabulary)
 
 
 def test_validate_returns_the_canonical_object():

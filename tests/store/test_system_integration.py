@@ -1,7 +1,7 @@
 """Backend-swap integration: the system behaves identically on any store.
 
 The data plane is below every observable surface — query results, stats,
-replication recovery, spawn rebuilds.  These tests run the same seeded
+replication recovery.  These tests run the same seeded
 workload per backend and require the outputs to be *identical*, not merely
 equivalent: matching payload lists in matching order, equal stats dicts.
 """
@@ -77,21 +77,6 @@ class TestQueryEquivalence:
             result = system.query("(*, 100-600)", origin=system.overlay.node_ids()[0])
             assert result.matches, backend
             assert all(id(e) in published for e in result.matches), backend
-
-
-class TestSpawnRebuild:
-    def test_system_spec_carries_store_and_rebuilds_it(self):
-        from repro.exec.spec import SystemSpec
-
-        for backend in BACKENDS:
-            system = build_system(backend, n_docs=60)
-            spec = SystemSpec.from_system(system)
-            assert spec.store == system.store_spec
-            rebuilt = spec.build()
-            assert rebuilt.store_spec.name == backend
-            a = run_workload(system, "optimized")
-            b = run_workload(rebuilt, "optimized")
-            assert a[0] == b[0], backend  # same payloads, same order
 
 
 class TestReplicationAcrossBackends:

@@ -4,8 +4,7 @@ The mechanism is tested here — built-in < environment < active config <
 explicit flag, per field, and that an active config never outlives its
 scope.  That each consumer *honours* the value it is handed is tested beside
 the consumer (``tests/sfc/test_select.py``, ``tests/store/test_registry.py``,
-``tests/core/test_result_cache.py``, ``tests/exec/test_pool.py``,
-``tests/exec/test_spec.py``).
+``tests/core/test_result_cache.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro import cli
 from repro.config import Config, current, using
 from repro.errors import ConfigError
 
-BUILT_IN = Config(curve="hilbert", store="local", result_cache=None, workers=1)
+BUILT_IN = Config(curve="hilbert", store="local", result_cache=None)
 
 
 @pytest.fixture(autouse=True)
@@ -31,10 +30,10 @@ def clean_environment(monkeypatch):
 
 
 class TestLadder:
-    def test_built_in_values_and_exactly_four_fields(self):
+    def test_built_in_values_and_exactly_three_fields(self):
         assert Config() == Config.from_env() == current() == BUILT_IN
         assert [f.name for f in dataclasses.fields(Config)] == [
-            "curve", "store", "result_cache", "workers",
+            "curve", "store", "result_cache",
         ]
 
     def test_environment_is_read_at_the_call(self, monkeypatch):
@@ -59,7 +58,6 @@ class TestLadder:
             ("--curve", "curve", "zorder"),
             ("--store", "store", "sqlite"),
             ("--result-cache", "result_cache", 16),
-            ("--workers", "workers", 3),
         ],
     )
     def test_flag_beats_environment_beats_built_in(self, monkeypatch, flag, field, value):
@@ -75,7 +73,7 @@ class TestLadder:
 
 class TestUsing:
     def test_nests_and_restores(self):
-        outer, inner = Config(workers=2), Config(workers=3)
+        outer, inner = Config(result_cache=2), Config(result_cache=3)
         with using(outer):
             with using(inner):
                 assert current() is inner
@@ -90,27 +88,26 @@ class TestUsing:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("bad", [{"workers": 0}, {"workers": -2}, {"result_cache": 0}])
+    @pytest.mark.parametrize("bad", [{"result_cache": 0}, {"result_cache": -2}])
     def test_bounds(self, bad):
         with pytest.raises(ConfigError, match=">= 1"):
             Config(**bad)
 
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            Config().workers = 4
+            Config().curve = "onion"
 
 
 class TestOnlyOne:
     """Nothing else under ``src/`` reads the environment or keeps a
     process-wide setting: ambient state is ``repro.config`` plus the scoped
-    observers of ``repro.obs`` and the pool's per-worker system."""
+    observers of ``repro.obs``.  And everything runs in one process."""
 
     SRC = Path(repro.__file__).resolve().parent
     GLOBALS_ALLOWED = {
         "config.py": {"_ACTIVE"},
         "obs/metrics.py": {"_REGISTRY"},
         "obs/profile.py": {"_PROFILER"},
-        "exec/pool.py": {"_WORKER_SYSTEM"},
     }
 
     def modules(self):
@@ -128,7 +125,7 @@ class TestOnlyOne:
         ]
         assert readers == ["config.py"]
 
-    def test_global_statements_are_the_known_four(self):
+    def test_global_statements_are_the_known_three(self):
         found = {}
         for name, tree in self.modules():
             names = {
@@ -140,3 +137,19 @@ class TestOnlyOne:
             if names:
                 found[name] = names
         assert found == self.GLOBALS_ALLOWED
+
+    def test_nothing_imports_a_process_pool(self):
+        def imported(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    yield from (alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    yield node.module
+
+        pooled = [
+            f"{name}: {module}"
+            for name, tree in self.modules()
+            for module in imported(tree)
+            if module.split(".")[0] in ("multiprocessing", "concurrent")
+        ]
+        assert pooled == []

@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import repro.config
 import repro.core.system
 import repro.keywords.query
 import repro.util.bits
@@ -11,7 +12,7 @@ import repro.util.bits
 
 @pytest.mark.parametrize(
     "module",
-    [repro.util.bits, repro.keywords.query, repro.core.system],
+    [repro.util.bits, repro.keywords.query, repro.core.system, repro.config],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):

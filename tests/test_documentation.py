@@ -81,7 +81,9 @@ class TestRepoDocuments:
         documents resolves against the repo root or the referencing file's
         own directory (``internals.md`` inside ``docs/``); so does every
         ``*.py`` path that names a directory, which may also start at
-        ``src/`` or ``src/repro/`` (bare ``engine.py`` shorthand is exempt)."""
+        ``src/`` or ``src/repro/`` (bare ``engine.py`` shorthand is exempt).
+        Every back-ticked dotted ``repro.…`` name is a module, or an
+        attribute reached from the longest importable prefix."""
         generated = {"perf/out/report.json"}  # written by perf/run.py
         documents = [
             REPO_ROOT / name
@@ -97,14 +99,34 @@ class TestRepoDocuments:
                 roots += [REPO_ROOT / "src", REPO_ROOT / "src" / "repro"]
             return any((root / ref).exists() for root in roots)
 
-        dangling = [
-            f"{doc.relative_to(REPO_ROOT)}: {ref}"
-            for doc in documents
-            for ref in re.findall(
-                r"`([\w.\-/]+\.(?:md|json|yml|py))`", doc.read_text(encoding="utf-8")
-            )
-            if ref not in generated and not resolves(doc, ref)
-        ]
+        def names_something(dotted):
+            parts = dotted.split(".")
+            for cut in range(len(parts), 0, -1):
+                try:
+                    obj = importlib.import_module(".".join(parts[:cut]))
+                except ImportError:
+                    continue
+                for attr in parts[cut:]:
+                    if not hasattr(obj, attr):
+                        return False
+                    obj = getattr(obj, attr)
+                return True
+            return False
+
+        dangling = []
+        for doc in documents:
+            text = doc.read_text(encoding="utf-8")
+            where = doc.relative_to(REPO_ROOT)
+            dangling += [
+                f"{where}: {ref}"
+                for ref in re.findall(r"`([\w.\-/]+\.(?:md|json|yml|py))`", text)
+                if ref not in generated and not resolves(doc, ref)
+            ]
+            dangling += [
+                f"{where}: {name}"
+                for name in re.findall(r"`(repro(?:\.\w+)+)`", text)
+                if not names_something(name)
+            ]
         assert not dangling, dangling
 
     def test_design_covers_every_figure(self):
