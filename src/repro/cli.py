@@ -40,17 +40,19 @@ Commands
     ``--max-shed-fraction``, finite percentiles) — the CI overload smoke.
 
 ``run`` and ``report`` accept ``--profile`` to time the hot SFC/engine
-phases and print the per-phase table after the run.  ``run`` and ``chaos``
-accept ``--store NAME`` (a name in ``repro.store.REGISTRY``) to select the
-node-store backend the systems are built on (results are identical for any
-backend; only throughput and memory change — see ``docs/storage.md``),
-``--curve NAME`` (a name in ``repro.sfc.CURVES``, or ``auto``) to select the
-space-filling curve family (answers are identical for any curve; message
-costs differ — ``auto`` picks the cheapest for a sampled workload, see
-``docs/performance.md``), and
-``--result-cache N`` to attach an initiator-side result cache of capacity
-N to every system built during the command (match sets are identical with
-or without it; see ``docs/performance.md`` §7).  The flags given are laid
+phases and print the per-phase table after the run.  ``run``, ``chaos``,
+``serve`` and ``loadgen`` accept ``--store NAME`` (a name in ``repro.store.REGISTRY``)
+to select the node-store backend the systems are built on (results are
+identical for any backend; only throughput and memory change — see
+``docs/storage.md``) and ``--curve NAME`` (a name in ``repro.sfc.CURVES``,
+or ``auto``) to select the space-filling curve family (answers are
+identical for any curve; message costs differ — ``auto`` picks the
+cheapest for a sampled workload, see ``docs/performance.md``).  ``run`` and
+``serve`` also accept ``--result-cache N`` to attach an initiator-side
+result cache of capacity N to every system built during the command
+(match sets are identical with or without it; see
+``docs/performance.md`` §7); ``chaos`` does not, since it runs every query
+through its fault-injecting engine.  The flags given are laid
 over ``repro.config.Config.from_env()`` and the command runs inside that one
 config; a setting it rejects ends the command with exit code 2 and a
 one-line ``repro: error: ...``.
@@ -147,7 +149,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_curve_flag(chaos_p)
     _add_store_flag(chaos_p)
-    _add_result_cache_flag(chaos_p)
 
     serve_p = sub.add_parser("serve", help="serve queries over HTTP/JSON")
     serve_p.add_argument("--host", default="127.0.0.1")

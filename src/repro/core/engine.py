@@ -78,6 +78,7 @@ __all__ = [
     "EngineRun",
     "drive_sync",
     "default_hop_budget",
+    "check_origin",
     "make_engine",
 ]
 
@@ -94,6 +95,17 @@ def default_hop_budget(n_nodes: int) -> int:
     ``complete=False`` partial result instead of a hang.
     """
     return max(1024, 64 * n_nodes)
+
+
+def check_origin(system: "SquidSystem", origin: int | None) -> None:
+    """Refuse a query the system cannot start: an empty ring, or an explicit
+    ``origin`` that is not a live node.  Every run checks this, and so does a
+    result-cache hit (``SquidSystem._cache_probe``), so both refuse alike."""
+    nodes = system.overlay.nodes
+    if not nodes:
+        raise EngineError("cannot query an empty system")
+    if origin is not None and origin not in nodes:
+        raise EngineError(f"origin {origin} is not a live node")
 
 
 def _report_query_metrics(engine_name: str, stats: QueryStats) -> None:
@@ -491,13 +503,10 @@ class QueryEngine(ABC):
     def _pick_origin(
         self, system: "SquidSystem", origin: int | None, rng: RandomLike
     ) -> int:
-        ids = system.overlay.node_ids()
-        if not ids:
-            raise EngineError("cannot query an empty system")
+        check_origin(system, origin)
         if origin is not None:
-            if origin not in system.overlay.nodes:
-                raise EngineError(f"origin {origin} is not a live node")
             return origin
+        ids = system.overlay.node_ids()
         gen = as_generator(rng)
         return ids[int(gen.integers(0, len(ids)))]
 

@@ -2,10 +2,11 @@
 
 The plan cache (:mod:`repro.core.plancache`) memoizes pure geometry and
 therefore never invalidates.  One tier above it sits this module's
-:class:`ResultCache`: an initiator-side LRU+TTL cache of *complete*
-:class:`~repro.core.metrics.QueryResult` match sets.  Unlike a plan, a
-result depends on the stored data — so the hard part is invalidation, and
-the contract here is strict:
+:class:`ResultCache`: an initiator-side segmented-LRU+TTL cache of
+*complete* :class:`~repro.core.metrics.QueryResult` match sets.  Unlike a
+plan, a result depends on the stored data — so the hard part is
+invalidation, and the contract here is that an entry drops exactly when its
+answer may have changed:
 
 * **The footprint is the run's.**  An entry is filed with the merged scan
   windows of the run that produced it
@@ -15,15 +16,18 @@ the contract here is strict:
   data change outside it cannot change the answer.  Filing an entry
   resolves no geometry.  A result with no footprint could never be
   invalidated and is refused (``result_cache.unfootprinted_skipped``).
-* **Publishes** into a cached region drop exactly the overlapping entries.
-  The footprint prefilters, then the exact coordinate-space test
-  (:meth:`~repro.sfc.regions.Region.contains_point`) confirms, so a publish
-  only evicts entries whose answer could actually change.
-* **Membership churn** (joins, graceful leaves, identifier moves, crashes)
-  invalidates by curve-index segment: any entry whose footprint overlaps
-  the moved or lost segment is dropped.  Graceful movement preserves the
-  global data set, but crashes do not, and the segment test is the
-  conservative common denominator both need.
+* **Publishes and removals** drop exactly the entries whose answer they
+  change.  The footprint prefilters, then the query's compiled match
+  predicate (:meth:`~repro.keywords.space.KeywordSpace.matcher`) decides on
+  the written key: an element enters or leaves an answer iff its key
+  satisfies the query, so a write whose key fails the query — even one
+  inside the query's region — leaves the entry alone.
+* **Membership.**  Graceful joins, leaves and identifier moves hand stored
+  elements over object for object, so no answer changes and the cache is
+  not told.  Crashes lose data: the system drops every entry whose
+  footprint overlaps the lost curve-index segment
+  (:meth:`ResultCache.invalidate_range`), and the last node leaving drops
+  everything (:meth:`ResultCache.invalidate_all`).
 * **A write visits only the entries it can touch.**  Footprints are indexed
   by coarse curve bucket (the top :data:`_BUCKET_BITS` bits of the widest
   index filed so far), so an invalidation looks at the entries sharing its
@@ -36,6 +40,12 @@ the contract here is strict:
   that text straight to the bound query and key.  Parsing and covering are
   pure functions of an immutable space, so an alias is never stale; it
   lives exactly as long as the entry it names.
+* **A query asked once cannot evict one asked again.**  The policy is a
+  segmented LRU: a new entry is *probationary*; its first hit promotes it to
+  the *protected* segment, which holds at most four fifths of the capacity
+  and demotes its least recent entry back to probation when it overflows.
+  Eviction takes the least recent probationary entry, so a one-off query
+  displaces other one-offs, never an entry that has been hit.
 
 Entries expire after ``ttl`` seconds when a TTL is configured; the clock is
 injectable so simulations can run on logical time.  Hits, misses,
@@ -51,7 +61,8 @@ import time
 from bisect import bisect_right
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from itertools import chain
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.core.metrics import merge_index_ranges
 from repro.obs import metrics as obs_metrics
@@ -110,8 +121,9 @@ class _Entry:
     ranges: tuple[tuple[int, int], ...]
     #: ``ranges``' low ends, for the bisect.
     lows: tuple[int, ...]
-    #: Exact coordinate-space geometry, for point-precise publish checks.
-    region: Region
+    #: The query's per-key match predicate, over normalized keys: decides
+    #: whether a write inside the footprint changes the answer.
+    match: Callable[[tuple], bool]
     stored_at: float
     #: Messages the original (uncached) execution spent; credited to the
     #: ``result_cache.messages_saved`` counter on every hit.
@@ -131,12 +143,13 @@ class _Entry:
 
 
 class ResultCache:
-    """LRU+TTL cache of complete query results with interval invalidation.
+    """Segmented-LRU+TTL cache of complete query results, invalidated exactly.
 
     Parameters
     ----------
     capacity:
-        Maximum entries before LRU eviction.
+        Maximum entries before eviction; at most four fifths of them are
+        protected (have been hit since they were filed or demoted).
     ttl:
         Seconds (by ``clock``) an entry stays valid, or None for no expiry.
     clock:
@@ -157,7 +170,12 @@ class ResultCache:
         self.capacity = capacity
         self.ttl = ttl
         self.clock = clock
-        self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
+        #: The two LRU segments, least recent first.  The protected one is
+        #: capped below ``capacity``, so a full cache always holds an older
+        #: probationary entry to evict in place of the one just filed.
+        self._probation: "OrderedDict[tuple, _Entry]" = OrderedDict()
+        self._protected: "OrderedDict[tuple, _Entry]" = OrderedDict()
+        self._protected_capacity = capacity * 4 // 5
         #: alias → ``(bound query, key)`` of a live entry.
         self._aliases: dict[Hashable, tuple] = {}
         #: ``index >> _shift`` → the entries whose footprint enters that
@@ -176,7 +194,11 @@ class ResultCache:
         self.messages_saved = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._probation) + len(self._protected)
+
+    def _live(self) -> Iterator[_Entry]:
+        """Every entry: probationary, then protected."""
+        return chain(self._probation.values(), self._protected.values())
 
     @property
     def lookups(self) -> int:
@@ -201,10 +223,15 @@ class ResultCache:
     def get(self, key: tuple) -> tuple | None:
         """The cached match tuple for ``key``, or None; counts the lookup.
 
-        TTL is enforced here: an expired entry is dropped and reported as a
-        miss (plus ``result_cache.expirations``).
+        A hit on a probationary entry promotes it.  TTL is enforced here: an
+        expired entry is dropped and reported as a miss (plus
+        ``result_cache.expirations``).
         """
-        entry = self._entries.get(key)
+        protected = self._protected
+        entry = protected.get(key)
+        probationary = entry is None
+        if probationary:
+            entry = self._probation.get(key)
         reg = obs_metrics.active()
         if entry is not None and self.ttl is not None:
             if self.clock() - entry.stored_at >= self.ttl:
@@ -218,7 +245,14 @@ class ResultCache:
             if reg is not None:
                 reg.counter("result_cache.misses").inc()
             return None
-        self._entries.move_to_end(key)
+        if probationary:
+            del self._probation[key]
+            protected[key] = entry
+            if len(protected) > self._protected_capacity:
+                demoted_key, demoted = protected.popitem(last=False)
+                self._probation[demoted_key] = demoted
+        else:
+            protected.move_to_end(key)
         self.hits += 1
         self.messages_saved += entry.messages
         if reg is not None:
@@ -226,13 +260,22 @@ class ResultCache:
             reg.counter("result_cache.messages_saved").inc(entry.messages)
         return entry.matches
 
-    def put(self, key: tuple, result: Any, bound: Any, alias: Hashable = None) -> bool:
+    def put(
+        self,
+        key: tuple,
+        result: Any,
+        bound: Any,
+        match: Callable[[tuple], bool],
+        alias: Hashable = None,
+    ) -> bool:
         """Install a *complete* result; refuses partial and unfootprinted ones.
 
         ``bound`` is the :class:`~repro.keywords.space.BoundQuery` the result
-        answers (its region decides publishes exactly); ``alias``, when
-        given, is registered for :meth:`aliased` for as long as the entry
-        lives.  Returns True when the entry was cached.
+        answers and ``match`` its per-key predicate
+        (:meth:`~repro.keywords.space.KeywordSpace.matcher`), which decides
+        the writes inside the footprint; ``alias``, when given, is
+        registered for :meth:`aliased` for as long as the entry lives.  The
+        entry starts probationary.  Returns True when the entry was cached.
 
         The stale guards: a result with ``complete == False`` holds a
         certain *subset* of the exact answer, so caching it would replay the
@@ -247,16 +290,15 @@ class ResultCache:
         ranges = merge_index_ranges(result.scanned_ranges)
         if not ranges:
             return self._refuse("unfootprinted_skipped")
-        entries = self._entries
-        previous = entries.get(key)
+        previous = self._probation.get(key) or self._protected.get(key)
         if previous is not None:
             self._forget(previous)
-        entry = entries[key] = _Entry(
+        entry = self._probation[key] = _Entry(
             key=key,
             matches=tuple(result.matches),
             ranges=ranges,
             lows=tuple([low for low, _ in ranges]),
-            region=bound.region,
+            match=match,
             stored_at=self.clock(),
             messages=result.stats.messages,
             alias=alias,
@@ -266,12 +308,12 @@ class ResultCache:
         if ranges[-1][1] >> self._shift >> _BUCKET_BITS:
             self._shift = ranges[-1][1].bit_length() - _BUCKET_BITS
             self._buckets.clear()
-            for known in entries.values():
+            for known in self._live():
                 self._index(known)
         else:
             self._index(entry)
-        if len(entries) > self.capacity:
-            self._forget(next(iter(entries.values())))
+        if len(self) > self.capacity:
+            self._forget(next(iter(self._probation.values())))
             self.evictions += 1
             reg = obs_metrics.active()
             if reg is not None:
@@ -292,8 +334,9 @@ class ResultCache:
                 buckets[bucket].add(entry)
 
     def _forget(self, entry: _Entry) -> None:
-        """Unlink ``entry`` everywhere: the LRU, its alias, its buckets."""
-        del self._entries[entry.key]
+        """Unlink ``entry`` everywhere: its segment, its alias, its buckets."""
+        if self._probation.pop(entry.key, None) is None:
+            del self._protected[entry.key]
         self._aliases.pop(entry.alias, None)
         buckets, shift = self._buckets, self._shift
         for low, high in entry.ranges:
@@ -303,60 +346,51 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
-    def invalidate_point(
-        self, index: int, coords: Sequence[int] | None = None
-    ) -> int:
-        """Drop entries a publish/remove at ``index`` could affect.
+    def invalidate_point(self, index: int, key: Sequence[Any]) -> int:
+        """Drop the entries a publish/remove of ``key`` at ``index`` changes.
 
-        The footprint prefilters; when the publish's coordinates are known,
-        :meth:`Region.contains_point` confirms exactly, so a publish outside
-        an entry's region (even one landing inside its footprint) leaves the
-        entry alone.  Returns the number of entries dropped.
+        The footprint prefilters and each entry's match predicate decides on
+        the written (normalized) key, exactly: a write whose key fails the
+        query — even one landing inside its footprint and its region —
+        leaves the entry alone.  Returns the number of entries dropped.
         """
         return self._drop(
             [
                 entry
                 for entry in self._buckets.get(index >> self._shift, ())
-                if entry.covers(index)
-                and (coords is None or entry.region.contains_point(coords))
+                if entry.covers(index) and entry.match(key)
             ]
         )
 
     def invalidate_points(
-        self,
-        indices: Sequence[int],
-        coords: Sequence[Sequence[int]] | None = None,
+        self, indices: Sequence[int], keys: Sequence[Sequence[Any]]
     ) -> int:
         """Batch form of :meth:`invalidate_point`."""
-        if not self._entries:
+        if not len(self):
             return 0
         buckets, shift = self._buckets, self._shift
         stale: set[_Entry] = set()
-        for pos, index in enumerate(indices):
+        for index, key in zip(indices, keys):
             index = int(index)
             for entry in buckets.get(index >> shift, ()):
-                if (
-                    entry not in stale
-                    and entry.covers(index)
-                    and (coords is None or entry.region.contains_point(coords[pos]))
-                ):
+                if entry not in stale and entry.covers(index) and entry.match(key):
                     stale.add(entry)
         return self._drop(stale)
 
     def invalidate_range(self, low: int, high: int) -> int:
         """Drop entries whose footprint overlaps the inclusive ``[low, high]``.
 
-        Used for membership churn, where a whole curve segment changes hands
-        (or is lost): there is no single point to test exactly, so the
-        footprint decides alone.  Returns the number of entries dropped.
+        Used when a crash loses a whole curve segment: there is no single
+        key to test, so the footprint decides alone.  Returns the number of
+        entries dropped.
         """
-        if not self._entries or low > high:
+        if not len(self) or low > high:
             return 0
         buckets = self._buckets
         first, last = low >> self._shift, high >> self._shift
         if last - first >= len(buckets):
             # A segment wider than the occupied buckets (few-node rings).
-            near: Iterable[_Entry] = self._entries.values()
+            near: Iterable[_Entry] = self._live()
         else:
             near = {
                 entry
@@ -367,7 +401,7 @@ class ResultCache:
 
     def invalidate_all(self) -> int:
         """Drop every entry (counted as invalidations, not evictions)."""
-        return self._drop(list(self._entries.values()))
+        return self._drop(list(self._live()))
 
     def _drop(self, stale: Iterable[_Entry]) -> int:
         count = 0
@@ -383,7 +417,7 @@ class ResultCache:
 
     def clear(self) -> None:
         """Drop all entries (counters are preserved, nothing is counted)."""
-        self._entries.clear()
+        self._probation.clear()
+        self._protected.clear()
         self._aliases.clear()
         self._buckets.clear()
-

@@ -31,7 +31,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.engine import OptimizedEngine, QueryEngine, make_engine
+from repro.core.engine import OptimizedEngine, QueryEngine, check_origin, make_engine
 from repro.core.metrics import QueryResult, QueryStats
 from repro.core.plancache import PlanCache
 from repro.config import current
@@ -262,7 +262,7 @@ class SquidSystem:
         element = StoredElement(index=index, key=normalized, payload=payload)
         self.stores[self.overlay.owner(index)].add(element)
         if self.result_cache is not None:
-            self.result_cache.invalidate_point(index, coords)
+            self.result_cache.invalidate_point(index, normalized)
         reg = obs_metrics.active()
         if reg is not None:
             reg.counter("system.publishes").inc()
@@ -308,7 +308,7 @@ class SquidSystem:
         for owner, elements in per_node.items():
             self.stores[owner].add_sorted_bulk(elements)
         if self.result_cache is not None:
-            self.result_cache.invalidate_points(indices, coords)
+            self.result_cache.invalidate_points(indices, key_list)
         reg = obs_metrics.active()
         if reg is not None:
             reg.counter("system.publishes").inc(len(key_list))
@@ -322,12 +322,11 @@ class SquidSystem:
         With the default ``payload`` every element stored under the exact
         keyword tuple is removed; passing a payload removes only elements
         carrying it (multimap semantics — a key may hold many payloads).
-        Removal invalidates overlapping result-cache entries exactly like a
-        publish at the same point would.
+        Removal invalidates the result-cache entries whose query the key
+        satisfies, exactly like a publish of the same key would.
         """
         normalized = self.space.pad_key(key) if pad else self.space.validate_key(key)
-        coords = self.space.coordinates(normalized)
-        index = self.curve.encode(coords)
+        index = self.curve.encode(self.space.coordinates(normalized))
         store = self.stores[self.overlay.owner(index)]
         popped = list(store.pop_range(index, index))
         kept = [
@@ -340,7 +339,7 @@ class SquidSystem:
         if kept:
             store.add_sorted_bulk(kept)
         if removed and self.result_cache is not None:
-            self.result_cache.invalidate_point(index, coords)
+            self.result_cache.invalidate_point(index, normalized)
         reg = obs_metrics.active()
         if reg is not None:
             reg.counter("system.unpublishes").inc(removed)
@@ -377,10 +376,12 @@ class SquidSystem:
         the hit carries the stored matches, fresh zero-cost stats with
         ``result_cache_hit=True``, and no trace.  Discovery-mode queries
         (``limit=``) bypass the cache — their truncated match sets are not
-        canonical answers for the region.
+        canonical answers for the region.  A hit checks ``origin`` as a run
+        would: a node that is not live is an :class:`~repro.errors.EngineError`
+        either way.
         """
         eng = self._coerce_engine(engine)
-        hit, filing, bound = self._cache_probe(eng, query, limit)
+        hit, filing, bound = self._cache_probe(eng, query, limit, origin)
         if hit is not None:
             return hit
         result = eng.execute(
@@ -394,7 +395,9 @@ class SquidSystem:
         self._cache_store(filing, bound, result)
         return result
 
-    def _cache_probe(self, engine: QueryEngine, query, limit: int | None):
+    def _cache_probe(
+        self, engine: QueryEngine, query, limit: int | None, origin: int | None
+    ):
         """The result-cache fast path of :meth:`query` and of the transports.
 
         Returns ``(hit, filing, bound)``: a cached result, or on a miss what
@@ -405,7 +408,10 @@ class SquidSystem:
 
         Query *text* that filed a live entry resolves through the cache's
         alias, so a repeated text query that hits costs two dictionary
-        lookups and touches nothing in ``keywords`` or ``sfc``.
+        lookups and touches nothing in ``keywords`` or ``sfc``.  The origin
+        is checked before the lookup, by the check the engine's run makes
+        (:func:`~repro.core.engine.check_origin`), so a hit and a miss
+        refuse the same origins.
         """
         cache = self.result_cache
         if cache is None or limit is not None:
@@ -422,6 +428,7 @@ class SquidSystem:
             key = result_key(
                 self.curve, bound.region, engine.name, params, query=bound.query
             )
+        check_origin(self, origin)
         cached = cache.get(key)
         if cached is not None:
             hit = QueryResult(
@@ -438,7 +445,7 @@ class SquidSystem:
         """File a fresh answer under what :meth:`_cache_probe` returned."""
         if filing is not None:
             key, alias = filing
-            self.result_cache.put(key, result, bound, alias)
+            self.result_cache.put(key, result, bound, self.space.matcher(bound), alias)
 
     def _coerce_engine(self, engine: QueryEngine | str | None) -> QueryEngine:
         if engine is None:
@@ -508,14 +515,11 @@ class SquidSystem:
         return [(pred + 1, self.overlay.space - 1), (0, node_id)]
 
     def _invalidate_segments(self, segments: Iterable[tuple[int, int]]) -> None:
-        """Conservatively drop cached results overlapping churned segments.
+        """Drop cached results overlapping index segments whose data was lost.
 
-        Graceful membership changes preserve the global data set, so cached
-        match tuples would in fact stay exact — but the ISSUE-level contract
-        for the result cache is that *any* churn event touching a cached
-        region's index ranges invalidates the overlapping entries, which
-        also makes the crash path (where data really is lost) share one
-        code path with graceful movement.
+        Only crashes call this (:meth:`fail_node`, the replication manager's
+        ``crash``): graceful joins, leaves and identifier moves hand every
+        element over, so no cached answer changes and none is dropped.
         """
         cache = self.result_cache
         if cache is None:
@@ -536,7 +540,6 @@ class SquidSystem:
         if successor != node_id:
             moved = self._transfer_range_from(successor, node_id)
             cost += 1 if moved else 0
-        self._invalidate_segments(self._owned_segments(node_id))
         if self.tracer is not None:
             self.tracer.record(NodeJoined(node_id))
             if moved:
@@ -549,8 +552,11 @@ class SquidSystem:
         return cost
 
     def remove_node(self, node_id: int) -> int:
-        """Gracefully remove a node, handing its keys to its successor."""
-        departing_segments = self._owned_segments(node_id)
+        """Gracefully remove a node, handing its keys to its successor.
+
+        The last node leaving has nobody to hand them to: its elements are
+        dropped, and with them every cached result.
+        """
         successor = self.overlay.successor_id(node_id)
         cost = self.overlay.leave(node_id)
         departing = self.stores.pop(node_id)
@@ -563,8 +569,9 @@ class SquidSystem:
                 target.add(element)
                 moved += 1
             cost += 1 if departing.element_count else 0
+        elif self.result_cache is not None:
+            self.result_cache.invalidate_all()
         departing.close()
-        self._invalidate_segments(departing_segments)
         if self.tracer is not None:
             self.tracer.record(NodeLeft(node_id))
             if moved:
@@ -602,9 +609,6 @@ class SquidSystem:
                 store.add(element)
                 moved += 1
             src, dest = succ, new_id
-        self._invalidate_segments(
-            [(new_id + 1, old_id)] if new_id < old_id else [(old_id + 1, new_id)]
-        )
         if moved:
             if self.tracer is not None:
                 self.tracer.record(KeyMoved(src, dest, moved))

@@ -34,12 +34,14 @@ when it arrives, and what runs concurrently.
     An armed :class:`~repro.guard.GuardPlane` hears ``note_posted`` for
     every completed enqueue, and every envelope is either admitted by the
     engine's ``process_message`` (asking the guard is a visit's first step)
-    or handed back with ``note_abandoned``: a stale arrival, or an entry
-    its driver left in the reorder buffer on stopping early, being cancelled
-    or raising.  Its per-node gauge stays exact.
+    or handed back with ``note_abandoned``: a stale arrival, an entry its
+    driver left in the reorder buffer on stopping early, being cancelled or
+    raising, or one still queued or on a wire when the transport closes.
+    Its per-node gauge stays exact.
 
 Both transports take :meth:`SquidSystem.query`'s result-cache fast path, so
-a served query hits the initiator-side cache exactly when a local call would.
+a served query hits the initiator-side cache exactly when a local call would,
+and refuses a non-member origin on a hit as on a miss.
 
 Deadlock freedom (the bounded-mailbox pitfall): only a driver *puts*, and
 only a put can wait.  A full inbox is non-empty, a non-empty inbox has an
@@ -108,7 +110,7 @@ class Transport(ABC):
         priority=None,
     ) -> QueryResult:
         """Resolve one query over this transport; see :meth:`SquidSystem.query`."""
-        hit, filing, bound = self.system._cache_probe(self.engine, query, limit)
+        hit, filing, bound = self.system._cache_probe(self.engine, query, limit, origin)
         if hit is not None:
             self.queries_served += 1
             return hit
@@ -227,9 +229,22 @@ class AsyncioTransport(Transport):
         return len(self._runs)
 
     async def close(self) -> None:
-        for box in self._inboxes.values():
+        """Cancel the wires and abandon every run.
+
+        What is queued in an inbox or travelling on a wire will never
+        arrive, so the armed guard plane (if any) gets each of those
+        envelopes back now; a run's driver hands back what its reorder
+        buffer holds as it unwinds.
+        """
+        guard = self._guard_plane()
+        for node_id, box in self._inboxes.items():
+            undelivered = box.qsize()
             if box.wire is not None:
                 box.wire.cancel()
+                undelivered += 1
+            if guard is not None:
+                for _ in range(undelivered):
+                    guard.note_abandoned(node_id)
         self._inboxes.clear()
         self._runs.clear()
 

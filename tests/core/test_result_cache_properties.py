@@ -6,9 +6,11 @@ sequence of publishes, removals, membership churn (joins, graceful leaves,
 crashes, identifier moves), and queries — and every query must return the
 identical match set on both.  After every step the cached twin is also
 asked the whole pool, and whatever it serves from cache must be the
-brute-force answer.  Runs across every registered curve family and both
-engines, with a deliberately tiny cache so eviction, collateral
-invalidation, and segment math are all exercised.
+brute-force answer.  Graceful membership steps (joins, leaves, identifier
+moves) hand elements over one for one, so they must keep every cached
+entry; crashes still drop by segment.  Runs across every registered curve
+family and both engines, with a deliberately tiny cache so eviction,
+promotion, crash invalidation and segment math are all exercised.
 """
 
 from __future__ import annotations
@@ -109,6 +111,10 @@ def _apply(system, op, publishes):
     return None
 
 
+def _filed(system):
+    return {entry.key for entry in system.result_cache._live()}
+
+
 def _assert_hits_are_exact(system, op):
     origin = system.overlay.node_ids()[0]
     for query in QUERIES:
@@ -130,8 +136,11 @@ def test_cached_equals_uncached_under_interleaved_mutation(curve, engine, ops):
     assert cached.overlay.node_ids() == plain.overlay.node_ids()
     publishes = 0
     for op in ops:
+        filed = _filed(cached)
         got = _apply(cached, op, publishes)
         want = _apply(plain, op, publishes)
+        if op[0] in ("join", "leave", "move"):
+            assert _filed(cached) == filed, f"graceful {op} dropped an entry"
         if op[0] == "publish":
             publishes += 1
         if op[0] == "query":

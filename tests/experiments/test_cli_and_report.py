@@ -55,6 +55,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_chaos_takes_no_result_cache(self, capsys):
+        # Its fault-injecting engine runs every query: a cache would be unused.
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--result-cache", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --result-cache 8" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "env,argv,expected",
         [
