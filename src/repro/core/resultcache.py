@@ -2,8 +2,8 @@
 
 The plan cache (:mod:`repro.core.plancache`) memoizes pure geometry and
 therefore never invalidates.  One tier above it sits this module's
-:class:`ResultCache`: an initiator-side segmented-LRU+TTL cache of
-*complete* :class:`~repro.core.metrics.QueryResult` match sets.  Unlike a
+:class:`ResultCache`: an initiator-side cost-weighted, TTL-bounded cache
+of *complete* :class:`~repro.core.metrics.QueryResult` match sets.  Unlike a
 plan, a result depends on the stored data — so the hard part is
 invalidation, and the contract here is that an entry drops exactly when its
 answer may have changed:
@@ -40,12 +40,14 @@ answer may have changed:
   that text straight to the bound query and key.  Parsing and covering are
   pure functions of an immutable space, so an alias is never stale; it
   lives exactly as long as the entry it names.
-* **A query asked once cannot evict one asked again.**  The policy is a
-  segmented LRU: a new entry is *probationary*; its first hit promotes it to
-  the *protected* segment, which holds at most four fifths of the capacity
-  and demotes its least recent entry back to probation when it overflows.
-  Eviction takes the least recent probationary entry, so a one-off query
-  displaces other one-offs, never an entry that has been hit.
+* **A full cache gives up the answer cheapest to do without.**  Every
+  lookup of a key counts, hit or miss, and every ``_AGING_LOOKUPS *
+  capacity`` lookups all counts are halved, so a query no longer asked
+  loses its weight geometrically.  An entry's *weight* is its key's recent
+  lookups times the messages its run cost (the paper's unit, and
+  deterministic, unlike wall time).  A full cache evicts the entry of least
+  weight, the oldest filed among equals; a new entry that would be that
+  entry is not filed at all.
 
 Entries expire after ``ttl`` seconds when a TTL is configured; the clock is
 injectable so simulations can run on logical time.  Hits, misses,
@@ -59,10 +61,10 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.core.metrics import merge_index_ranges
 from repro.obs import metrics as obs_metrics
@@ -77,6 +79,9 @@ __all__ = [
 #: Width of the invalidation index: footprints are filed under the top
 #: ``_BUCKET_BITS`` bits of the curve index, at most 1024 buckets.
 _BUCKET_BITS = 10
+
+#: Lookups per place between two agings of the lookup counts.
+_AGING_LOOKUPS = 10
 
 
 def result_key(
@@ -130,6 +135,9 @@ class _Entry:
     messages: int
     #: The alias naming this entry (see :meth:`ResultCache.aliased`), if any.
     alias: Hashable = None
+    #: Recent lookups of ``key`` times ``max(messages, 1)``: what a full
+    #: cache would lose by evicting this entry.
+    weight: int = 0
 
     def covers(self, index: int) -> bool:
         pos = bisect_right(self.lows, index)
@@ -143,13 +151,13 @@ class _Entry:
 
 
 class ResultCache:
-    """Segmented-LRU+TTL cache of complete query results, invalidated exactly.
+    """Cost-weighted TTL cache of complete query results, invalidated exactly.
 
     Parameters
     ----------
     capacity:
-        Maximum entries before eviction; at most four fifths of them are
-        protected (have been hit since they were filed or demoted).
+        Maximum entries before eviction; a full cache evicts the entry whose
+        recent lookups times messages is least.
     ttl:
         Seconds (by ``clock``) an entry stays valid, or None for no expiry.
     clock:
@@ -170,12 +178,11 @@ class ResultCache:
         self.capacity = capacity
         self.ttl = ttl
         self.clock = clock
-        #: The two LRU segments, least recent first.  The protected one is
-        #: capped below ``capacity``, so a full cache always holds an older
-        #: probationary entry to evict in place of the one just filed.
-        self._probation: "OrderedDict[tuple, _Entry]" = OrderedDict()
-        self._protected: "OrderedDict[tuple, _Entry]" = OrderedDict()
-        self._protected_capacity = capacity * 4 // 5
+        #: Every entry, in filing order: ties in weight evict the oldest.
+        self._entries: dict[tuple, _Entry] = {}
+        #: key → its lookups, halved every ``_aging_period`` lookups.
+        self._asked: dict[tuple, int] = {}
+        self._aging_period = _AGING_LOOKUPS * capacity
         #: alias → ``(bound query, key)`` of a live entry.
         self._aliases: dict[Hashable, tuple] = {}
         #: ``index >> _shift`` → the entries whose footprint enters that
@@ -194,11 +201,11 @@ class ResultCache:
         self.messages_saved = 0
 
     def __len__(self) -> int:
-        return len(self._probation) + len(self._protected)
+        return len(self._entries)
 
-    def _live(self) -> Iterator[_Entry]:
-        """Every entry: probationary, then protected."""
-        return chain(self._probation.values(), self._protected.values())
+    def _live(self) -> Iterable[_Entry]:
+        """Every entry, oldest filed first."""
+        return self._entries.values()
 
     @property
     def lookups(self) -> int:
@@ -223,15 +230,13 @@ class ResultCache:
     def get(self, key: tuple) -> tuple | None:
         """The cached match tuple for ``key``, or None; counts the lookup.
 
-        A hit on a probationary entry promotes it.  TTL is enforced here: an
+        The lookup counts towards ``key``'s weight whether it hits or not,
+        and a hit refreshes the entry's weight.  TTL is enforced here: an
         expired entry is dropped and reported as a miss (plus
         ``result_cache.expirations``).
         """
-        protected = self._protected
-        entry = protected.get(key)
-        probationary = entry is None
-        if probationary:
-            entry = self._probation.get(key)
+        self._asked[key] = count = self._asked.get(key, 0) + 1
+        entry = self._entries.get(key)
         reg = obs_metrics.active()
         if entry is not None and self.ttl is not None:
             if self.clock() - entry.stored_at >= self.ttl:
@@ -244,21 +249,24 @@ class ResultCache:
             self.misses += 1
             if reg is not None:
                 reg.counter("result_cache.misses").inc()
-            return None
-        if probationary:
-            del self._probation[key]
-            protected[key] = entry
-            if len(protected) > self._protected_capacity:
-                demoted_key, demoted = protected.popitem(last=False)
-                self._probation[demoted_key] = demoted
         else:
-            protected.move_to_end(key)
-        self.hits += 1
-        self.messages_saved += entry.messages
-        if reg is not None:
-            reg.counter("result_cache.hits").inc()
-            reg.counter("result_cache.messages_saved").inc(entry.messages)
-        return entry.matches
+            entry.weight = count * max(entry.messages, 1)
+            self.hits += 1
+            self.messages_saved += entry.messages
+            if reg is not None:
+                reg.counter("result_cache.hits").inc()
+                reg.counter("result_cache.messages_saved").inc(entry.messages)
+        if not (self.hits + self.misses) % self._aging_period:
+            self._age()
+        return None if entry is None else entry.matches
+
+    def _age(self) -> None:
+        """Halve every lookup count, drop the zeros, reweigh every entry."""
+        self._asked = asked = {
+            key: count >> 1 for key, count in self._asked.items() if count > 1
+        }
+        for key, entry in self._entries.items():
+            entry.weight = asked.get(key, 0) * max(entry.messages, 1)
 
     def put(
         self,
@@ -274,8 +282,10 @@ class ResultCache:
         answers and ``match`` its per-key predicate
         (:meth:`~repro.keywords.space.KeywordSpace.matcher`), which decides
         the writes inside the footprint; ``alias``, when given, is
-        registered for :meth:`aliased` for as long as the entry lives.  The
-        entry starts probationary.  Returns True when the entry was cached.
+        registered for :meth:`aliased` for as long as the entry lives.
+        Returns True when the entry was cached: False for the stale guards
+        below, and for an entry a full cache would evict first (counted as
+        an eviction).
 
         The stale guards: a result with ``complete == False`` holds a
         certain *subset* of the exact answer, so caching it would replay the
@@ -286,14 +296,14 @@ class ResultCache:
         ``result_cache.unfootprinted_skipped``) and dropped instead.
         """
         if not getattr(result, "complete", True):
-            return self._refuse("partial_skipped")
+            return self._count("partial_skipped")
         ranges = merge_index_ranges(result.scanned_ranges)
         if not ranges:
-            return self._refuse("unfootprinted_skipped")
-        previous = self._probation.get(key) or self._protected.get(key)
+            return self._count("unfootprinted_skipped")
+        previous = self._entries.get(key)
         if previous is not None:
             self._forget(previous)
-        entry = self._probation[key] = _Entry(
+        entry = _Entry(
             key=key,
             matches=tuple(result.matches),
             ranges=ranges,
@@ -302,7 +312,15 @@ class ResultCache:
             stored_at=self.clock(),
             messages=result.stats.messages,
             alias=alias,
+            weight=self._asked.get(key, 0) * max(result.stats.messages, 1),
         )
+        if len(self._entries) >= self.capacity:
+            self._count("evictions")
+            victim = min(self._entries.values(), key=attrgetter("weight"))
+            if entry.weight < victim.weight:
+                return False
+            self._forget(victim)
+        self._entries[key] = entry
         if alias is not None:
             self._aliases[alias] = (bound, key)
         if ranges[-1][1] >> self._shift >> _BUCKET_BITS:
@@ -312,15 +330,10 @@ class ResultCache:
                 self._index(known)
         else:
             self._index(entry)
-        if len(self) > self.capacity:
-            self._forget(next(iter(self._probation.values())))
-            self.evictions += 1
-            reg = obs_metrics.active()
-            if reg is not None:
-                reg.counter("result_cache.evictions").inc()
         return True
 
-    def _refuse(self, counter: str) -> bool:
+    def _count(self, counter: str) -> bool:
+        """Add one to ``counter``, here and in the active registry; False."""
         setattr(self, counter, getattr(self, counter) + 1)
         reg = obs_metrics.active()
         if reg is not None:
@@ -334,9 +347,8 @@ class ResultCache:
                 buckets[bucket].add(entry)
 
     def _forget(self, entry: _Entry) -> None:
-        """Unlink ``entry`` everywhere: its segment, its alias, its buckets."""
-        if self._probation.pop(entry.key, None) is None:
-            del self._protected[entry.key]
+        """Unlink ``entry`` everywhere: its place, its alias, its buckets."""
+        del self._entries[entry.key]
         self._aliases.pop(entry.alias, None)
         buckets, shift = self._buckets, self._shift
         for low, high in entry.ranges:
@@ -417,7 +429,6 @@ class ResultCache:
 
     def clear(self) -> None:
         """Drop all entries (counters are preserved, nothing is counted)."""
-        self._probation.clear()
-        self._protected.clear()
+        self._entries.clear()
         self._aliases.clear()
         self._buckets.clear()

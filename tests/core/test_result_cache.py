@@ -1,7 +1,7 @@
 """Tests for the initiator-side result cache.
 
 The load-bearing property is *freshness*: a cached answer must be the one
-the engine would compute right now.  LRU/TTL bookkeeping is secondary —
+the engine would compute right now.  Eviction/TTL bookkeeping is secondary —
 what these tests pin hardest is invalidation precision (only overlapping
 entries drop) and the partial-result stale guard.
 """
@@ -75,7 +75,7 @@ class TestCacheUnit:
             keys[word] = _prepare(system, f"({word}, *)")
         cache.put(keys["computer"][0], _fake_result(("a",)), *keys["computer"][1:])
         cache.put(keys["network"][0], _fake_result(("b",)), *keys["network"][1:])
-        cache.get(keys["computer"][0])  # refresh: "network" becomes LRU
+        cache.get(keys["computer"][0])  # asked once: "network" is worth least
         cache.put(keys["storage"][0], _fake_result(("c",)), *keys["storage"][1:])
         assert cache.evictions == 1
         assert cache.get(keys["network"][0]) is None
@@ -445,22 +445,41 @@ class TestCost:
 
     def test_nothing_outlives_its_entry(self):
         """2 000 random put / get / expire / invalidate / clear steps: after
-        each, both segments, the aliases and the bucket index agree."""
+        each, every weight is its key's aged lookups × messages, every
+        eviction took a least-weight entry (the oldest among equals), and
+        the entries, the aliases and the bucket index agree."""
         rng = random.Random(11)
         ticks = [0]
         cache = ResultCache(capacity=8, ttl=40, clock=lambda: ticks[0])
         size = 1 << 16
-        most_protected = 0
+        asked, lookups, refused = {}, 0, 0
         for step in range(2000):
             ticks[0] += 1
             action = rng.randrange(9)
             n = rng.randrange(16)
             if action < 4:  # files; beyond capacity 8 it evicts
+                key = ("k", n)
                 alias = ("text", n) if rng.random() < 0.7 else None
-                match = _parity(n)
-                cache.put(("k", n), _random_result(rng, size), _ANYWHERE, match, alias)
-            elif action < 6:  # lookups promote, and expire what is older than the TTL
+                result = _random_result(rng, size, messages=rng.choice([0, 1, 4, 30, 60]))
+                weight = asked.get(key, 0) * max(result.stats.messages, 1)
+                others = [e for k, e in _entries(cache).items() if k != key]
+                victim = min(others, key=lambda e: e.weight) if len(others) >= 8 else None
+                evictions = cache.evictions
+                filed = cache.put(key, result, _ANYWHERE, _parity(n), alias)
+                assert cache.evictions == evictions + (victim is not None)
+                if victim is not None and weight < victim.weight:
+                    refused += 1
+                    assert not filed and key not in _entries(cache)
+                    assert alias is None or cache.aliased(alias) is None
+                else:
+                    assert filed and _entries(cache)[key].weight == weight
+                    assert victim is None or victim.key not in _entries(cache)
+            elif action < 6:  # lookups count, and expire what is older than the TTL
                 cache.get(("k", n))
+                asked[("k", n)] = asked.get(("k", n), 0) + 1
+                lookups += 1
+                if lookups % 80 == 0:  # ages every 10 × capacity lookups
+                    asked = {k: c // 2 for k, c in asked.items() if c // 2}
             elif action == 6:
                 cache.invalidate_point(rng.randrange(size), (rng.randrange(2),))
             elif action == 7:
@@ -468,13 +487,11 @@ class TestCost:
                 cache.invalidate_range(low, low + rng.randrange(size >> 4))
             elif rng.random() < 0.1:
                 cache.clear()
-            probation, protected = cache._probation, cache._protected
-            assert not probation.keys() & protected.keys()
             live = _entries(cache)
             assert all(key == entry.key for key, entry in live.items())
             assert len(cache) == len(live) <= 8
-            assert len(protected) <= 8 * 4 // 5
-            most_protected = max(most_protected, len(protected))
+            for key, entry in live.items():
+                assert entry.weight == asked.get(key, 0) * max(entry.messages, 1)
             for alias, (_, key) in cache._aliases.items():
                 assert live[key].alias == alias
             assert len(cache._aliases) == sum(e.alias is not None for e in live.values())
@@ -486,12 +503,13 @@ class TestCost:
                 for low, high in entry.ranges:
                     for bucket in range(low >> shift, (high >> shift) + 1):
                         assert entry in cache._buckets.get(bucket, ())
-        assert cache.evictions and cache.expirations and cache.invalidations
-        assert most_protected == 8 * 4 // 5
+        assert cache.evictions > refused > 0
+        assert cache.expirations and cache.invalidations and lookups >= 2 * 80
 
 
-class TestSegmentedLru:
-    """A query asked once cannot evict one asked again."""
+class TestEvictionPolicy:
+    """A full cache gives up the entry worth least: its query's recent
+    lookups times the messages its run cost, the oldest filed among equals."""
 
     def _filled(self, capacity, hit):
         cache = ResultCache(capacity=capacity)
@@ -511,28 +529,83 @@ class TestSegmentedLru:
         assert cache.evictions == 4
         assert cache.get(("k", 0)) is not None
 
-    def test_protected_segment_holds_at_most_four_fifths(self):
-        cache = self._filled(10, hit=range(10))
-        assert len(cache._protected) == 8 and len(cache._probation) == 2
-        # The two least recently hit were demoted, not dropped, and a new
-        # entry evicts the older of them.
-        assert list(cache._probation) == [("k", 0), ("k", 1)]
-        cache.put(("k", 10), _fake_result(), _ANYWHERE, _ANY)
-        assert ("k", 0) not in _entries(cache) and len(cache) == 10
-        # A demoted entry hit again is promoted back.
-        assert cache.get(("k", 1)) is not None
-        assert ("k", 1) in cache._protected and len(cache._protected) == 8
+    def test_eviction_takes_the_least_weight_then_the_oldest(self):
+        # Every entry hit 1–3 times at 7 messages: weights 7, 14 and 21.
+        cache = self._filled(10, hit=[n for n in range(10) for _ in range(n % 3 + 1)])
+        assert [e.weight for e in _entries(cache).values()] == [7, 14, 21] * 3 + [7]
+        for n in (10, 11):  # asked twice: 14 outweighs 7, so the oldest 7 goes
+            _ask(cache, ("k", n), times=2)
+        assert [("k", n) in _entries(cache) for n in (0, 3, 6, 9)] == [
+            False, False, True, True
+        ]
+        # Zero messages weigh as one: worth 1, 2, then 3 < 7, so each of the
+        # three misses is refused in turn.
+        assert not _ask(cache, ("k", 12), times=3, messages=0)
+        assert len(cache) == 10 and cache.evictions == 2 + 3
 
-    def test_capacity_one_is_plain_lru(self):
-        cache = self._filled(1, hit=[0])
-        assert not cache._protected
-        cache.put(("k", 1), _fake_result(), _ANYWHERE, _ANY)
-        assert set(_entries(cache)) == {("k", 1)}
+    def test_capacity_one_keeps_the_weightier_entry(self):
+        cache = self._filled(1, hit=[0])  # weight 7
+        assert not cache.put(("k", 1), _fake_result(), _ANYWHERE, _ANY)  # weight 0
+        assert set(_entries(cache)) == {("k", 0)}
+        # Asked once it ties at 7, and the older entry goes; the hit makes 14.
+        assert _ask(cache, ("k", 1), times=2)
+        assert set(_entries(cache)) == {("k", 1)} and cache.evictions == 2
+        assert _entries(cache)[("k", 1)].weight == 14
+
+    def test_an_expensive_query_asked_once_outlives_a_cheap_one(self):
+        # Filed first, so recency alone would evict it; its 60 messages
+        # outweigh the later query's 4.
+        cache = ResultCache(capacity=2)
+        for n, messages in ((0, 60), (1, 4), (2, 10)):
+            assert _ask(cache, ("k", n), messages=messages)
+        assert set(_entries(cache)) == {("k", 0), ("k", 2)}
+        assert cache.get(("k", 0)) is not None and cache.get(("k", 1)) is None
+
+    def test_an_entry_no_longer_asked_ages_out(self):
+        # Capacity 4 ages every 40 lookups.  ("k", "old") is asked 31 times
+        # and then never again while three other queries are asked every
+        # round, beside a cheap one-off per round.  Each aging halves its
+        # count, so it leaves at the 31 .bit_length() == 5th aging, once its
+        # weight is 0: until then every one-off is refused.
+        cache = ResultCache(capacity=4)
+        old = ("k", "old")
+        _ask(cache, old, times=31, messages=50)
+        for n in range(200):
+            for hot in ("a", "b", "c"):
+                _ask(cache, ("k", hot), messages=5)
+            filed = _ask(cache, ("k", n), messages=2)
+            if old not in _entries(cache):
+                break
+            assert not filed
+        assert filed and cache.lookups // 40 == 5
+        assert set(_entries(cache)) == {("k", "a"), ("k", "b"), ("k", "c"), ("k", n)}
+
+    def test_a_put_worth_least_is_refused_and_leaves_no_alias(self):
+        cache = self._filled(2, hit=[0, 1])  # weights 7 and 7
+        cache.get(("k", "new"))
+        result = _fake_result(messages=6)  # asked once: weight 6
+        with collecting() as registry:
+            assert not cache.put(("k", "new"), result, _ANYWHERE, _ANY, alias="text")
+        assert registry.snapshot()["counters"]["result_cache.evictions"] == 1
+        assert cache.evictions == 1 and cache.aliased("text") is None
+        assert set(_entries(cache)) == {("k", 0), ("k", 1)}
+        assert cache.get(("k", "new")) is None
+
+
+def _ask(cache, key, times=1, messages=7):
+    """Look ``key`` up ``times`` times, filing a miss as the system does;
+    whether the last lookup found or filed an entry."""
+    for _ in range(times):
+        if cache.get(key) is None:
+            filed = cache.put(key, _fake_result(messages=messages), _ANYWHERE, _ANY)
+        else:
+            filed = True
+    return filed
 
 
 def _entries(cache):
-    """Every live entry by key, probationary and protected."""
-    return {entry.key: entry for entry in cache._live()}
+    """Every live entry by key, oldest filed first."""
+    return dict(cache._entries)
 
 
 def _ANY(key):
@@ -546,12 +619,12 @@ def _parity(n):
 _ANYWHERE = BoundQuery(None, Region.from_bounds([(0, 1 << 16), (0, 1 << 16)]))
 
 
-def _random_result(rng, size):
+def _random_result(rng, size, messages=7):
     windows = []
     for _ in range(rng.randrange(1, 12)):
         low = rng.randrange(size)
         windows.append((low, min(size - 1, low + rng.choice([0, 3, size >> 10, size >> 4]))))
-    return _fake_result(scanned=windows)
+    return _fake_result(messages=messages, scanned=windows)
 
 
 def _random_index(rng, live, size):

@@ -4,8 +4,9 @@
 ``__main__`` at commit ``4f5c7fd`` — the parent of the PR that folded the
 eleven per-figure modules, the two growth sweeps and the two system builders
 into ``repro.experiments.figures``.  Since then one row has been re-recorded
-on purpose: ``extG``, when the result cache became a segmented LRU that
-keeps its entries through graceful churn and writes that fail the query
+on purpose, twice: ``extG``, when the result cache began to keep its
+entries through graceful churn and writes that fail the query, and again
+when its eviction came to weigh recent lookups by the messages a run costs
 (hit rates, expirations and origins moved; ``stale`` stayed 0).  A
 figure is fingerprinted by the sha256 of its CSV export plus its notes, so a
 generator created, passed or consumed in another order shows up as a moved
