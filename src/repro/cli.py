@@ -44,10 +44,9 @@ phases and print the per-phase table after the run.  ``run``, ``chaos``,
 ``serve`` and ``loadgen`` accept ``--store NAME`` (a name in ``repro.store.REGISTRY``)
 to select the node-store backend the systems are built on (results are
 identical for any backend; only throughput and memory change — see
-``docs/storage.md``) and ``--curve NAME`` (a name in ``repro.sfc.CURVES``,
-or ``auto``) to select the space-filling curve family (answers are
-identical for any curve; message costs differ — ``auto`` picks the
-cheapest for a sampled workload, see ``docs/performance.md``).  ``run`` and
+``docs/storage.md``) and ``--curve NAME`` (a name in ``repro.sfc.CURVES``)
+to select the space-filling curve family (answers are identical for any
+curve; message costs differ, see ``docs/performance.md``).  ``run`` and
 ``serve`` also accept ``--result-cache N`` to attach an initiator-side
 result cache of capacity N to every system built during the command
 (match sets are identical with or without it; see
@@ -320,10 +319,9 @@ def _add_curve_flag(subparser) -> None:
     subparser.add_argument(
         "--curve",
         default=None,
-        choices=sorted(CURVES) + ["auto"],
+        choices=sorted(CURVES),
         help="space-filling-curve family for system construction "
-        "(answers identical for any curve; costs differ — 'auto' picks "
-        "the cheapest for a sampled workload)",
+        "(answers identical for any curve; costs differ)",
     )
 
 

@@ -36,7 +36,7 @@ __all__ = ["Config", "current", "using"]
 class Config:
     """What a system is built with where its caller does not say."""
 
-    #: Curve family name in ``repro.sfc.CURVES``, or ``"auto"``.
+    #: Curve family name in ``repro.sfc.CURVES``.
     curve: str = "hilbert"
     #: Node-store backend name in ``repro.store.REGISTRY``.
     store: str = "local"

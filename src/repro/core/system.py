@@ -36,16 +36,15 @@ from repro.core.metrics import QueryResult, QueryStats
 from repro.core.plancache import PlanCache
 from repro.config import current
 from repro.core.resultcache import ResultCache, result_key
-from repro.errors import ConfigError, DuplicateNodeError, OverlayError
+from repro.errors import DuplicateNodeError, OverlayError
 from repro.keywords.space import KeywordSpace
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs.trace import KeyMoved, NodeJoined, NodeLeft, Tracer
 from repro.overlay.base import ring_contains_open_closed
 from repro.overlay.chord import ChordRing
-from repro.sfc import CURVES, sample_box_regions, select_curve
+from repro.sfc import make_curve
 from repro.sfc.base import SpaceFillingCurve
-from repro.sfc.regions import Region
 from repro.store import NodeStore, StoredElement, StoreSpec, as_spec
 from repro.util.rng import RandomLike, as_generator
 
@@ -55,49 +54,17 @@ __all__ = ["SquidSystem"]
 _UNSET = object()
 
 
-def _sample_regions(
-    space: KeywordSpace, curve_sample: Iterable[Any] | None, rng: RandomLike
-) -> list[Region]:
-    """Coerce a workload sample into query regions for curve selection.
-
-    Entries may be :class:`~repro.sfc.regions.Region` objects or anything
-    ``KeywordSpace.region`` accepts (query strings, :class:`Query`, term
-    sequences).  ``None`` falls back to a seeded mix of random cube queries.
-    """
-    if curve_sample is None:
-        return sample_box_regions(space.dims, space.bits, rng=rng)
-    regions: list[Region] = []
-    for entry in curve_sample:
-        if isinstance(entry, Region):
-            regions.append(entry)
-        else:
-            regions.append(space.region(entry))
-    return regions
-
-
 def _resolve_curve(
-    curve: "SpaceFillingCurve | str",
-    space: KeywordSpace,
-    rng: RandomLike = None,
-    curve_sample: Iterable[Any] | None = None,
+    curve: "SpaceFillingCurve | str", space: KeywordSpace
 ) -> SpaceFillingCurve:
     """Resolve a ``curve=`` argument into a curve instance.
 
-    The name ``"auto"`` selects the cheapest family for a sampled workload
-    via :func:`repro.sfc.select_curve`.  The order is fixed to the space's
-    bit depth — the overlay identifier width depends on it.
+    The order is fixed to the space's bit depth — the overlay identifier
+    width depends on it.
     """
     if isinstance(curve, SpaceFillingCurve):
         return curve
-    if curve == "auto":
-        regions = _sample_regions(space, curve_sample, rng)
-        choice = select_curve(regions, space.dims, space.bits)
-        return choice.make(space.dims)
-    if curve not in CURVES:
-        raise ConfigError(
-            f"unknown curve {curve!r}; choose from {sorted(CURVES) + ['auto']}"
-        )
-    return CURVES[curve](space.dims, space.bits)
+    return make_curve(curve, space.dims, space.bits)
 
 
 def _coerce_result_cache(
@@ -129,7 +96,7 @@ class SquidSystem:
         gen = as_generator(rng)
         # What the caller leaves unsaid comes from one place (repro.config).
         config = current()
-        self.curve = _resolve_curve(curve if curve is not None else config.curve, space, rng=gen)
+        self.curve = _resolve_curve(curve if curve is not None else config.curve, space)
         if self.curve.dims != space.dims or self.curve.order != space.bits:
             raise OverlayError(
                 "curve geometry must match the keyword space "
@@ -180,7 +147,6 @@ class SquidSystem:
         engine: QueryEngine | str | None = None,
         store: str | StoreSpec | None = None,
         result_cache: "ResultCache | int | bool | None" = None,
-        curve_sample: Iterable[Any] | None = None,
     ) -> "SquidSystem":
         """Build a system of ``n_nodes`` peers with random identifiers.
 
@@ -190,16 +156,12 @@ class SquidSystem:
         ``engine`` also take ready instances, ``store`` a
         :class:`~repro.store.base.StoreSpec` carrying backend options.
         ``store=None``, ``curve=None`` and ``result_cache=None`` take the
-        value of :func:`repro.config.current`.  ``curve="auto"`` picks the
-        cheapest registered family for a workload sample (``curve_sample``:
-        query strings or :class:`~repro.sfc.regions.Region` objects; a
-        seeded mix of random cube queries when omitted) via
-        :func:`repro.sfc.select_curve`.
+        value of :func:`repro.config.current`.
         """
         gen = as_generator(seed)
         if curve is None:
             curve = current().curve
-        sfc = _resolve_curve(curve, space, rng=gen, curve_sample=curve_sample)
+        sfc = _resolve_curve(curve, space)
         ring = ChordRing.with_random_ids(sfc.index_bits, n_nodes, rng=gen)
         return cls(
             space,

@@ -464,11 +464,9 @@ def run_curve_ablation(row: FigureRow, preset: ScalePreset, seed: int) -> Figure
     curve family the same seeded system is built, the same queries run, and
     the row reports the mean cluster count of the query regions (the
     message-cost driver: one cluster → one routed curve segment) alongside
-    the measured end-to-end messages and processing nodes.  The
-    ``selected`` column marks the family the workload-adaptive selector
-    (:func:`repro.sfc.select_curve`) picks from the class's query regions.
+    the measured end-to-end messages and processing nodes.
     """
-    from repro.sfc import CURVES, select_curve
+    from repro.sfc import CURVES
     from repro.sfc.analysis import cluster_stats
     from repro.workloads.queries import (
         q1_queries,
@@ -489,19 +487,6 @@ def run_curve_ablation(row: FigureRow, preset: ScalePreset, seed: int) -> Figure
         ("Q3", res, [str(q) for q in q3_full_range_queries(res, count=5, rng=seed + 4)]),
     ]
 
-    # Adaptive selection per workload: the sample is exactly the query
-    # regions the classes will run.
-    selections: dict[int, str] = {}
-    for workload in (doc, res):
-        regions = [
-            workload.space.region(q)
-            for label, wl, queries in classes
-            if wl is workload
-            for q in queries
-        ]
-        choice = select_curve(regions, workload.space.dims, workload.space.bits)
-        selections[id(workload)] = choice.name
-
     result = FigureResult(
         row.id,
         row.title,
@@ -512,7 +497,6 @@ def run_curve_ablation(row: FigureRow, preset: ScalePreset, seed: int) -> Figure
             "messages",
             "processing_nodes",
             "matches",
-            "selected",
         ],
     )
     for name in sorted(CURVES):
@@ -539,12 +523,8 @@ def run_curve_ablation(row: FigureRow, preset: ScalePreset, seed: int) -> Figure
                 messages=round(float(np.mean(messages)), 1),
                 processing_nodes=round(float(np.mean(processing)), 1),
                 matches=matches,
-                selected=selections[id(workload)] == name,
             )
-    result.notes.append(
-        "same seeded workloads and queries for every curve; 'selected' marks "
-        "the family select_curve() picks from that class's query regions"
-    )
+    result.notes.append("same seeded workloads and queries for every curve")
     return result
 
 
@@ -606,8 +586,8 @@ EXTENSIONS: dict[str, FigureRow] = {
             "extH",
             "Curve ablation: clusters and message cost per query class",
             "§3.2 generalized: the curve mapping determines clustering and "
-            "hence message cost per query class; answers never depend on it, and the "
-            "adaptive selector picks the cheapest family for a sampled workload.",
+            "hence message cost per query class; answers never depend on it, and "
+            "Hilbert costs no more clusters or messages than Z-order in any class.",
             37,
             run_curve_ablation,
         ),

@@ -13,8 +13,6 @@ Public surface:
 * :mod:`~repro.sfc.regions` — query regions (boxes / unions of boxes).
 * :mod:`~repro.sfc.clusters` — cluster generation and recursive refinement.
 * :mod:`~repro.sfc.analysis` — clustering/locality analytics.
-* :mod:`~repro.sfc.select` — adaptive curve/order selection from a workload
-  sample (:func:`select_curve`).
 
 Curve families are selected **by name**, mirroring the store backends; what
 ``SquidSystem.create(...)`` uses when no ``curve=`` is given comes from
@@ -41,7 +39,6 @@ from repro.sfc.graycurve import GrayCurve
 from repro.sfc.hilbert import HilbertCurve
 from repro.sfc.onioncurve import OnionCurve
 from repro.sfc.regions import Box, Containment, Interval, Region, full_region
-from repro.sfc.select import CurveChoice, sample_box_regions, select_curve
 from repro.sfc.zorder import MortonCurve
 
 __all__ = [
@@ -69,9 +66,6 @@ __all__ = [
     "locality_ratio",
     "CURVES",
     "make_curve",
-    "CurveChoice",
-    "select_curve",
-    "sample_box_regions",
 ]
 
 #: Registry of curve families by name (used by config-driven experiments).

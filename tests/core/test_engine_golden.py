@@ -2,8 +2,10 @@
 
 ``engine_golden.json`` (beside this file) was generated by this module's
 ``__main__`` at commit ``f86bf2a`` — the parent of the PR that collapsed
-``core/engine.py`` to one visit, one dispatcher and one run opener — and
-has not been regenerated since.  Every case replays a fixed query sequence
+``core/engine.py`` to one visit, one dispatcher and one run opener.  It was
+regenerated once, at ``887412a``, to add ``zorder`` as a third curve of the
+matrix; every ``hilbert/...`` and ``onion/...`` line came out byte-identical
+to the ``f86bf2a`` recording.  Every case replays a fixed query sequence
 on a freshly built, seeded system and fingerprints everything an engine
 refactor could disturb without changing an answer *total*: the match sets,
 ``stats.as_dict()``, completeness and unresolved ranges, the **ordered**
@@ -43,7 +45,7 @@ from tests.core.conftest import WORDS
 
 GOLDEN = Path(__file__).with_name("engine_golden.json")
 
-CURVES = ("hilbert", "onion")
+CURVES = ("hilbert", "onion", "zorder")
 QUERIES = ("(computer, data)", "(comp*, *)", "(*, net*)", "(*, *)", "(d*, *)")
 ENGINES = {
     "opt-agg-d1": (OptimizedEngine, dict(aggregate=True, local_depth=1)),

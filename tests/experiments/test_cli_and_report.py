@@ -65,7 +65,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "env,argv,expected",
         [
-            ({"REPRO_CURVE": "bogus"}, ["demo"], "'gray', 'hilbert', 'onion', 'zorder', 'auto'"),
+            ({"REPRO_CURVE": "bogus"}, ["demo"], "'gray', 'hilbert', 'onion', 'zorder']"),
             ({"REPRO_STORE": "bogus"}, ["demo"], "['local', 'sqlite']"),
             ({}, ["run", "fig09", "--result-cache", "0"], "capacity must be >= 1"),
         ],
@@ -175,8 +175,10 @@ class TestCurveFlag:
         assert current() == before  # the flag does not outlive the command
 
     def test_rejects_unknown_curve(self):
-        with pytest.raises(SystemExit):  # argparse choices
-            main(["run", "fig18", "--curve", "peano"])
+        for name in ("peano", "auto"):  # there is no selector behind "auto"
+            with pytest.raises(SystemExit) as exc:  # argparse choices
+                main(["run", "fig18", "--curve", name])
+            assert exc.value.code == 2
 
     def test_curve_ablation_runs(self, capsys):
         assert main(["run", "extH", "--scale", "small", "--csv"]) == 0

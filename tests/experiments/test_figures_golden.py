@@ -3,11 +3,13 @@
 ``figures_golden.json`` (beside this file) was generated by this module's
 ``__main__`` at commit ``4f5c7fd`` — the parent of the PR that folded the
 eleven per-figure modules, the two growth sweeps and the two system builders
-into ``repro.experiments.figures``.  Since then one row has been re-recorded
-on purpose, twice: ``extG``, when the result cache began to keep its
-entries through graceful churn and writes that fail the query, and again
+into ``repro.experiments.figures``.  Since then two rows have been
+re-recorded on purpose.  ``extG`` twice: when the result cache began to keep
+its entries through graceful churn and writes that fail the query, and again
 when its eviction came to weigh recent lookups by the messages a run costs
-(hit rates, expirations and origins moved; ``stale`` stayed 0).  A
+(hit rates, expirations and origins moved; ``stale`` stayed 0).  ``extH``
+once, when the adaptive curve selector was deleted: its ``selected`` column
+and the note that explained it went, and every other value stayed.  A
 figure is fingerprinted by the sha256 of its CSV export plus its notes, so a
 generator created, passed or consumed in another order shows up as a moved
 digest.  The curve is pinned to the paper's (the recorded rows are Hilbert
