@@ -38,7 +38,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from operator import itemgetter
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.metrics import QueryResult, QueryStats, merge_index_ranges
 from repro.core.plancache import plan_key
@@ -188,6 +188,7 @@ class EngineRun:
         "exhausted",
         "early_result",
         "ranges",
+        "tree",
     )
 
     def __init__(self) -> None:
@@ -220,7 +221,11 @@ class EngineRun:
         self.exhausted = False
         self.early_result: QueryResult | None = None
         #: Naive engine only: the fully resolved cluster ranges.
-        self.ranges: list[tuple[int, int]] = []
+        self.ranges: tuple[tuple[int, int], ...] = ()
+        #: The query tree of the run's cached plan: nodes replay their
+        #: remainders from it (``refine_cluster``'s ``tree``).  ``None`` on a
+        #: run whose plan missed the cache, and on the naive engine.
+        self.tree: dict | None = None
 
     def take_outbox(self) -> list:
         """Drain and return the entries posted since the last drain."""
@@ -298,6 +303,9 @@ class QueryEngine(ABC):
     """
 
     name: str = "abstract"
+    #: Whether the engine's nodes refine remainders a plan-cache entry can
+    #: keep as its query tree (the naive initiator resolves everything).
+    grows_tree = False
 
     # Switched on only by OptimizedEngine's constructor (documented there);
     # the shared visit and delivery code reads them from the instance.
@@ -415,7 +423,10 @@ class QueryEngine(ABC):
         # Figure 8) but holds none of the clusters itself yet.  Its plan is
         # pure geometry — a function of (curve, region, plan parameter)
         # only — so repeated queries reuse it from the system's plan cache;
-        # clusters are immutable, making the shared plan safe.
+        # clusters are immutable, making the shared plan safe.  So is every
+        # node's remainder step: a cached entry also keeps the query tree,
+        # which only runs planned from the entry fill — most plans are never
+        # asked for again, and their trees would only hold memory.
         stats.record_processing(origin_id, 0)
         root_span = run.root_span = (
             trace.new_span(None, origin_id, 0) if trace is not None else 0
@@ -426,12 +437,12 @@ class QueryEngine(ABC):
             cache_key = plan_key(curve, region, self.name, self._plan_param())
             cached = cache.get(cache_key)
             if cached is not None:
-                plan = list(cached)
+                plan, run.tree = cached
                 stats.plan_cache_hit = True
         if plan is None:
-            plan = self._plan(curve, region)
+            plan = tuple(self._plan(curve, region))
             if cache is not None:
-                cache.put(cache_key, tuple(plan))
+                cache.put(cache_key, (plan, {} if self.grows_tree else None))
         if trace is not None:
             trace.emit(root_span, ClusterRefined(origin_id, 0, len(plan)))
         self._start(system, run, plan)
@@ -446,7 +457,7 @@ class QueryEngine(ABC):
         """*Plan*: what the initiator resolves before sending anything."""
 
     @abstractmethod
-    def _start(self, system: "SquidSystem", run: EngineRun, plan: list) -> None:
+    def _start(self, system: "SquidSystem", run: EngineRun, plan: tuple) -> None:
         """Post the run's first work entries for ``plan`` to its outbox."""
 
     @abstractmethod
@@ -888,6 +899,7 @@ class OptimizedEngine(QueryEngine):
     """
 
     name = "optimized"
+    grows_tree = True
 
     def __init__(
         self,
@@ -954,7 +966,7 @@ class OptimizedEngine(QueryEngine):
             return []
         return self._refine_locally(curve, root, region, min_index=0)
 
-    def _start(self, system: "SquidSystem", run: EngineRun, plan: list) -> None:
+    def _start(self, system: "SquidSystem", run: EngineRun, plan: tuple) -> None:
         """Dispatch the level-1 clusters from the initiator."""
         plane = self.fault_plane
         if plane is not None and plane.active:  # see begin_run: inertness
@@ -973,7 +985,7 @@ class OptimizedEngine(QueryEngine):
         trace = run.trace
         if outcome is _CONTINUE:
             remainder = self._refine_locally(
-                system.curve, cluster, run.region, min_index=covered + 1
+                system.curve, cluster, run.region, covered + 1, run.tree
             )
             if trace is not None:
                 trace.emit(
@@ -1003,9 +1015,12 @@ class OptimizedEngine(QueryEngine):
             trace.emit(span, Pruned(node_id, cluster.level, reason))
         return True
 
-    def _refine_locally(self, curve, cluster: Cluster, region, min_index: int):
-        """Expand the query tree ``local_depth`` levels at this node (CPU only)."""
-        clusters = refine_cluster(curve, cluster, region, min_index=min_index)
+    def _refine_locally(
+        self, curve, cluster: Cluster, region, min_index: int, tree=None
+    ):
+        """Expand the query tree ``local_depth`` levels at this node (CPU only),
+        replaying each step ``tree`` already holds."""
+        clusters = refine_cluster(curve, cluster, region, min_index, tree)
         for _ in range(self.local_depth - 1):
             if all(c.is_resolved for c in clusters):
                 break
@@ -1014,13 +1029,13 @@ class OptimizedEngine(QueryEngine):
                 if c.is_resolved:
                     nxt.append(c)
                 else:
-                    nxt.extend(refine_cluster(curve, c, region, min_index=min_index))
+                    nxt.extend(refine_cluster(curve, c, region, min_index, tree))
             clusters = nxt
         return clusters
 
     def _dispatch(
         self, system: "SquidSystem", run: EngineRun, sender_id: int,
-        clusters: list[Cluster], floor: int, now: float, parent_span: int,
+        clusters: Sequence[Cluster], floor: int, now: float, parent_span: int,
     ) -> None:
         """Send sub-clusters toward their owners, optionally aggregated.
 
@@ -1212,7 +1227,7 @@ class NaiveEngine(QueryEngine):
         """Full cluster resolution: the naive engine's dominant initiator cost."""
         return resolve_clusters(curve, region, max_level=self.max_level)
 
-    def _start(self, system: "SquidSystem", run: EngineRun, plan: list) -> None:
+    def _start(self, system: "SquidSystem", run: EngineRun, plan: tuple) -> None:
         """Keep the plan on the run and open its first range."""
         run.ranges = plan
         if self.hop_budget is None:

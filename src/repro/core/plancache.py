@@ -1,28 +1,38 @@
 """Query-plan cache: memoized cluster plans at the query initiator.
 
-Resolving a query spends most of its initiator-side CPU on pure geometry —
-refining the covering region's clusters over the space-filling curve.  That
-work depends only on ``(curve, region, engine parameters)``, never on the
-overlay or the stored data: node arrivals, departures, and publishes change
-*where* clusters are sent and what the scans return, not the clusters
-themselves.  The plan is therefore immutable once computed, and repeated
-queries over the same region (hot-spot workloads, dashboard refreshes,
-polling discovery loops) can skip cluster generation entirely.
+Resolving a query spends much of its CPU on pure geometry — refining the
+covering region's clusters over the space-filling curve, first at the
+initiator and then at every node that refines the remainder of its
+cluster.  That work depends only on ``(curve, region, engine parameters)``
+and, at a node, the index ``covered + 1`` it refines beyond — never on the
+stored data: node arrivals, departures, and publishes change *where*
+clusters are sent and what the scans return, not the clusters themselves.
+Geometry is therefore immutable once computed, and repeated queries over
+the same region (hot-spot workloads, dashboard refreshes, polling discovery
+loops) can skip it.
 
 :class:`PlanCache` is a small LRU keyed on the canonical region geometry
 (:meth:`~repro.sfc.regions.Region.canonical_key`, order-insensitive over the
 region's boxes), the curve identity, and the engine parameters that shape
 the plan (``local_depth`` for the optimized engine, ``max_level`` for the
-naive one).  Values are the engines' own plan objects — tuples of immutable
-:class:`~repro.sfc.clusters.Cluster` values or resolved index ranges —
-so sharing a cached plan across queries is safe by construction.
+naive one).  A value is a pair ``(plan, tree)``: the engine's plan — a tuple
+of immutable :class:`~repro.sfc.clusters.Cluster` values or of resolved
+index ranges — and, for the optimized engine, the query tree: a dict from
+``(cluster, min_index)`` to the remainder
+:func:`~repro.sfc.clusters.refine_cluster` returned, which runs planned from
+the entry fill and replay (the naive engine's tree is ``None``).  A run
+fills the tree only when its own plan came from the cache.
 
-Because plans are pure functions of their key, **no invalidation is ever
-needed**; the only reason entries leave the cache is LRU capacity pressure.
-Hits, misses, and evictions are published to the active metrics registry
-(``plan_cache.hits`` / ``plan_cache.misses`` / ``plan_cache.evictions``)
-and each :class:`~repro.core.metrics.QueryStats` records whether its query
-was planned from cache (``plan_cache_hit``).
+Because plans and remainders are pure functions of their keys, **no
+invalidation is ever needed**; the only reason entries leave the cache is
+LRU capacity pressure.  Ring changes move the ``min_index`` a node asks
+for, leaving keys nobody asks for again; a tree is therefore capped
+(:data:`~repro.sfc.clusters.TREE_CAPACITY`) and cleared when full.  Hits,
+misses, and evictions are published to the active metrics registry
+(``plan_cache.hits`` / ``plan_cache.misses`` / ``plan_cache.evictions``,
+and ``plan_cache.tree_hits`` per replayed remainder) and each
+:class:`~repro.core.metrics.QueryStats` records whether its query was
+planned from cache (``plan_cache_hit``).
 """
 
 from __future__ import annotations
@@ -62,10 +72,10 @@ def plan_key(
 class PlanCache:
     """LRU cache of resolved query plans, with hit/miss/eviction accounting.
 
-    The cache is engine-agnostic: values are opaque to it (the optimized
-    engine stores its first refinement's cluster tuple, the naive engine its
-    resolved index ranges) and the ``engine_name`` component of the key keeps
-    the two plan shapes from colliding.
+    The cache is engine-agnostic: values are opaque to it (the engines
+    store ``(plan, tree)`` pairs, see the module docstring) and the
+    ``engine_name`` component of the key keeps the plan shapes from
+    colliding.
     """
 
     def __init__(self, capacity: int = 128) -> None:

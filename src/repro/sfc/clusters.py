@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import cache
 from operator import add
 from time import perf_counter
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from repro.errors import SFCError
 from repro.obs import metrics as obs_metrics
@@ -183,12 +183,19 @@ def root_cluster(curve: SpaceFillingCurve, region: Region) -> Cluster | None:
     return Cluster(level=0, pieces=(cell,))
 
 
+#: Most remainders one query tree (``refine_cluster``'s ``tree``) keeps.  A
+#: full tree is cleared: ring changes move the ``min_index`` keys, and the
+#: keys they left behind must not pin the cap.
+TREE_CAPACITY = 256
+
+
 def refine_cluster(
     curve: SpaceFillingCurve,
     cluster: Cluster,
     region: Region,
     min_index: int = 0,
-) -> list[Cluster]:
+    tree: dict | None = None,
+) -> Sequence[Cluster]:
     """One refinement step: expand partial cells, split runs on gaps.
 
     ``min_index`` restricts the result to curve indices ``>= min_index``
@@ -198,21 +205,40 @@ def refine_cluster(
     and classified against the region.  Maximal contiguous runs of surviving
     pieces form the output clusters.
 
+    Returns a list, or with a ``tree`` the tuple it files there.  ``tree``
+    memoizes the step for one ``(curve, region)``: a dict from ``(cluster,
+    min_index)`` to the step's clusters.  A replayed step counts its cells
+    in ``sfc.refine.scalar_cells`` like a computed one and counts one
+    ``plan_cache.tree_hits``.
+
     This is the hot refinement path; when a profiler is enabled
-    (:func:`repro.obs.profile.enable_profiling`) each call is timed under
-    the ``sfc.refine`` phase.
+    (:func:`repro.obs.profile.enable_profiling`) each computed call is timed
+    under the ``sfc.refine`` phase.
     """
     reg = obs_metrics.active()
     if reg is not None:
         reg.counter("sfc.refine.scalar_cells").inc(cluster.cell_count())
+    if tree is not None:
+        key = (cluster, min_index)
+        runs = tree.get(key)
+        if runs is not None:
+            if reg is not None:
+                reg.counter("plan_cache.tree_hits").inc()
+            return runs
     prof = obs_profile._PROFILER
     if prof is None:
-        return _refine(curve, cluster, region, min_index)
-    start = perf_counter()
-    try:
-        return _refine(curve, cluster, region, min_index)
-    finally:
-        prof.record("sfc.refine", perf_counter() - start)
+        runs = _refine(curve, cluster, region, min_index)
+    else:
+        start = perf_counter()
+        try:
+            runs = _refine(curve, cluster, region, min_index)
+        finally:
+            prof.record("sfc.refine", perf_counter() - start)
+    if tree is not None:
+        if len(tree) >= TREE_CAPACITY:
+            tree.clear()
+        runs = tree[key] = tuple(runs)
+    return runs
 
 
 @cache

@@ -47,7 +47,9 @@ def _reference(requests):
 
 @pytest.fixture(scope="module")
 def requests():
-    return demo_requests(build_demo_system(**BUILD), SEED, 24)
+    # Two passes of the same requests: every run of the second plans from
+    # the plan cache, so its nodes fill or replay that plan's query tree.
+    return demo_requests(build_demo_system(**BUILD), SEED, 24) * 2
 
 
 @pytest.fixture(scope="module")
