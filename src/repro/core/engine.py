@@ -23,6 +23,12 @@ generated and hence in cost:
     identity, and all sub-clusters belonging to that destination travel as a
     single batched message.
 
+The geometry of those steps — the plan, a node's window and ownership
+test, its refined remainder, the grouping by destination — is the pure
+functions of :mod:`repro.core.planner`; this module is the accounting
+around them: messages, hops, the fault plane, the load guard, the hop
+budget, traces and latency.
+
 Correctness argument (tested exhaustively against a brute-force oracle): the
 covering region contains the coordinates of every matching key; clusters
 cover the region's entire curve image; each forwarded remainder is trimmed
@@ -36,10 +42,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from operator import itemgetter
 from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
+from repro.core import planner
 from repro.core.metrics import QueryResult, QueryStats, merge_index_ranges
 from repro.core.plancache import plan_key
 from repro.errors import EngineError
@@ -56,13 +62,7 @@ from repro.obs.trace import (
     Pruned,
     QueryTrace,
 )
-from repro.sfc.clusters import (
-    Cluster,
-    FullRange,
-    refine_cluster,
-    resolve_clusters,
-    root_cluster,
-)
+from repro.sfc.clusters import Cluster, FullRange, resolve_clusters
 from repro.util.rng import RandomLike, as_generator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -131,22 +131,6 @@ def _report_query_metrics(engine_name: str, stats: QueryStats) -> None:
         reg.counter("query.lost_branches.total").inc(stats.lost_branches)
     if stats.shed_branches:
         reg.counter("query.shed_branches.total").inc(stats.shed_branches)
-
-
-def _window(curve, cluster: Cluster, low: int, high: int):
-    """The cluster's per-piece index ranges within the window ``[low, high]``.
-
-    Pieces are gap-free, so their union is the one range ``[max(min_index,
-    low), min(max_index, high)]`` a visit scans; the per-piece form is what
-    abandoned branches record and what trace events count.
-    """
-    out = []
-    for lo, hi in cluster.iter_index_ranges(curve):
-        clipped_lo = max(lo, low)
-        clipped_hi = min(hi, high)
-        if clipped_lo <= clipped_hi:
-            out.append((clipped_lo, clipped_hi))
-    return out
 
 
 class EngineRun:
@@ -563,8 +547,7 @@ class QueryEngine(ABC):
             # window is shed — deliberately and honestly — into
             # ``unresolved_ranges``.  Shedding a branch is cheap by design:
             # no scan, no refinement, no dispatch.
-            rest = _window(curve, cluster, low, curve.size - 1)
-            self._abandon(run, rest, cluster.level, span, node_id, shed=True)
+            self._abandon(run, curve, cluster, low, span, node_id, shed=True)
             return _SHED, node_id, covered, arrival_time
         # Two ways to lose the branch before anyone handles it.  The hop
         # budget is exhausted: a routing cycle (or a pathological plan)
@@ -590,8 +573,7 @@ class QueryEngine(ABC):
             # The entry's remaining window is honestly abandoned; with no
             # new dispatches the queue drains and the query returns
             # ``complete=False`` instead of looping forever.
-            rest = _window(curve, cluster, low, curve.size - 1)
-            self._abandon(run, rest, cluster.level, span, node_id)
+            self._abandon(run, curve, cluster, low, span, node_id)
             return _LOST, node_id, covered, arrival_time
         stats.record_processing(node_id, cluster.level)
         model = self.latency_model
@@ -609,21 +591,7 @@ class QueryEngine(ABC):
             # Failover visit: `covered` is the unreachable-but-live
             # peer's identifier; ask the ring for its predecessor.
             pred = overlay.predecessor_id(covered)
-        # The node searches the slice of the cluster it is responsible
-        # for on this arrival: up to the covered identifier, or to the
-        # end of the index space when the delivery wrapped around the
-        # ring (a first-node visit for the tail segment) or the node is
-        # alone on it (its arc is the whole space, above its identifier
-        # too).  Windowing keeps the chain's scans disjoint even when it
-        # wraps past 0.  A cluster is one contiguous curve segment, so its
-        # slice is one index range (or nothing).
-        window_high = (
-            covered if low <= covered and pred != covered else curve.size - 1
-        )
-        max_index = cluster.max_index(curve)
-        scan_low = max(cluster.min_index(curve), low)
-        scan_high = min(max_index, window_high)
-        ranges = [(scan_low, scan_high)] if scan_low <= scan_high else []
+        ranges, high, owned = planner.window(curve, cluster, low, covered, pred)
         if run.scanned is not None:
             run.scanned += ranges
         found = self._scan_cluster(system, node_id, ranges, run.keep)
@@ -639,9 +607,9 @@ class QueryEngine(ABC):
                 run.unresolved.extend(ranges)
         if trace is not None:
             # The event has always carried the cluster's piece count in the
-            # window, not the number of ranges scanned (now at most one);
+            # window, not the number of ranges scanned (at most one);
             # tests/core/engine_golden.json, recorded before, is the check.
-            pieces = len(_window(curve, cluster, low, window_high))
+            pieces = planner.pieces(curve, cluster, low, high)
             trace.emit(span, LocalScan(node_id, pieces, len(found)))
         if found:
             run.matches.extend(found)
@@ -650,26 +618,7 @@ class QueryEngine(ABC):
                 stats.record_match_time(done_time)
             if run.limit is not None and len(run.matches) >= run.limit:
                 return _LIMIT, node_id, covered, arrival_time
-        # Ownership ("pruning"): the branch terminates when the covered
-        # node owns the whole remaining index range of the cluster.
-        # Linearly that means the cluster's last index precedes the
-        # covered identifier; at the ring's wrap point (a node owning
-        # (pred, 2^m) ∪ [0, id]) it means the cluster's remaining part
-        # started beyond the predecessor, since linear indices never wrap.
-        if (
-            max_index <= covered
-            or pred == covered  # single node: owns (and scanned) everything
-            or low > covered  # wrapped: scanned to the end of space
-        ):
-            # The wrap test must come from the scan window itself, not the
-            # node's predecessor pointer: after a crash the stale pointer
-            # can name a dead peer with a larger identifier, the prune
-            # misses, and the tail segment is re-dispatched and re-scanned
-            # (duplicated matches).  A wrapped arrival already scanned
-            # [low, 2^m), which contains every remaining linear index of
-            # the cluster.
-            return _OWNED, node_id, covered, arrival_time
-        return _CONTINUE, node_id, covered, arrival_time
+        return (_OWNED if owned else _CONTINUE), node_id, covered, arrival_time
 
     @staticmethod
     def _refused(run: EngineRun, node_id: int) -> bool:
@@ -678,19 +627,24 @@ class QueryEngine(ABC):
         return not run.guard.admit(node_id, run.priority)
 
     @staticmethod
-    def _abandon(run: EngineRun, ranges, level: int, span: int, node_id: int, shed=False) -> None:
-        """Account one branch nobody will resolve: its index ``ranges`` become
-        unresolved and the span is tagged — *lost* (undeliverable, or over the
-        hop budget) or *shed* (the load guard's deliberate decision)."""
-        run.unresolved.extend(ranges)
+    def _abandon(
+        run: EngineRun, curve, cluster: Cluster, low: int, span: int, node_id: int,
+        shed=False,
+    ) -> None:
+        """Account one branch nobody will resolve: the cluster's indices from
+        ``low`` on become unresolved and the span is tagged — *lost*
+        (undeliverable, or over the hop budget) or *shed* (the load guard's
+        deliberate decision), with the piece count of the abandoned window."""
+        end = curve.size - 1
+        run.unresolved += planner.clip(curve, cluster, low, end)
         if shed:
             run.stats.record_shed_branch()
-            event = BranchShed(node_id, level, len(ranges))
         else:
             run.stats.record_lost_branch()
-            event = BranchLost(node_id, level, len(ranges))
         if run.trace is not None:
-            run.trace.emit(span, event)
+            event = BranchShed if shed else BranchLost
+            count = planner.pieces(curve, cluster, low, end)
+            run.trace.emit(span, event(node_id, cluster.level, count))
 
     @staticmethod
     def _filter_scan(store, ranges, keep) -> list:
@@ -961,10 +915,7 @@ class OptimizedEngine(QueryEngine):
 
     def _plan(self, curve, region) -> list[Cluster]:
         """The initiator's first refinement of the query tree."""
-        root = root_cluster(curve, region)
-        if root is None:  # pragma: no cover - regions are never empty
-            return []
-        return self._refine_locally(curve, root, region, min_index=0)
+        return planner.plan(curve, region, self.local_depth)
 
     def _start(self, system: "SquidSystem", run: EngineRun, plan: tuple) -> None:
         """Dispatch the level-1 clusters from the initiator."""
@@ -984,8 +935,9 @@ class OptimizedEngine(QueryEngine):
         cluster, span = entry[1], entry[4]
         trace = run.trace
         if outcome is _CONTINUE:
-            remainder = self._refine_locally(
-                system.curve, cluster, run.region, covered + 1, run.tree
+            remainder = planner.expand(
+                system.curve, cluster, run.region, covered + 1,
+                self.local_depth, run.tree,
             )
             if trace is not None:
                 trace.emit(
@@ -1015,40 +967,19 @@ class OptimizedEngine(QueryEngine):
             trace.emit(span, Pruned(node_id, cluster.level, reason))
         return True
 
-    def _refine_locally(
-        self, curve, cluster: Cluster, region, min_index: int, tree=None
-    ):
-        """Expand the query tree ``local_depth`` levels at this node (CPU only),
-        replaying each step ``tree`` already holds."""
-        clusters = refine_cluster(curve, cluster, region, min_index, tree)
-        for _ in range(self.local_depth - 1):
-            if all(c.is_resolved for c in clusters):
-                break
-            nxt: list[Cluster] = []
-            for c in clusters:
-                if c.is_resolved:
-                    nxt.append(c)
-                else:
-                    nxt.extend(refine_cluster(curve, c, region, min_index, tree))
-            clusters = nxt
-        return clusters
-
     def _dispatch(
         self, system: "SquidSystem", run: EngineRun, sender_id: int,
         clusters: Sequence[Cluster], floor: int, now: float, parent_span: int,
     ) -> None:
         """Send sub-clusters toward their owners, optionally aggregated.
 
-        A sub-cluster is routed by its first index *of interest*,
-        ``max(min_index, floor)``: a partial cell straddling the sender's
-        trim boundary keeps its full geometry, so its nominal minimum can lie
-        at or below the sender — routing by the floored key keeps the chain
-        strictly advancing along the ring (and prevents re-scanning).
-
-        Grouping is by destination in increasing identifier order, matching
-        the paper's probe-then-batch protocol: the probe message is routed
-        (hop-counted), the destination's identity reply costs one message,
-        and additional same-destination clusters share one batched message.
+        :func:`planner.group <repro.core.planner.group>` keys each
+        sub-cluster by its first index of interest, ``max(min_index,
+        floor)``, and groups them by destination in increasing key order,
+        matching the paper's probe-then-batch protocol: the probe message is
+        routed (hop-counted), the destination's identity reply costs one
+        message, and additional same-destination clusters share one batched
+        message.
         Without aggregation every cluster is a message group of its own.
 
         When tracing, every dispatched cluster opens a child span of
@@ -1074,21 +1005,10 @@ class OptimizedEngine(QueryEngine):
         trace = run.trace
         work = run.outbox
         resilient = run.plane is not None
-        # Each cluster's routing key is computed once and carried, as a
-        # (key, cluster) pair, through the sort, the grouping and the
-        # posted work entry.  The sort is stable on the key alone.
-        keyed = [(max(c.min_index(curve), floor), c) for c in clusters]
-        keyed.sort(key=itemgetter(0))
-        owned: dict[int, list[tuple[int, Cluster]]] = {}
-        for pair in keyed:
-            dest = overlay.owner(pair[0])
-            if dest in owned:
-                owned[dest].append(pair)
-            else:
-                owned[dest] = [pair]
+        owned = planner.group(curve, clusters, floor, overlay.owner)
         aggregate = self.aggregate
         kind = "probe" if aggregate else "routed"
-        reply = aggregate and len(keyed) > 1
+        reply = aggregate and len(clusters) > 1
         for dest, pairs in owned.items():
             if dest == sender_id:
                 # Remainder that stays local (wrapped first node): no message.
@@ -1158,8 +1078,7 @@ class OptimizedEngine(QueryEngine):
                             ),
                         )
                     if carrier is None:
-                        rest = _window(curve, cluster, key, curve.size - 1)
-                        self._abandon(run, rest, cluster.level, span, lost_at)
+                        self._abandon(run, curve, cluster, key, span, lost_at)
                     else:
                         work.append(
                             (carrier[0], cluster, key, at, span,
@@ -1278,7 +1197,12 @@ class NaiveEngine(QueryEngine):
             # The initiator itself is overloaded: the clusters not yet
             # dispatched are shed wholesale (one accounting event).
             if idx < len(ranges):
-                self._abandon(run, ranges[idx:], 0, run.root_span, origin_id, shed=True)
+                run.unresolved.extend(ranges[idx:])
+                run.stats.record_shed_branch()
+                if run.trace is not None:
+                    run.trace.emit(
+                        run.root_span, BranchShed(origin_id, 0, len(ranges) - idx)
+                    )
             return
         if idx >= len(ranges):
             return  # every cluster handled: the run drains out

@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.engine import OptimizedEngine, QueryEngine, check_origin, make_engine
 from repro.core.metrics import QueryResult, QueryStats
 from repro.core.plancache import PlanCache
+from repro.core.planner import useful_level
 from repro.config import current
 from repro.core.resultcache import ResultCache, result_key
 from repro.errors import DuplicateNodeError, OverlayError
@@ -45,6 +46,7 @@ from repro.overlay.base import ring_contains_open_closed
 from repro.overlay.chord import ChordRing
 from repro.sfc import make_curve
 from repro.sfc.base import SpaceFillingCurve
+from repro.sfc.clusters import iter_levels
 from repro.store import NodeStore, StoredElement, StoreSpec, as_spec
 from repro.util.rng import RandomLike, as_generator
 
@@ -420,36 +422,29 @@ class SquidSystem:
         """Describe how a query would resolve, without contacting any peer.
 
         Returns the covering region's bounds, the cluster counts at each
-        refinement level (the paper's query-tree width), the exact cluster
-        count, and an estimate of the peers the optimized engine would touch
-        — a developer tool for understanding query cost before running it.
+        refinement level (the paper's query-tree width) down to
+        :func:`~repro.core.planner.useful_level`, the cluster count at that
+        level (node granularity), and a lower bound on the peers the
+        optimized engine would touch — a developer tool for understanding
+        query cost before running it.  One refinement walk gives all three.
         """
-        from repro.sfc.clusters import count_clusters_per_level, resolve_clusters
-
         q = self.space.as_query(query)
         region = self.space.region(q)
-        # Cap the per-level expansion at the depth where node arcs dominate:
-        # beyond ~log2(N) index bits, clusters fit within single peers.
-        n = max(len(self.overlay), 2)
-        useful_level = min(
-            self.curve.order,
-            max(1, (n.bit_length() + self.curve.dims - 1) // self.curve.dims + 1),
-        )
-        level_counts = count_clusters_per_level(
-            self.curve, region, max_level=useful_level
-        )
-        ranges = resolve_clusters(self.curve, region, max_level=useful_level)
+        curve = self.curve
+        level_counts = []
+        for clusters in iter_levels(curve, region, useful_level(curve, len(self.overlay))):
+            level_counts.append(len(clusters))
         touched = set()
-        for low, high in ranges:
-            touched.add(self.overlay.owner(low))
-            touched.add(self.overlay.owner(high))
+        for cluster in clusters:
+            touched.add(self.overlay.owner(cluster.min_index(curve)))
+            touched.add(self.overlay.owner(cluster.max_index(curve)))
         return {
             "query": str(q),
             "region_bounds": [
                 (iv.low, iv.high) for iv in region.boxes[0].intervals
             ],
             "clusters_per_level": level_counts,
-            "clusters_at_node_granularity": len(ranges),
+            "clusters_at_node_granularity": len(clusters),
             "estimated_peers_lower_bound": len(touched),
             "index_bits": self.curve.index_bits,
         }

@@ -10,7 +10,6 @@ Moon, Jagadish, Faloutsos & Saltz's Hilbert clustering analysis, cited as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,8 +25,6 @@ __all__ = [
     "random_box_region",
     "average_cluster_count",
     "locality_ratio",
-    "curve_comparison",
-    "region_class_comparison",
 ]
 
 
@@ -110,76 +107,6 @@ def average_cluster_count(
         region = random_box_region(curve, extent, gen)
         total += cluster_stats(curve, region).cluster_count
     return total / samples
-
-
-def curve_comparison(
-    dims: int = 2,
-    order: int = 6,
-    extent: int = 8,
-    samples: int = 40,
-    rng: RandomLike = None,
-) -> dict[str, dict[str, float]]:
-    """Clustering/locality summary for every registered curve family.
-
-    Returns ``{curve_name: {"mean_clusters": ..., "locality": ...}}`` over
-    identical random box queries — the data behind the mapping ablation
-    (Hilbert < Gray < Z-order per Moon et al., with the onion adaptation
-    between Hilbert and Gray).  ``extent`` and the locality window are
-    clamped to the curve geometry so tiny orders cannot raise mid-sweep or
-    emit degenerate rows.
-    """
-    from repro.sfc import CURVES
-
-    gen = as_generator(rng)
-    seed = int(gen.integers(0, 2**31 - 1))
-    out: dict[str, dict[str, float]] = {}
-    for name, cls in sorted(CURVES.items()):
-        curve = cls(dims, order)
-        safe_extent = max(1, min(int(extent), curve.side))
-        window = min(4, curve.size - 1)
-        out[name] = {
-            "mean_clusters": average_cluster_count(
-                curve, extent=safe_extent, samples=samples, rng=seed
-            ),
-            "locality": (
-                locality_ratio(curve, window=window, samples=200, rng=seed)
-                if window >= 1
-                else 0.0
-            ),
-        }
-    return out
-
-
-def region_class_comparison(
-    dims: int,
-    order: int,
-    classes: Mapping[str, Sequence[Region]],
-    curves: Sequence[str] | None = None,
-) -> dict[str, dict[str, float]]:
-    """Mean cluster count per query class, for every curve family.
-
-    ``classes`` maps a class label (e.g. ``"Q1-prefix"``, ``"Q3-range"``)
-    to the query regions in that class — typically built from real query
-    strings via ``KeywordSpace.region``.  Returns
-    ``{curve_name: {class_label: mean_clusters}}``; the cluster count is
-    the per-query message-cost driver (one cluster → one routed curve
-    segment), so this is the data behind the per-query-class ablation.
-    """
-    from repro.sfc import CURVES, make_curve
-
-    names = list(curves) if curves is not None else sorted(CURVES)
-    out: dict[str, dict[str, float]] = {}
-    for name in names:
-        curve = make_curve(name, dims, order)
-        per_class: dict[str, float] = {}
-        for label, regions in classes.items():
-            if not regions:
-                per_class[label] = 0.0
-                continue
-            total = sum(cluster_stats(curve, r).cluster_count for r in regions)
-            per_class[label] = total / len(regions)
-        out[name] = per_class
-    return out
 
 
 def locality_ratio(

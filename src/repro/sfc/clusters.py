@@ -46,6 +46,7 @@ __all__ = [
     "root_cluster",
     "refine_cluster",
     "refine_level",
+    "iter_levels",
     "clusters_at_level",
     "resolve_clusters",
     "count_clusters_per_level",
@@ -71,13 +72,6 @@ class Cell(NamedTuple):
 
     def index_range(self, curve: SpaceFillingCurve) -> tuple[int, int]:
         return curve.index_range_of_cell(self.level, self.prefix)
-
-    def bounds(self, curve: SpaceFillingCurve) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per-dimension inclusive coordinate bounds of the subcube."""
-        span = 1 << (curve.order - self.level)
-        lows = tuple(c * span for c in self.coords)
-        highs = tuple(c * span + span - 1 for c in self.coords)
-        return lows, highs
 
 
 # ``typing.NamedTuple`` forbids overriding ``__new__`` in the class body, so
@@ -385,14 +379,11 @@ def refine_level(
     clusters: list[Cluster],
     region: Region,
     min_index: int = 0,
-    bump_resolved: bool = True,
 ) -> list[Cluster]:
     """One refinement step across a whole level's clusters.
 
-    Resolved clusters (pure index ranges) need no geometry; with
-    ``bump_resolved`` they are carried to the next level unchanged (the
-    identity refinement used by the level-by-level drivers), otherwise
-    they pass through as-is (the engine's local expansion semantics).
+    Resolved clusters (pure index ranges) need no geometry: they are carried
+    to the next level unchanged, the identity refinement (a level bump).
 
     Equivalent to calling :func:`refine_cluster` per unresolved cluster, in
     order, but timed as one ``sfc.refine`` phase per batch.
@@ -408,35 +399,44 @@ def refine_level(
     for cluster in clusters:
         if not cluster.is_resolved:
             out.extend(_refine(curve, cluster, region, min_index))
-        elif bump_resolved:
-            out.append(Cluster(level=cluster.level + 1, pieces=cluster.pieces))
         else:
-            out.append(cluster)
+            out.append(Cluster(level=cluster.level + 1, pieces=cluster.pieces))
     if prof is not None:
         prof.record("sfc.refine", perf_counter() - start)
     return out
 
 
+def iter_levels(
+    curve: SpaceFillingCurve, region: Region, max_level: int | None = None
+) -> Iterator[list[Cluster]]:
+    """The region's clusters at levels 0, 1, …, ``max_level`` (at most, and
+    by default, ``curve.order``), each level refined only when asked for.
+
+    FullRange pieces created at shallower levels are carried through, so
+    level ``ℓ``'s clusters are exactly the maximal contiguous intersecting
+    runs of level-``ℓ`` cells (what the paper counts as clusters at the
+    ``ℓ``-th curve approximation).
+    """
+    limit = curve.order if max_level is None else min(max_level, curve.order)
+    root = root_cluster(curve, region)
+    if root is None:  # pragma: no cover - defensive
+        return
+    clusters = [root]
+    yield clusters
+    for _ in range(limit):
+        clusters = refine_level(curve, clusters, region)
+        yield clusters
+
+
 def clusters_at_level(
     curve: SpaceFillingCurve, region: Region, level: int
 ) -> list[Cluster]:
-    """All clusters of ``region`` at refinement level ``level``.
-
-    FullRange pieces created at shallower levels are carried through, so the
-    result's clusters are exactly the maximal contiguous intersecting runs of
-    level-``level`` cells (what the paper counts as clusters at the k-th
-    curve approximation).
-    """
+    """All clusters of ``region`` at refinement level ``level``."""
     if not 0 <= level <= curve.order:
         raise ValueError(f"level must be in [0, {curve.order}], got {level}")
-    root = root_cluster(curve, region)
-    if root is None:  # pragma: no cover - defensive
-        return []
-    clusters = [root]
-    for _ in range(level):
-        # Resolved clusters have no geometry left: refinement is the
-        # identity (level bump); the rest expand, batched per level.
-        clusters = refine_level(curve, clusters, region)
+    clusters: list[Cluster] = []
+    for clusters in iter_levels(curve, region, level):
+        pass
     return clusters
 
 
@@ -484,15 +484,10 @@ def _resolve_level_by_level(
     The resolver for curves whose indices do not fit ``int64``, and the
     reference the equivalence tests hold ``resolve_ranges_vec`` to.
     """
-    limit = curve.order if max_level is None else min(max_level, curve.order)
-    root = root_cluster(curve, region)
-    if root is None:  # pragma: no cover - defensive
-        return []
-    clusters = [root]
-    for _ in range(limit):
+    clusters: list[Cluster] = []
+    for clusters in iter_levels(curve, region, max_level):
         if all(c.is_resolved for c in clusters):
             break
-        clusters = refine_level(curve, clusters, region)
     ranges: list[tuple[int, int]] = []
     for cluster in clusters:
         low = cluster.min_index(curve)
@@ -510,16 +505,8 @@ def count_clusters_per_level(
 ) -> list[int]:
     """Number of clusters at each refinement level (paper Figure 6 counts).
 
-    Entry ``i`` is the cluster count at level ``i``; refinement stops early
-    once all clusters are resolved (counts stay constant afterwards).
+    Entry ``i`` is the cluster count at level ``i``, for every level up to
+    ``max_level`` (default ``curve.order``); once all clusters are resolved
+    the count stays constant.
     """
-    limit = curve.order if max_level is None else min(max_level, curve.order)
-    root = root_cluster(curve, region)
-    if root is None:  # pragma: no cover - defensive
-        return [0]
-    clusters = [root]
-    counts = [len(clusters)]
-    for _ in range(limit):
-        clusters = refine_level(curve, clusters, region)
-        counts.append(len(clusters))
-    return counts
+    return [len(clusters) for clusters in iter_levels(curve, region, max_level)]

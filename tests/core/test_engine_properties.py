@@ -18,7 +18,7 @@ from repro import (
     SquidSystem,
     WordDimension,
 )
-from repro.core.engine import _window
+from repro.core import planner
 from repro.core.metrics import merge_index_ranges
 from repro.sfc import CURVES, make_curve
 from repro.sfc.clusters import refine_cluster, resolve_clusters, root_cluster
@@ -143,8 +143,9 @@ class TestCostInvariants:
 class TestVisitWindow:
     """A cluster is one contiguous curve segment, so the window a visit
     scans — the cluster's pieces clipped to ``[low, high]`` — is one range.
-    ``_visit`` computes that range directly; ``_window`` is the per-piece
-    statement it must equal."""
+    ``planner.clip`` computes that range directly, and ``planner.pieces``
+    counts the pieces it unites; the per-piece walk is the statement both
+    must equal."""
 
     @given(
         family=st.sampled_from(sorted(CURVES)),
@@ -171,7 +172,14 @@ class TestVisitWindow:
             low, high = (int(v) for v in rng.integers(0, curve.size, size=2))
             one = (max(cluster.min_index(curve), low), min(cluster.max_index(curve), high))
             want = [one] if one[0] <= one[1] else []
-            assert normalize_ranges(_window(curve, cluster, low, high)) == want
+            per_piece = [
+                (max(lo, low), min(hi, high))
+                for lo, hi in cluster.iter_index_ranges(curve)
+                if max(lo, low) <= min(hi, high)
+            ]
+            assert normalize_ranges(per_piece) == want
+            assert planner.clip(curve, cluster, low, high) == want
+            assert planner.pieces(curve, cluster, low, high) == len(per_piece)
 
 
 class TestScanFootprint:

@@ -1,5 +1,38 @@
 """Tests for the query EXPLAIN API."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import KeywordSpace, SquidSystem, WordDimension
+from repro.sfc import CURVES
+from repro.sfc.clusters import count_clusters_per_level, resolve_clusters
+
+terms = st.one_of(
+    st.just("*"),
+    st.text(alphabet="abcmnz", min_size=1, max_size=5),
+    st.text(alphabet="abcmnz", min_size=1, max_size=3).map(lambda w: w + "*"),
+)
+
+
+def two_call_explain(system, query):
+    """``explain`` as it was: the level counts and the node-granularity
+    ranges from two separate refinements, the depth rule inline."""
+    q = system.space.as_query(query)
+    region = system.space.region(q)
+    curve = system.curve
+    n = max(len(system.overlay), 2)
+    level = min(curve.order, max(1, (n.bit_length() + curve.dims - 1) // curve.dims + 1))
+    ranges = resolve_clusters(curve, region, max_level=level)
+    touched = {system.overlay.owner(i) for low, high in ranges for i in (low, high)}
+    return {
+        "query": str(q),
+        "region_bounds": [(iv.low, iv.high) for iv in region.boxes[0].intervals],
+        "clusters_per_level": count_clusters_per_level(curve, region, max_level=level),
+        "clusters_at_node_granularity": len(ranges),
+        "estimated_peers_lower_bound": len(touched),
+        "index_bits": curve.index_bits,
+    }
+
 
 class TestExplain:
     def test_keys_present(self, storage_system):
@@ -54,3 +87,17 @@ class TestExplain:
         assert plan["estimated_peers_lower_bound"] <= 3 * max(
             actual.processing_node_count, 1
         )
+
+    @given(
+        curve=st.sampled_from(sorted(CURVES)),
+        dims=st.integers(2, 3),
+        bits=st.integers(4, 8),
+        n_nodes=st.integers(1, 200),
+        query=st.lists(terms, min_size=3, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_walk_equals_the_two_call_form(self, curve, dims, bits, n_nodes, query):
+        space = KeywordSpace([WordDimension(f"k{i}") for i in range(dims)], bits=bits)
+        system = SquidSystem.create(space, n_nodes=n_nodes, curve=curve, seed=n_nodes)
+        text = "(" + ", ".join(query[:dims]) + ")"
+        assert system.explain(text) == two_call_explain(system, text)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, DimensionMismatchError
-from repro.sfc import CURVES, HilbertCurve, MortonCurve, Region, make_curve
+from repro.sfc import CURVES, GrayCurve, HilbertCurve, MortonCurve, Region, make_curve
 from repro.sfc.analysis import (
     average_cluster_count,
     cluster_stats,
@@ -99,12 +99,16 @@ class TestRandomBoxRegion:
 
 class TestHilbertVsMorton:
     def test_hilbert_fewer_clusters(self):
-        """The clustering claim: Hilbert decomposes boxes into fewer segments."""
+        """The clustering claim: Hilbert decomposes boxes into fewer segments
+        than Z-order, with Gray coding in between (Moon et al.)."""
         h = HilbertCurve(2, 6)
+        g = GrayCurve(2, 6)
         m = MortonCurve(2, 6)
         h_count = average_cluster_count(h, extent=8, samples=40, rng=1)
+        g_count = average_cluster_count(g, extent=8, samples=40, rng=1)
         m_count = average_cluster_count(m, extent=8, samples=40, rng=1)
         assert h_count < m_count
+        assert h_count <= g_count <= m_count
 
     def test_hilbert_better_locality(self):
         h = HilbertCurve(2, 6)
@@ -116,55 +120,6 @@ class TestHilbertVsMorton:
     def test_locality_window_too_large(self):
         with pytest.raises(ValueError):
             locality_ratio(HilbertCurve(2, 2), window=100)
-
-
-class TestCurveComparison:
-    def test_all_families_reported(self):
-        from repro.sfc.analysis import curve_comparison
-
-        table = curve_comparison(dims=2, order=5, extent=6, samples=20, rng=0)
-        assert set(table) == set(CURVES)
-        for row in table.values():
-            assert row["mean_clusters"] >= 1
-            assert row["locality"] > 0
-
-    def test_moon_ordering(self):
-        from repro.sfc.analysis import curve_comparison
-
-        table = curve_comparison(dims=2, order=6, extent=8, samples=30, rng=1)
-        assert (
-            table["hilbert"]["mean_clusters"]
-            <= table["gray"]["mean_clusters"]
-            <= table["zorder"]["mean_clusters"]
-        )
-
-    def test_tiny_order_does_not_raise(self):
-        """Order-1 curves (4 cells in 2-D) used to hit out-of-range extents
-        and windows; the comparison must clamp and still report."""
-        from repro.sfc.analysis import curve_comparison
-
-        table = curve_comparison(dims=2, order=1, extent=8, samples=5, rng=2)
-        assert set(table) == set(CURVES)
-        for row in table.values():
-            assert row["mean_clusters"] >= 1
-            assert row["locality"] >= 0
-
-    def test_region_class_comparison(self):
-        from repro.sfc.analysis import region_class_comparison
-
-        classes = {
-            "point": [Region.from_bounds([(3, 3), (5, 5)])],
-            "box": [
-                Region.from_bounds([(0, 7), (0, 7)]),
-                Region.from_bounds([(2, 9), (4, 11)]),
-            ],
-        }
-        table = region_class_comparison(2, 4, classes)
-        assert set(table) == set(CURVES)
-        for rows in table.values():
-            assert set(rows) == {"point", "box"}
-            assert rows["point"] == 1.0
-            assert rows["box"] >= 1.0
 
 
 class TestMakeCurve:

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import planner
 from repro.sfc import CURVES
 from repro.sfc.clusters import (
     Cell,
     Cluster,
     FullRange,
     refine_cluster,
-    refine_level,
     root_cluster,
 )
 from repro.sfc.hilbert import HilbertCurve
@@ -94,19 +94,20 @@ def check_two_levels_deep(data, curve):
     for cluster in level1 + level2:
         expected = reference_refine_cluster(curve, cluster, region, min_index)
         assert refine_cluster(curve, cluster, region, min_index=min_index) == expected
-    for level in (level1, level2):
+    # A node's step (the engine's local expansion): one level is the
+    # kernel's step; a further level carries resolved clusters unchanged.
+    for cluster in [root] + level1:
+        step = reference_refine_cluster(curve, cluster, region, min_index)
+        assert planner.expand(curve, cluster, region, min_index, depth=1) == step
         expected = []
-        for cluster in level:
-            if cluster.is_resolved:
-                expected.append(cluster)
+        for child in step:
+            if child.is_resolved:
+                expected.append(child)
             else:
                 expected.extend(
-                    reference_refine_cluster(curve, cluster, region, min_index)
+                    reference_refine_cluster(curve, child, region, min_index)
                 )
-        assert (
-            refine_level(curve, level, region, min_index, bump_resolved=False)
-            == expected
-        )
+        assert planner.expand(curve, cluster, region, min_index, depth=2) == expected
 
 
 class TestKernelMatchesReference:
