@@ -2,7 +2,6 @@
 
 from repro.core.adversary import AdversarialEngine, run_attack_experiment
 from repro.core.engine import NaiveEngine, OptimizedEngine, QueryEngine, make_engine
-from repro.core.snapshot import load_system, save_system
 from repro.core.loadbalance import (
     VirtualNodeManager,
     grow_with_join_lb,
@@ -37,6 +36,4 @@ __all__ = [
     "AdversarialEngine",
     "run_attack_experiment",
     "HotspotMonitor",
-    "save_system",
-    "load_system",
 ]

@@ -27,6 +27,7 @@ Example
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -198,11 +199,12 @@ class SquidSystem:
     # ------------------------------------------------------------------
     def index_of(self, key: Sequence[Any]) -> int:
         """Curve index of a keyword tuple."""
-        prof = obs_profile.active_profiler()
-        if prof is None:
-            return self.curve.encode(self.space.coordinates(key))
-        with prof.phase("sfc.encode"):
-            return self.curve.encode(self.space.coordinates(key))
+        prof = obs_profile._PROFILER
+        start = perf_counter() if prof is not None else 0.0
+        index = self.curve.encode(self.space.coordinates(key))
+        if prof is not None:
+            prof.record("sfc.encode", perf_counter() - start)
+        return index
 
     def publish(
         self, key: Sequence[Any], payload: Any = None, pad: bool = False
@@ -215,14 +217,11 @@ class SquidSystem:
         discoverable by that keyword on any dimension.
         """
         normalized = self.space.pad_key(key) if pad else self.space.validate_key(key)
-        prof = obs_profile.active_profiler()
-        if prof is None:
-            coords = self.space.coordinates(normalized)
-            index = self.curve.encode(coords)
-        else:
-            with prof.phase("sfc.encode"):
-                coords = self.space.coordinates(normalized)
-                index = self.curve.encode(coords)
+        prof = obs_profile._PROFILER
+        start = perf_counter() if prof is not None else 0.0
+        index = self.curve.encode(self.space.coordinates(normalized))
+        if prof is not None:
+            prof.record("sfc.encode", perf_counter() - start)
         element = StoredElement(index=index, key=normalized, payload=payload)
         self.stores[self.overlay.owner(index)].add(element)
         if self.result_cache is not None:
@@ -255,14 +254,11 @@ class SquidSystem:
         payload_list = list(payloads) if payloads is not None else [None] * len(key_list)
         if len(payload_list) != len(key_list):
             raise ValueError("payloads length must match keys length")
-        prof = obs_profile.active_profiler()
-        if prof is None:
-            coords = self.space.coordinates_many(key_list)
-            indices = self.curve.encode_many(coords)
-        else:
-            with prof.phase("sfc.encode"):
-                coords = self.space.coordinates_many(key_list)
-                indices = self.curve.encode_many(coords)
+        prof = obs_profile._PROFILER
+        start = perf_counter() if prof is not None else 0.0
+        indices = self.curve.encode_many(self.space.coordinates_many(key_list))
+        if prof is not None:
+            prof.record("sfc.encode", perf_counter() - start)
         owners = self.overlay.owner_many(indices)
         per_node: dict[int, list[StoredElement]] = {}
         for key, payload, index, owner in zip(key_list, payload_list, indices, owners):
@@ -595,19 +591,12 @@ class SquidSystem:
 
     def _transfer_range_from(self, source_id: int, new_node_id: int) -> int:
         """Move the keys that ``new_node_id`` now owns out of ``source_id``."""
-        pred = self.overlay.predecessor_id(new_node_id)
+        if self.overlay.predecessor_id(new_node_id) == new_node_id:
+            return 0  # single node: nothing to move
         source = self.stores[source_id]
-        moved = 0
-        if pred == new_node_id:  # single node: nothing to move
-            return 0
-        # The new node owns (pred, new_node]; that range may wrap.
-        segments: list[tuple[int, int]]
-        if pred < new_node_id:
-            segments = [(pred + 1, new_node_id)]
-        else:
-            segments = [(pred + 1, self.overlay.space - 1), (0, new_node_id)]
         target = self.stores[new_node_id]
-        for low, high in segments:
+        moved = 0
+        for low, high in self._owned_segments(new_node_id):
             if low > high:
                 continue
             for element in source.pop_range(low, high):

@@ -26,7 +26,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import (
     PhaseProfiler,
-    active_profiler,
     disable_profiling,
     enable_profiling,
     profiling,
@@ -70,6 +69,5 @@ __all__ = [
     "PhaseProfiler",
     "enable_profiling",
     "disable_profiling",
-    "active_profiler",
     "profiling",
 ]

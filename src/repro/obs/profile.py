@@ -29,7 +29,6 @@ __all__ = [
     "PhaseProfiler",
     "enable_profiling",
     "disable_profiling",
-    "active_profiler",
     "profiling",
 ]
 
@@ -96,11 +95,6 @@ def disable_profiling() -> PhaseProfiler | None:
     profiler = _PROFILER
     _PROFILER = None
     return profiler
-
-
-def active_profiler() -> PhaseProfiler | None:
-    """The active profiler, or ``None`` when profiling is disabled."""
-    return _PROFILER
 
 
 @contextmanager

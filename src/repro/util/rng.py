@@ -11,7 +11,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["RandomLike", "as_generator", "spawn"]
+__all__ = ["RandomLike", "as_generator"]
 
 RandomLike = Union[int, np.random.Generator, None]
 
@@ -30,13 +30,3 @@ def as_generator(rng: RandomLike = None) -> np.random.Generator:
         return np.random.default_rng(int(rng))
     raise TypeError(f"cannot interpret {rng!r} as a random generator")
 
-
-def spawn(rng: RandomLike, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``rng``.
-
-    Children are statistically independent streams, so parallel workload
-    generators do not share state.
-    """
-    parent = as_generator(rng)
-    seeds = parent.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(seed)) for seed in seeds]

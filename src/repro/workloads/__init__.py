@@ -9,15 +9,11 @@ from repro.workloads.queries import (
     q3_keyword_range_queries,
 )
 from repro.workloads.resources import GRID_ATTRIBUTES, ResourceWorkload, grid_space
-from repro.workloads.streams import ZipfQueryStream
 from repro.workloads.trace import (
     Trace,
     TraceOp,
-    load_aol_trace,
-    load_msmarco_trace,
     replay,
     synthetic_trace,
-    text_to_query,
 )
 
 __all__ = [
@@ -33,12 +29,8 @@ __all__ = [
     "q2_queries",
     "q3_keyword_range_queries",
     "q3_full_range_queries",
-    "ZipfQueryStream",
     "Trace",
     "TraceOp",
-    "load_aol_trace",
-    "load_msmarco_trace",
     "replay",
     "synthetic_trace",
-    "text_to_query",
 ]

@@ -1,40 +1,26 @@
-"""Trace-replay workloads: query-log loaders and skewed synthetic traces.
+"""Trace-replay workloads: skewed synthetic traces and their replay.
 
-Every benchmark before this module replayed uniform synthetic sweeps — the
-one distribution real discovery systems never see.  Real query logs are
-heavily skewed (Zipf popularity), bursty (what was just asked is asked
-again immediately), and interleaved with updates.  This module turns such
-logs into executable **traces**: ordered sequences of query / publish /
-unpublish operations against a :class:`~repro.core.system.SquidSystem`.
+Uniform synthetic sweeps are the one distribution real discovery systems
+never see.  Real query streams are heavily skewed (Zipf popularity), bursty
+(what was just asked is asked again immediately), and interleaved with
+updates.  This module composes such streams as executable **traces**:
+ordered sequences of query / publish / unpublish operations against a
+:class:`~repro.core.system.SquidSystem`.
 
-Two loader families mirror the classic public log formats:
-
-* :func:`load_aol_trace` — AOL-style tab-separated logs
-  (``AnonID\\tQuery\\tQueryTime[\\t...]``, header line optional);
-* :func:`load_msmarco_trace` — MS-MARCO-style ``qid\\tquery text`` files.
-
-Both map free-text queries into a :class:`~repro.keywords.space.KeywordSpace`:
-tokens fill the space's word dimensions in order (long tokens become
-:class:`~repro.keywords.query.Prefix` terms — log queries are rarely exact
-vocabulary words), remaining dimensions are wildcarded.
-
-:func:`synthetic_trace` composes a query pool (loaded or generated) into a
-full trace with Zipf popularity, geometric bursts, and a configurable
-publish:query mix — the workload shape that makes a result cache
-(:mod:`repro.core.resultcache`) measurable and its invalidation necessary.
-:func:`replay` executes a trace and reports per-operation outcomes.
+:func:`synthetic_trace` composes a query pool into a full trace with Zipf
+popularity, geometric bursts, and a configurable publish:query mix — the
+workload shape that makes a result cache (:mod:`repro.core.resultcache`)
+measurable and its invalidation necessary.  :func:`replay` executes a trace
+in process and reports per-operation outcomes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.errors import WorkloadError
-from repro.keywords.dimensions import WordDimension
-from repro.keywords.query import Exact, Prefix, Query, Wildcard
-from repro.keywords.space import KeywordSpace
+from repro.keywords.query import Query
 from repro.util.rng import RandomLike, as_generator
 from repro.workloads.corpus import zipf_weights
 
@@ -45,16 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "TraceOp",
     "Trace",
-    "load_aol_trace",
-    "load_msmarco_trace",
-    "text_to_query",
     "synthetic_trace",
     "replay",
 ]
-
-#: Tokens longer than this become prefix terms of this length — free-text
-#: words rarely match a stored vocabulary word exactly, but their stems do.
-_PREFIX_LEN = 4
 
 
 @dataclass(frozen=True)
@@ -103,105 +82,6 @@ class Trace:
     def distinct_queries(self) -> int:
         """Number of distinct query strings among the query ops."""
         return len({str(op.query) for op in self.ops if op.kind == "query"})
-
-
-# ----------------------------------------------------------------------
-# Text -> keyword-space query mapping
-# ----------------------------------------------------------------------
-def text_to_query(text: str, space: KeywordSpace) -> Query | None:
-    """Map one free-text log query into ``space``, or None if untranslatable.
-
-    Tokens (lowercased, alphanumerics only) fill the space's
-    :class:`~repro.keywords.dimensions.WordDimension` slots in order; tokens
-    longer than ``4`` characters become :class:`Prefix` terms, shorter ones
-    :class:`Exact`.  Non-word dimensions and leftover word dimensions get
-    :class:`Wildcard`.  Queries with no usable token return None (callers
-    skip them, as log-replay tools skip malformed lines).
-    """
-    tokens = [
-        "".join(ch for ch in raw.lower() if ch.isalnum())
-        for raw in text.split()
-    ]
-    tokens = [t for t in tokens if t]
-    if not tokens:
-        return None
-    terms: list = []
-    token_iter = iter(tokens)
-    used = 0
-    for dim in space.dimensions:
-        tok = next(token_iter, None) if isinstance(dim, WordDimension) else None
-        if tok is None:
-            terms.append(Wildcard())
-        elif len(tok) > _PREFIX_LEN:
-            terms.append(Prefix(tok[:_PREFIX_LEN]))
-            used += 1
-        else:
-            terms.append(Exact(tok))
-            used += 1
-    if used == 0:
-        return None
-    return Query(tuple(terms))
-
-
-def _iter_lines(source: "str | Path | Iterable[str]") -> Iterable[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", errors="replace") as fh:
-            yield from fh
-    else:
-        yield from source
-
-
-def load_aol_trace(
-    source: "str | Path | Iterable[str]",
-    space: KeywordSpace,
-    limit: int | None = None,
-) -> list[Query]:
-    """Load an AOL-style query log: ``AnonID\\tQuery\\tQueryTime[\\t...]``.
-
-    ``source`` is a path or an iterable of lines.  A header line (field
-    named ``Query``) and malformed/empty rows are skipped; click-through
-    duplicates (same user re-listed per clicked result) are kept — the
-    repetition *is* the workload.  Returns at most ``limit`` queries, in
-    log order.
-    """
-    queries: list[Query] = []
-    for line in _iter_lines(source):
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) < 2:
-            continue
-        text = parts[1].strip()
-        if not text or text.lower() == "query":  # header row
-            continue
-        q = text_to_query(text, space)
-        if q is None:
-            continue
-        queries.append(q)
-        if limit is not None and len(queries) >= limit:
-            break
-    return queries
-
-
-def load_msmarco_trace(
-    source: "str | Path | Iterable[str]",
-    space: KeywordSpace,
-    limit: int | None = None,
-) -> list[Query]:
-    """Load an MS-MARCO-style query file: ``qid\\tquery text`` per line."""
-    queries: list[Query] = []
-    for line in _iter_lines(source):
-        parts = line.rstrip("\n").split("\t", 1)
-        if len(parts) < 2:
-            continue
-        text = parts[1].strip()
-        if not text:
-            continue
-        q = text_to_query(text, space)
-        if q is None:
-            continue
-        queries.append(q)
-        if limit is not None and len(queries) >= limit:
-            break
-    return queries
 
 
 # ----------------------------------------------------------------------

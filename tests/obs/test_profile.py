@@ -2,7 +2,6 @@
 
 from repro.obs import (
     PhaseProfiler,
-    active_profiler,
     disable_profiling,
     enable_profiling,
     profiling,
@@ -46,20 +45,25 @@ class TestProfiler:
 
 class TestActivation:
     def test_enable_disable_round_trip(self):
-        assert active_profiler() is None
+        assert disable_profiling() is None
         prof = enable_profiling()
         try:
-            assert active_profiler() is prof
+            assert isinstance(prof, PhaseProfiler)
         finally:
             assert disable_profiling() is prof
-        assert active_profiler() is None
+        assert disable_profiling() is None
 
     def test_profiling_scope_restores_previous(self):
+        system = build_system()
+        key = ("memory", "disk")
         with profiling() as outer:
             with profiling() as inner:
-                assert active_profiler() is inner
-            assert active_profiler() is outer
-        assert active_profiler() is None
+                system.index_of(key)
+            system.index_of(key)
+        system.index_of(key)
+        assert inner.snapshot()["sfc.encode"]["calls"] == 1
+        assert outer.snapshot()["sfc.encode"]["calls"] == 1
+        assert disable_profiling() is None
 
 
 class TestHotPathHooks:
@@ -79,4 +83,4 @@ class TestHotPathHooks:
         prof = PhaseProfiler()
         system.query(QUERY, rng=0)  # no active profiler
         assert prof.snapshot() == {}
-        assert active_profiler() is None
+        assert disable_profiling() is None

@@ -18,7 +18,6 @@ import pytest
 
 from repro import CategoricalDimension, KeywordSpace, SquidSystem, WordDimension
 from repro.core.replication import ReplicationManager
-from repro.core.snapshot import load_system, save_system
 from repro.store import StoredElement
 
 
@@ -83,7 +82,7 @@ def _assert_shared(system, vocabulary, replication=None):
 
 
 @pytest.mark.parametrize("backend", ["local", "sqlite"])
-def test_a_keyword_is_stored_once(backend, tmp_path):
+def test_a_keyword_is_stored_once(backend):
     rng = random.Random(22)
     vocabulary = _vocabulary(rng)
     space = KeywordSpace([WordDimension("kw1"), WordDimension("kw2")], bits=10)
@@ -120,11 +119,6 @@ def test_a_keyword_is_stored_once(backend, tmp_path):
     replication.repair()
     assert sum(len(store) for store in system.stores.values()) == 1001
     _assert_shared(system, vocabulary, replication)
-
-    # A rebuild from a JSON snapshot re-validates every key.
-    path = tmp_path / "system.json"
-    save_system(system, path)
-    _assert_shared(load_system(path), vocabulary)
 
 
 def test_validate_returns_the_canonical_object():

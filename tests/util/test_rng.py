@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import as_generator, spawn
+from repro.util.rng import as_generator
 
 
 class TestAsGenerator:
@@ -27,17 +27,3 @@ class TestAsGenerator:
         with pytest.raises(TypeError):
             as_generator("seed")
 
-
-class TestSpawn:
-    def test_count(self):
-        children = spawn(0, 5)
-        assert len(children) == 5
-
-    def test_children_independent_streams(self):
-        a, b = spawn(0, 2)
-        assert not np.array_equal(a.integers(0, 10**9, 10), b.integers(0, 10**9, 10))
-
-    def test_deterministic_from_seed(self):
-        x = [g.integers(0, 10**9) for g in spawn(1, 3)]
-        y = [g.integers(0, 10**9) for g in spawn(1, 3)]
-        assert x == y

@@ -1,4 +1,4 @@
-"""Tests for trace-replay workloads: loaders, mapping, synthesis, replay."""
+"""Tests for trace-replay workloads: synthesis and replay."""
 
 import pytest
 
@@ -7,15 +7,7 @@ from repro.core.system import SquidSystem
 from repro.errors import WorkloadError
 from repro.keywords.dimensions import WordDimension
 from repro.keywords.space import KeywordSpace
-from repro.workloads.trace import (
-    Trace,
-    TraceOp,
-    load_aol_trace,
-    load_msmarco_trace,
-    replay,
-    synthetic_trace,
-    text_to_query,
-)
+from repro.workloads.trace import Trace, TraceOp, replay, synthetic_trace
 
 
 @pytest.fixture
@@ -23,62 +15,12 @@ def space():
     return KeywordSpace([WordDimension("kw1"), WordDimension("kw2")], bits=8)
 
 
-class TestTextToQuery:
-    def test_long_tokens_become_prefixes(self, space):
-        q = text_to_query("Computers Networking", space)
-        assert str(q) == "(comp*, netw*)"
-
-    def test_short_tokens_stay_exact(self, space):
-        q = text_to_query("cpu ram", space)
-        assert str(q) == "(cpu, ram)"
-
-    def test_leftover_dimensions_wildcarded(self, space):
-        q = text_to_query("storage", space)
-        assert str(q) == "(stor*, *)"
-
-    def test_extra_tokens_dropped(self, space):
-        q = text_to_query("one two three four", space)
-        assert str(q) == "(one, two)"
-
-    def test_punctuation_and_case_normalized(self, space):
-        q = text_to_query('  "Memory!"   GRID? ', space)
-        assert str(q) == "(memo*, grid)"
-
-    def test_untranslatable_text_returns_none(self, space):
-        assert text_to_query("   ", space) is None
-        assert text_to_query("!!! ...", space) is None
-
-
-class TestLoaders:
-    def test_aol_format_with_header_and_junk(self, space):
-        lines = [
-            "AnonID\tQuery\tQueryTime",
-            "142\tdistributed storage\t2006-03-01 07:17:12",
-            "malformed-line-without-tabs",
-            "142\t\t2006-03-01 07:18:00",  # empty query
-            "217\tgrid computing\t2006-03-04 11:02:43\thttp://x",  # clickthrough
-        ]
-        queries = load_aol_trace(lines, space)
-        assert [str(q) for q in queries] == ["(dist*, stor*)", "(grid, comp*)"]
-
-    def test_aol_limit(self, space):
-        lines = [f"1\tquery {i} words\tt" for i in range(10)]
-        assert len(load_aol_trace(lines, space, limit=3)) == 3
-
-    def test_msmarco_format(self, space):
-        lines = ["1048585\twhat is a distributed hash table", "2\t   "]
-        queries = load_msmarco_trace(lines, space)
-        assert [str(q) for q in queries] == ["(what, is)"]
-
-    def test_loader_from_file(self, tmp_path, space):
-        path = tmp_path / "log.tsv"
-        path.write_text("7\tpeer discovery\tt\n", encoding="utf-8")
-        assert [str(q) for q in load_aol_trace(path, space)] == ["(peer, disc*)"]
-
-
 class TestSyntheticTrace:
     def _pool(self, space):
-        return [text_to_query(w, space) for w in ("alpha", "beta", "gamma", "delta")]
+        return [
+            space.as_query(text)
+            for text in ("(alph*, *)", "(beta, *)", "(gamm*, *)", "(delt*, *)")
+        ]
 
     def test_length_and_kinds(self, space):
         trace = synthetic_trace(self._pool(space), 50, rng=1)
@@ -137,11 +79,11 @@ class TestReplay:
         system.publish(("alpha", "beta"), payload="seed")
         trace = Trace(
             [
-                TraceOp("query", query=text_to_query("alpha beta", space)),
+                TraceOp("query", query=space.as_query("(alpha, beta)")),
                 TraceOp("publish", key=("alpha", "beta"), payload="added"),
-                TraceOp("query", query=text_to_query("alpha beta", space)),
+                TraceOp("query", query=space.as_query("(alpha, beta)")),
                 TraceOp("unpublish", key=("alpha", "beta"), payload="added"),
-                TraceOp("query", query=text_to_query("alpha beta", space)),
+                TraceOp("query", query=space.as_query("(alpha, beta)")),
             ]
         )
         results = replay(system, trace, seed=1)
@@ -155,7 +97,7 @@ class TestReplay:
             space, n_nodes=8, seed=3, result_cache=ResultCache(capacity=8)
         )
         system.publish(("alpha", "beta"), payload="seed")
-        q = text_to_query("alpha beta", space)
+        q = space.as_query("(alpha, beta)")
         trace = Trace.from_queries([q, q, q])
         results = replay(system, trace, seed=1)
         assert [r.stats.result_cache_hit for r in results] == [False, True, True]
