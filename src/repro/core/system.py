@@ -219,7 +219,7 @@ class SquidSystem:
         normalized = self.space.pad_key(key) if pad else self.space.validate_key(key)
         prof = obs_profile._PROFILER
         start = perf_counter() if prof is not None else 0.0
-        index = self.curve.encode(self.space.coordinates(normalized))
+        index = self.curve.encode(self.space.point(normalized))
         if prof is not None:
             prof.record("sfc.encode", perf_counter() - start)
         element = StoredElement(index=index, key=normalized, payload=payload)
@@ -237,18 +237,17 @@ class SquidSystem:
         payloads: Iterable[Any] | None = None,
         pad: bool = False,
     ) -> int:
-        """Bulk publish (vectorized indexing); returns elements inserted.
+        """Bulk publish, column by column; returns elements inserted.
 
         Symmetric with :meth:`publish`: ``pad=True`` extends short keys by
-        cyclic repetition before indexing.  Ownership is resolved in one
-        vectorized :meth:`~repro.overlay.base.Overlay.owner_many` call, so a
-        bulk publish places every element exactly where per-element
-        :meth:`publish` calls would.
+        cyclic repetition before indexing.  Keys are validated and encoded a
+        column at a time (:meth:`KeywordSpace.normalize_many`), and one
+        stable sort by ``(owner, index)`` hands each store its elements
+        once, in index order.  An invalid key raises what :meth:`publish`
+        raises for the first bad key, before anything is stored; every
+        element lands where per-element :meth:`publish` calls would put it.
         """
-        if pad:
-            key_list = [self.space.pad_key(k) for k in keys]
-        else:
-            key_list = [self.space.validate_key(k) for k in keys]
+        key_list, points = self.space.normalize_many(keys, pad=pad)
         if not key_list:
             return 0
         payload_list = list(payloads) if payloads is not None else [None] * len(key_list)
@@ -256,17 +255,19 @@ class SquidSystem:
             raise ValueError("payloads length must match keys length")
         prof = obs_profile._PROFILER
         start = perf_counter() if prof is not None else 0.0
-        indices = self.curve.encode_many(self.space.coordinates_many(key_list))
+        indices = self.curve.encode_many(points)
         if prof is not None:
             prof.record("sfc.encode", perf_counter() - start)
         owners = self.overlay.owner_many(indices)
-        per_node: dict[int, list[StoredElement]] = {}
-        for key, payload, index, owner in zip(key_list, payload_list, indices, owners):
-            per_node.setdefault(int(owner), []).append(
-                StoredElement(index=int(index), key=key, payload=payload)
-            )
-        for owner, elements in per_node.items():
-            self.stores[owner].add_sorted_bulk(elements)
+        order = np.lexsort((indices, owners))
+        placed = owners[order]
+        elements = [
+            StoredElement(index, key_list[i], payload_list[i])
+            for i, index in zip(order.tolist(), indices[order].tolist())
+        ]
+        cuts = [0, *(np.flatnonzero(placed[1:] != placed[:-1]) + 1).tolist(), len(order)]
+        for first, stop in zip(cuts, cuts[1:]):
+            self.stores[int(placed[first])].add_sorted_bulk(elements[first:stop])
         if self.result_cache is not None:
             self.result_cache.invalidate_points(indices, key_list)
         reg = obs_metrics.active()
@@ -286,7 +287,7 @@ class SquidSystem:
         satisfies, exactly like a publish of the same key would.
         """
         normalized = self.space.pad_key(key) if pad else self.space.validate_key(key)
-        index = self.curve.encode(self.space.coordinates(normalized))
+        index = self.curve.encode(self.space.point(normalized))
         store = self.stores[self.overlay.owner(index)]
         popped = list(store.pop_range(index, index))
         kept = [
@@ -517,13 +518,16 @@ class SquidSystem:
         target_id = node_id
         if self.overlay.node_ids():
             target_id = successor if successor != node_id else self.overlay.node_ids()[0]
-            target = self.stores[target_id]
-            for element in departing.all_elements():
-                target.add(element)
-                moved += 1
+            elements = departing.snapshot()
+            if elements:
+                self.stores[target_id].add_sorted_bulk(elements)
+            moved = len(elements)
             cost += 1 if departing.element_count else 0
         elif self.result_cache is not None:
             self.result_cache.invalidate_all()
+        # A store on a shared file keeps its rows past close(): a later join
+        # under the same identifier would adopt them again.
+        departing.clear()
         departing.close()
         if self.tracer is not None:
             self.tracer.record(NodeLeft(node_id))
@@ -547,21 +551,19 @@ class SquidSystem:
         cost = self.overlay.rename_node(old_id, new_id)
         store = self.stores.pop(old_id)
         self.stores[new_id] = store
-        moved = 0
         if succ == old_id:
             return 0, cost
         if new_id < old_id:
             # Shrunk: hand (new_id, old_id] to the successor.
-            for element in store.pop_range(new_id + 1, old_id):
-                self.stores[succ].add(element)
-                moved += 1
+            run = store.pop_range(new_id + 1, old_id)
             src, dest = new_id, succ
         else:
             # Grew: absorb (old_id, new_id] from the successor.
-            for element in self.stores[succ].pop_range(old_id + 1, new_id):
-                store.add(element)
-                moved += 1
+            run = self.stores[succ].pop_range(old_id + 1, new_id)
             src, dest = succ, new_id
+        if run:
+            self.stores[dest].add_sorted_bulk(run)
+        moved = len(run)
         if moved:
             if self.tracer is not None:
                 self.tracer.record(KeyMoved(src, dest, moved))
@@ -599,9 +601,10 @@ class SquidSystem:
         for low, high in self._owned_segments(new_node_id):
             if low > high:
                 continue
-            for element in source.pop_range(low, high):
-                target.add(element)
-                moved += 1
+            run = source.pop_range(low, high)
+            if run:
+                target.add_sorted_bulk(run)
+                moved += len(run)
         return moved
 
     # ------------------------------------------------------------------

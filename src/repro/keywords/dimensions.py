@@ -25,7 +25,9 @@ import math
 import string
 import sys
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.errors import KeywordError
 
@@ -43,9 +45,32 @@ class Dimension(ABC):
             raise KeywordError("dimension name must be non-empty")
         self.name = name
 
-    @abstractmethod
     def encode(self, value: Any, bits: int) -> int:
         """Deterministic monotone coordinate of ``value`` in ``[0, 2**bits)``."""
+        return self.coordinate(self.validate(value), bits)
+
+    @abstractmethod
+    def coordinate(self, value: Any, bits: int) -> int:
+        """:meth:`encode` of a value :meth:`validate` returned, unchecked."""
+
+    def encode_column(self, values: Sequence[Any], bits: int) -> tuple[list, np.ndarray]:
+        """:meth:`validate` and :meth:`encode` of a whole column: the
+        normalized values and their int64 coordinates, in input order.
+
+        Each distinct value is validated and encoded once: a corpus repeats
+        its vocabulary, and a word's validation walks its characters.
+        """
+        try:
+            memo = dict.fromkeys(values)
+        except TypeError:  # an unhashable value, which no dimension accepts
+            for value in values:
+                self.validate(value)
+            raise
+        for value in memo:
+            valid = self.validate(value)
+            memo[value] = (valid, self.coordinate(valid, bits))
+        normalized = [memo[value][0] for value in values]
+        return normalized, np.array([memo[value][1] for value in values], dtype=np.int64)
 
     @abstractmethod
     def interval_for_exact(self, value: Any, bits: int) -> tuple[int, int]:
@@ -104,13 +129,10 @@ class WordDimension(Dimension):
         # reference, so words no store holds any more are not kept alive.
         return sys.intern(word)
 
-    def encode(self, value: Any, bits: int) -> int:
-        word = self.validate(value)
-        trunc = word[: self.significant_chars(bits)]
-        length = len(trunc)
-        numerator = _word_value(trunc)
+    def coordinate(self, value: str, bits: int) -> int:
+        trunc = value[: self.significant_chars(bits)]
         # floor(frac * 2**bits) computed exactly in integer arithmetic.
-        return (numerator << bits) // (_BASE**length)
+        return (_word_value(trunc) << bits) // (_BASE ** len(trunc))
 
     def interval_for_exact(self, value: Any, bits: int) -> tuple[int, int]:
         # A whole keyword maps to a single coordinate (the paper's "at most
@@ -181,11 +203,29 @@ class NumericDimension(Dimension):
             return math.log(value / self.minimum) / math.log(self.maximum / self.minimum)
         return (value - self.minimum) / (self.maximum - self.minimum)
 
-    def encode(self, value: Any, bits: int) -> int:
-        v = self.validate(value)
+    def coordinate(self, value: float, bits: int) -> int:
         side = 1 << bits
-        coord = int(self._fraction(v) * side)
-        return min(coord, side - 1)
+        return min(int(self._fraction(value) * side), side - 1)
+
+    def encode_column(self, values: Sequence[Any], bits: int) -> tuple[list, np.ndarray]:
+        """``float`` per value; the NaN and range checks run on the array,
+        and on a linear axis one NumPy expression does :meth:`coordinate`'s
+        IEEE operations in its order, so every coordinate is bit-identical.
+        A log axis keeps ``math.log`` per value: NumPy's need not round alike."""
+        try:
+            floats = [float(v) for v in values]  # a float stays the same object
+            column = np.array(floats, dtype=np.float64)
+            valid = ((column >= self.minimum) & (column <= self.maximum)).all()  # NaN fails
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            for value in values:
+                self.validate(value)  # raises for the first invalid value
+        if self.log_scale:
+            return floats, np.array([self.coordinate(v, bits) for v in floats], dtype=np.int64)
+        side = 1 << bits
+        fraction = (column - self.minimum) / (self.maximum - self.minimum)
+        return floats, np.minimum((fraction * side).astype(np.int64), side - 1)
 
     def interval_for_exact(self, value: Any, bits: int) -> tuple[int, int]:
         coord = self.encode(value, bits)
@@ -231,16 +271,18 @@ class CategoricalDimension(Dimension):
         self._rank = {c: i for i, c in enumerate(self.categories)}
 
     def validate(self, value: Any) -> str:
-        rank = self._rank.get(value)
+        try:
+            rank = self._rank.get(value)
+        except TypeError:  # unhashable: no category
+            rank = None
         if rank is None:
             raise KeywordError(
                 f"{self.name}: unknown category {value!r}; expected one of {self.categories}"
             )
         return self.categories[rank]
 
-    def encode(self, value: Any, bits: int) -> int:
-        rank = self._rank[self.validate(value)]
-        return (rank << bits) // len(self.categories)
+    def coordinate(self, value: str, bits: int) -> int:
+        return (self._rank[value] << bits) // len(self.categories)
 
     def interval_for_exact(self, value: Any, bits: int) -> tuple[int, int]:
         # Every copy of a category encodes to the same coordinate, so the

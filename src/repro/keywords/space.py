@@ -150,38 +150,42 @@ class KeywordSpace:
 
     def coordinates(self, key: Sequence[Any]) -> tuple[int, ...]:
         """Coordinate point of a keyword tuple."""
-        if len(key) != self.dims:
-            raise DimensionMismatchError(self.dims, len(key))
-        return tuple(dim.encode(v, self.bits) for dim, v in zip(self.dimensions, key))
+        return self.point(self.validate_key(key))
+
+    def point(self, key: Key) -> tuple[int, ...]:
+        """Coordinate point of a *normalized* key (what :meth:`validate_key`
+        returns), encoded without checking it again."""
+        bits = self.bits
+        return tuple(dim.coordinate(v, bits) for dim, v in zip(self.dimensions, key))
+
+    def normalize_many(
+        self, keys: Iterable[Sequence[Any]], pad: bool = False
+    ) -> tuple[list[Key], np.ndarray]:
+        """:meth:`validate_key` (:meth:`pad_key` with ``pad=True``) of every
+        key, and their ``(N, dims)`` int64 coordinates, one pass per column
+        (``Dimension.encode_column``).  Padded keys, and a batch holding an
+        invalid key, take the per-key loop: it raises what a single key
+        raises, for the first bad key in input order."""
+        keys = list(keys)
+        try:
+            if not pad and set(map(len, keys)) == {self.dims}:  # zip(*keys) truncates
+                columns = [
+                    dim.encode_column(values, self.bits)
+                    for dim, values in zip(self.dimensions, zip(*keys))
+                ]
+                normalized = list(zip(*(values for values, _ in columns)))
+                return normalized, np.column_stack([coords for _, coords in columns])
+        except Exception:  # whatever a column rejects, the per-key loop judges
+            pass
+        normalize = self.pad_key if pad else self.validate_key
+        normalized = [normalize(key) for key in keys]
+        points = np.array([self.point(key) for key in normalized], dtype=np.int64)
+        return normalized, points.reshape(len(keys), self.dims)
 
     def coordinates_many(self, keys: Iterable[Sequence[Any]]) -> np.ndarray:
-        """Bulk :meth:`coordinates`: returns an ``(N, dims)`` int64 array.
-
-        A word dimension encodes each distinct word once per call: a corpus
-        repeats its vocabulary, and a word's encoding walks its characters
-        twice.  Other dimensions gain nothing from a memo — a numeric value
-        seldom repeats (and ``1``, ``1.0`` and ``True`` would share an
-        entry), a category costs one dictionary probe as it is.
-        """
-        bits, dimensions = self.bits, self.dimensions
-        memos = [{} if isinstance(dim, WordDimension) else None for dim in dimensions]
-        rows = []
-        for key in keys:
-            if len(key) != len(dimensions):
-                raise DimensionMismatchError(len(dimensions), len(key))
-            row = []
-            for dim, memo, value in zip(dimensions, memos, key):
-                if memo is None or not isinstance(value, str):
-                    coord = dim.encode(value, bits)  # no word: encode rejects it
-                else:
-                    coord = memo.get(value)
-                    if coord is None:
-                        coord = memo[value] = dim.encode(value, bits)
-                row.append(coord)
-            rows.append(row)
-        if not rows:
-            return np.empty((0, self.dims), dtype=np.int64)
-        return np.asarray(rows, dtype=np.int64)
+        """Bulk :meth:`coordinates`: an ``(N, dims)`` int64 array, from
+        :meth:`normalize_many`'s column pass."""
+        return self.normalize_many(keys)[1]
 
     # ------------------------------------------------------------------
     # Query path

@@ -177,8 +177,8 @@ class NodeStore(ABC):
         """Insert a batch given in arrival order (indices in any order).
 
         Leaves the store exactly as :meth:`add` per element would; called on
-        stores that already hold elements too (``unpublish`` puts back what
-        it kept), where it must not re-sort what is stored.
+        stores that already hold elements too (handoffs, and ``unpublish``
+        putting back what it kept), where it must not re-sort what is stored.
         """
 
     @abstractmethod

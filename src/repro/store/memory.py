@@ -3,16 +3,17 @@
 The default per-node store: two parallel lists kept *at rest* in the scan
 order of :mod:`repro.store.base` — ``_indices``, one curve index per
 element, non-decreasing, and ``_elements``.  A range scan is two bisections
-and one list slice, a handoff (``pop_range``) a slice and a ``del``; only a
-publish pays for the order, with a bisection and a ``list.insert``.
+and one list slice, a handoff (``pop_range``) a slice and a ``del`` on one
+side and a slice assignment on the other; only a single publish pays for
+the order, with a bisection and a ``list.insert``.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from itertools import groupby
-from operator import attrgetter
+from itertools import groupby, islice
+from operator import attrgetter, gt, ne
 from typing import Iterator
 
 from repro.store.base import ELEMENT_BYTES, NodeStore, StoredElement, regroup_run
@@ -20,11 +21,31 @@ from repro.store.base import ELEMENT_BYTES, NodeStore, StoredElement, regroup_ru
 __all__ = ["LocalStore", "StoredElement"]
 
 _index_of = attrgetter("index")
+_key_of = attrgetter("key")
 
 
 def _distinct_keys(elements: list[StoredElement]) -> int:
     """Distinct ``(index, key)`` pairs among ``elements``."""
     return len({(element.index, element.key) for element in elements})
+
+
+def _contract_order(elements: list[StoredElement]) -> tuple[list[StoredElement], list[int], int]:
+    """A batch in arrival order put in contract order: the elements, their
+    indices and their distinct ``(index, key)`` pairs.  The stable sort by
+    index is skipped when the batch is sorted already, and the equal-index
+    runs are regrouped by key only when some key's elements are apart."""
+    indices = [element.index for element in elements]
+    if any(map(gt, indices, islice(indices, 1, None))):
+        elements = sorted(elements, key=_index_of)
+        indices = [element.index for element in elements]
+    pairs = list(zip(indices, map(_key_of, elements)))
+    keys = len(set(pairs))
+    if keys == 1 + sum(map(ne, pairs, islice(pairs, 1, None))):
+        return elements, indices, keys  # every (index, key) group is contiguous
+    ordered: list[StoredElement] = []
+    for _, run in groupby(elements, _index_of):
+        ordered += regroup_run(list(run))
+    return ordered, indices, keys
 
 
 class LocalStore(NodeStore):
@@ -67,21 +88,24 @@ class LocalStore(NodeStore):
     def add_sorted_bulk(self, elements: list[StoredElement]) -> None:
         """Insert a batch given in arrival order, at the cost of the batch.
 
-        Onto an empty store (bulk publish, ``restore``): one stable sort by
-        index, each equal-index run regrouped by key.  Onto a non-empty one
-        (``unpublish`` putting back what it kept): :meth:`add` per element,
-        which leaves every stored element where it is.
+        The batch is put in contract order and spliced in with one slice
+        assignment when no stored index lies within its ``[first, last]``
+        index span (bulk publish, handoffs, ``unpublish`` putting back what
+        it kept).  Otherwise :meth:`add` files it per element, which leaves
+        every stored element where it is.
         """
-        if self._elements:
-            for element in elements:
+        if not elements:
+            return
+        ordered, indices, keys = _contract_order(elements)
+        pos = bisect_left(self._indices, indices[0])
+        if pos < len(self._indices) and self._indices[pos] <= indices[-1]:
+            for element in ordered:
                 self.add(element)
             return
-        ordered = self._elements
-        for _, run in groupby(sorted(elements, key=_index_of), _index_of):
-            ordered.extend(regroup_run(list(run)))
-        self._indices = [element.index for element in ordered]
-        self._key_count = _distinct_keys(ordered)
-        self._count_added(len(elements))
+        self._indices[pos:pos] = indices
+        self._elements[pos:pos] = ordered
+        self._key_count += keys
+        self._count_added(len(ordered))
 
     def pop_range(self, low: int, high: int) -> list[StoredElement]:
         """Remove and return, in scan order, every element with index in

@@ -232,6 +232,58 @@ class TestCategoricalDimension:
         assert self.dim.matches_exact("linux", "linux")
         assert not self.dim.matches_exact("linux", "macos")
 
+    @pytest.mark.parametrize("bad", [["linux"], {"linux": 1}, {"linux"}])
+    def test_unhashable_value_is_a_keyword_error(self, bad):
+        with pytest.raises(KeywordError, match="unknown category"):
+            self.dim.validate(bad)
+        with pytest.raises(KeywordError, match="unknown category"):
+            self.dim.encode_column(["linux", bad], 8)
+
+
+class TestEncodeColumn:
+    """A column pass returns what validate and encode return per value."""
+
+    DIMS = [
+        WordDimension("kw"),
+        NumericDimension("mem", 0, 1000),
+        NumericDimension("bw", 1, 10_000, log_scale=True),
+        CategoricalDimension("os", ["linux", "macos", "windows"]),
+    ]
+    VALUES = [
+        ["Net", "net", "network", "a", "NET", "zebra"],
+        [0, 1000, 1000 / 64, 3 * 1000 / 64, True, 999.999, 500],
+        [1, 10_000, 10 ** (4 / 64), 7, 7.0, 9999.5],
+        ["windows", "linux", "linux", "macos"],
+    ]
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_column_is_validate_and_encode_per_value(self, position):
+        dim, values = self.DIMS[position], self.VALUES[position]
+        normalized, coords = dim.encode_column(values, 6)
+        assert normalized == [dim.validate(v) for v in values]
+        assert [type(v) for v in normalized] == [type(dim.validate(v)) for v in values]
+        assert coords.dtype.name == "int64"
+        assert coords.tolist() == [dim.encode(v, 6) for v in values]
+
+    def test_log_column_rounds_like_libm(self):
+        """Values on which NumPy's ``log`` and libm's differ in the last bit
+        (x86-64, NumPy 2.4), enough to move the coordinate by one."""
+        dim = NumericDimension("bw", 1, 10_000, log_scale=True)
+        values = [9.017333353397984, 14.16991312112537, 160.35338235804858]
+        coords = dim.encode_column(values, 12)[1]
+        assert coords.tolist() == [dim.encode(v, 12) for v in values] == [978, 1178, 2258]
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), -0.5, 1000.5, float("inf"), "big", None, [1]]
+    )
+    def test_numeric_column_rejects_what_validate_rejects(self, bad):
+        dim = NumericDimension("mem", 0, 1000)
+        with pytest.raises(KeywordError) as column_error:
+            dim.encode_column([5, bad, 7], 6)
+        with pytest.raises(KeywordError) as value_error:
+            dim.validate(bad)
+        assert str(column_error.value) == str(value_error.value)
+
 
 class TestDimensionName:
     def test_empty_name_rejected(self):

@@ -16,7 +16,13 @@ import string
 
 import pytest
 
-from repro import CategoricalDimension, KeywordSpace, SquidSystem, WordDimension
+from repro import (
+    CategoricalDimension,
+    KeywordSpace,
+    NumericDimension,
+    SquidSystem,
+    WordDimension,
+)
 from repro.core.replication import ReplicationManager
 from repro.store import StoredElement
 
@@ -128,3 +134,14 @@ def test_validate_returns_the_canonical_object():
     equal_not_same = "".join(["li", "nux"])
     assert equal_not_same is not os_type.categories[0]
     assert os_type.validate(equal_not_same) is os_type.categories[0]
+
+
+def test_a_published_float_is_the_callers_object():
+    """Bulk publish stores what ``validate`` returns, object for object: a
+    float key value is the caller's own float, not a copy beside it."""
+    space = KeywordSpace([NumericDimension("mem", 0, 1024), WordDimension("kw")], bits=8)
+    system = SquidSystem.create(space, n_nodes=8, seed=3)
+    keys = [(random.Random(i).uniform(0, 1024), "net") for i in range(200)]
+    system.publish_many(keys, payloads=range(200))
+    stored = {e.payload: e.key for s in system.stores.values() for e in s.all_elements()}
+    assert all(stored[i][0] is key[0] for i, key in enumerate(keys))

@@ -36,6 +36,37 @@ class TestAdd:
         assert list(a.all_elements()) == list(b.all_elements())
 
 
+class TestBulkSplice:
+    """``add_sorted_bulk`` splices a batch whose index span holds no stored
+    index, files any other batch per element, and either way leaves the
+    store as ``add`` per element would."""
+
+    BATCHES = {
+        "above": ([element(30, ("b",)), element(25, ("c",)), element(25, ("d",)),
+                   element(25, ("c",), payload=1)], 0),
+        "between": ([element(15, ("b",)), element(12, ("c",))], 0),
+        "straddling": ([element(15, ("b",)), element(5, ("c",))], 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_splice_rule(self, name):
+        batch, per_element_adds = self.BATCHES[name]
+        bulk, reference = LocalStore(), LocalStore()
+        for store in (bulk, reference):
+            for e in (element(10), element(20), element(20, ("z",))):
+                store.add(e)
+        for e in batch:
+            reference.add(e)
+        calls = []
+        add = bulk.add
+        bulk.add = lambda e: (calls.append(e), add(e))
+        bulk.add_sorted_bulk(list(batch))
+        assert len(calls) == per_element_adds
+        assert bulk._indices == reference._indices
+        assert bulk._elements == reference._elements
+        assert bulk.key_count == reference.key_count
+
+
 class TestScan:
     def setup_method(self):
         self.store = LocalStore()

@@ -113,3 +113,66 @@ class TestMembershipChurn:
                 for nid, store in system.stores.items()
             }
         assert snapshots["sqlite"] == snapshots["local"]
+
+
+def _contents(system):
+    return {
+        nid: [(e.index, e.key, e.payload) for e in store.all_elements()]
+        for nid, store in system.stores.items()
+    }
+
+
+def _handoff_system(backend, tmp_path):
+    """Distinct sizes (many indices), repeated keys (multi-element runs)."""
+    store = backend
+    if backend == "sqlite":  # one shared file: rows outlive a closed store
+        store = StoreSpec("sqlite", {"path": str(tmp_path / "ring")})
+    space = KeywordSpace(
+        [WordDimension("keyword"), NumericDimension("size", 1, 1024)], bits=6
+    )
+    system = SquidSystem.create(space, n_nodes=10, seed=5, store=store)
+    rng = random.Random(5)
+    keys = [(rng.choice(WORDS), rng.uniform(1, 1024)) for _ in range(150)]
+    keys += [rng.choice(keys) for _ in range(150)]
+    system.publish_many(keys, payloads=range(len(keys)))
+    return system
+
+
+class TestHandoffRoundTrip:
+    """A handoff and its inverse leave every store as it was, order included."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_join_then_leave_the_same_id(self, tmp_path, backend):
+        system = _handoff_system(backend, tmp_path)
+        before = _contents(system)
+        ids = system.overlay.node_ids()
+        indices = sorted({e.index for s in system.stores.values() for e in s.all_elements()})
+        # Just past a stored index, so the joiner takes elements: one joiner
+        # below the lowest node (its range wraps past zero), others inside.
+        candidates = [i + 1 for i in indices if i < ids[0]][:1]
+        candidates += [i + 1 for i in indices[:: max(len(indices) // 6, 1)]]
+        candidates = [i for i in dict.fromkeys(candidates) if i not in system.stores]
+        joined = 0
+        # Twice over: a rejoin under a departed identifier starts empty.
+        for new_id in candidates * 2:
+            system.add_node(new_id)
+            joined += system.stores[new_id].element_count > 0
+            system.remove_node(new_id)
+            assert _contents(system) == before, new_id
+        assert joined >= 6
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_move_an_id_out_and_back(self, tmp_path, backend):
+        system = _handoff_system(backend, tmp_path)
+        before = _contents(system)
+        ids = system.overlay.node_ids()
+        moves = 0
+        for pred, old, succ in zip(ids, ids[1:], ids[2:]):
+            for new_id in ((pred + old) // 2, (old + succ) // 2):
+                if new_id in (pred, old, succ):
+                    continue
+                moved, _ = system.change_node_id(old, new_id)
+                moves += moved > 0
+                system.change_node_id(new_id, old)
+                assert _contents(system) == before, (old, new_id)
+        assert moves >= 4
