@@ -217,22 +217,18 @@ class EngineRun:
         self.outbox = []
         return out
 
-    def _charge_hop(self) -> bool:
-        """Consume one unit of the hop budget; False once it is exhausted.
+    def _exhaust(self) -> None:
+        """The hop budget is spent (``used == budget``): latch ``exhausted``.
 
         The first exhaustion is counted in the active metrics registry —
         like the resilience counters, the metric appears only when the
         budget actually bites, keeping fault-free registries byte-identical.
         """
-        if self.used >= self.budget:
-            if not self.exhausted:
-                self.exhausted = True
-                reg = obs_metrics.active()
-                if reg is not None:
-                    reg.counter("query.hop_budget_exhausted.total").inc()
-            return False
-        self.used += 1
-        return True
+        if not self.exhausted:
+            self.exhausted = True
+            reg = obs_metrics.active()
+            if reg is not None:
+                reg.counter("query.hop_budget_exhausted.total").inc()
 
 
 def drive_sync(engine: "QueryEngine", system: "SquidSystem", run: EngineRun) -> QueryResult:
@@ -247,9 +243,10 @@ def drive_sync(engine: "QueryEngine", system: "SquidSystem", run: EngineRun) -> 
     if guard is not None:
         for queued in work:
             guard.note_posted(engine.entry_node(run, queued))
+    process = engine.process_message
     while work:
         entry = work.popleft()
-        if not engine.process_message(system, run, entry):
+        if not process(system, run, entry):
             # Discovery-mode stop: outstanding branches are abandoned; their
             # dispatch messages are already (truthfully) counted.
             run.stats.aborted_in_flight = len(work)
@@ -257,11 +254,12 @@ def drive_sync(engine: "QueryEngine", system: "SquidSystem", run: EngineRun) -> 
                 for queued in work:
                     guard.note_abandoned(engine.entry_node(run, queued))
             break
-        fresh = run.take_outbox()
-        if guard is not None:
-            for queued in fresh:
-                guard.note_posted(engine.entry_node(run, queued))
-        work.extend(fresh)
+        if run.outbox:  # most visits prune and post nothing
+            fresh = run.take_outbox()
+            if guard is not None:
+                for queued in fresh:
+                    guard.note_posted(engine.entry_node(run, queued))
+            work.extend(fresh)
     return engine.finish_run(system, run)
 
 
@@ -542,6 +540,7 @@ class QueryEngine(ABC):
         overlay = system.overlay
         stats = run.stats
         trace = run.trace
+        # Each optional plane costs one check when the run does not carry it.
         if run.guard is not None and self._refused(run, node_id):
             # The node's load guard refused the work: the entry's remaining
             # window is shed — deliberately and honestly — into
@@ -552,7 +551,11 @@ class QueryEngine(ABC):
         # Two ways to lose the branch before anyone handles it.  The hop
         # budget is exhausted: a routing cycle (or a pathological plan)
         # regenerated work beyond any healthy query's size …
-        lost = not run._charge_hop()
+        lost = run.used >= run.budget
+        if lost:
+            run._exhaust()
+        else:
+            run.used += 1
         if not lost and run.plane is not None and node_id not in overlay.nodes:
             # … or the processor crashed (a fault on some other branch)
             # after this sub-query was sent but before it was handled.  The
@@ -591,25 +594,27 @@ class QueryEngine(ABC):
             # Failover visit: `covered` is the unreachable-but-live
             # peer's identifier; ask the ring for its predecessor.
             pred = overlay.predecessor_id(covered)
-        ranges, high, owned = planner.window(curve, cluster, low, covered, pred)
-        if run.scanned is not None:
-            run.scanned += ranges
-        found = self._scan_cluster(system, node_id, ranges, run.keep)
-        if replica_of is not None:
-            # Failover visit: this node stands in for an unreachable
-            # peer.  Its replica store restores the peer's share of the
-            # data; without replication that share is truthfully
-            # reported as unresolved (the fan-out continues regardless).
-            served, ok = self._scan_replicas(node_id, ranges, run.keep)
-            if ok:
-                found = found + served
-            else:
-                run.unresolved.extend(ranges)
+        lo, hi, owned = planner.window(curve, cluster, low, covered, pred)
+        found = []
+        if lo <= hi:
+            if run.scanned is not None:
+                run.scanned.append((lo, hi))
+            found = self._scan_cluster(system, node_id, lo, hi, run.keep)
+            if replica_of is not None:
+                # Failover visit: this node stands in for an unreachable
+                # peer.  Its replica store restores the peer's share of the
+                # data; without replication that share is truthfully
+                # reported as unresolved (the fan-out continues regardless).
+                served, ok = self._scan_replicas(node_id, lo, hi, run.keep)
+                if ok:
+                    found = found + served
+                else:
+                    run.unresolved.append((lo, hi))
         if trace is not None:
             # The event has always carried the cluster's piece count in the
             # window, not the number of ranges scanned (at most one);
             # tests/core/engine_golden.json, recorded before, is the check.
-            pieces = planner.pieces(curve, cluster, low, high)
+            pieces = planner.pieces(curve, cluster, low, hi)
             trace.emit(span, LocalScan(node_id, pieces, len(found)))
         if found:
             run.matches.extend(found)
@@ -647,29 +652,37 @@ class QueryEngine(ABC):
             run.trace.emit(span, event(node_id, cluster.level, count))
 
     @staticmethod
-    def _filter_scan(store, ranges, keep) -> list:
-        """The data-node step: scan ``store`` over the visit's window and
-        keep the elements that satisfy the query — the run's bulk post-filter
-        over the store's candidate list.  Stored keys were normalized at
-        publish, which is all the filter requires.  ``scan_ranges`` is looked
-        up on the store instance and gets the ranges alone: observers (the
-        benchmark's counters) wrap exactly that call."""
-        return keep(store.scan_ranges(ranges))
+    def _filter_scan(store, lo: int, hi: int, keep) -> list:
+        """The data-node step: scan ``store`` over the visit's window
+        ``[lo, hi]`` and keep the elements that satisfy the query — the
+        run's bulk post-filter over the store's candidate list.  Stored keys
+        were normalized at publish, which is all the filter requires.
+
+        Most windows of a broad query hold nothing; one probe of the store's
+        sorted index (``has_any_in_range``) answers those, and an empty
+        window is offered to neither ``scan_ranges`` nor ``keep``.
+        ``scan_ranges`` is looked up on the store instance and gets the
+        ranges alone: observers (the benchmark's counters) wrap exactly that
+        call, and see every window that holds an element."""
+        if not store.has_any_in_range(lo, hi):
+            return []
+        return keep(store.scan_ranges([(lo, hi)]))
 
     @classmethod
-    def _scan_cluster(cls, system: "SquidSystem", node_id: int, ranges, keep) -> list:
+    def _scan_cluster(cls, system: "SquidSystem", node_id: int, lo: int, hi: int,
+                      keep) -> list:
         """Search one node's store over the visit's window.
 
         Timed under the ``engine.scan`` phase when profiling is enabled.
         """
         prof = obs_profile._PROFILER
         start = perf_counter() if prof is not None else 0.0
-        found = cls._filter_scan(system.stores[node_id], ranges, keep)
+        found = cls._filter_scan(system.stores[node_id], lo, hi, keep)
         if prof is not None:
             prof.record("engine.scan", perf_counter() - start)
         return found
 
-    def _scan_replicas(self, node_id: int, ranges, keep) -> tuple[list, bool]:
+    def _scan_replicas(self, node_id: int, lo: int, hi: int, keep) -> tuple[list, bool]:
         """Serve an unreachable peer's share from this node's replica store.
 
         Returns ``(matches, served)``; ``served`` is False when no replica
@@ -682,7 +695,7 @@ class QueryEngine(ABC):
         store = manager.replicas.get(node_id)
         if store is None:
             return [], False
-        return self._filter_scan(store, ranges, keep), True
+        return self._filter_scan(store, lo, hi, keep), True
 
     def _local_delay(self, run: EngineRun, node_id: int) -> float:
         """Local processing time at ``node_id`` (the plane's slow peers take longer)."""
@@ -944,10 +957,10 @@ class OptimizedEngine(QueryEngine):
                     span, ClusterRefined(node_id, cluster.level, len(remainder))
                 )
             if remainder:
+                if self.processing_delay:
+                    arrival_time += self._local_delay(run, node_id)
                 self._dispatch(
-                    system, run, node_id, remainder, floor=covered + 1,
-                    now=arrival_time + self._local_delay(run, node_id),
-                    parent_span=span,
+                    system, run, node_id, remainder, covered + 1, arrival_time, span
                 )
                 return True
             # The region's remaining geometry lies entirely within this
@@ -1004,12 +1017,15 @@ class OptimizedEngine(QueryEngine):
         stats = run.stats
         trace = run.trace
         work = run.outbox
+        # Each optional plane costs one check per destination group when the
+        # run does not carry it: without a fault plane every message has the
+        # identity outcome, and without one or a latency model nothing is late.
         resilient = run.plane is not None
-        owned = planner.group(curve, clusters, floor, overlay.owner)
+        timed = resilient or self.latency_model is not None
         aggregate = self.aggregate
         kind = "probe" if aggregate else "routed"
         reply = aggregate and len(clusters) > 1
-        for dest, pairs in owned.items():
+        for dest, pairs in planner.group(curve, clusters, floor, overlay.owner).items():
             if dest == sender_id:
                 # Remainder that stays local (wrapped first node): no message.
                 for key, cluster in pairs:
@@ -1025,31 +1041,29 @@ class OptimizedEngine(QueryEngine):
                 first_key = group[0][0]
                 route = overlay.route(sender_id, first_key)
                 stats.record_path(route.path)
-                first = (
-                    self._deliver_resilient(
+                first = (dest, dest, None, 0.0)
+                if resilient:
+                    first = self._deliver_resilient(
                         system, run, sender_id, dest, first_key, parent_span
                     )
-                    if resilient else (dest, dest, None, 0.0)
-                )
-                batch = None
+                batch = first
                 lost_at = dest
                 arrival = batch_arrival = now
                 if first is not None:
                     lost_at = processor = first[0]
-                    arrival = now + self._path_latency(route.path) + first[3]
+                    if timed:
+                        arrival = now + self._path_latency(route.path) + first[3]
                     if reply:
                         stats.record_direct()  # identity reply enabling aggregation
                     if len(group) > 1:
                         stats.record_direct()  # batched siblings, sent directly
                         stats.record_aggregated_batch()
-                        batch = (
-                            self._deliver_resilient(
+                        if resilient:
+                            batch = self._deliver_resilient(
                                 system, run, sender_id, processor, first_key,
                                 parent_span, allow_failover=False,
                             )
-                            if resilient else first
-                        )
-                        if batch is not None:
+                        if timed and batch is not None:
                             # The probe carries the first cluster; batched
                             # siblings wait one sender<->dest round trip
                             # (reply + batch).
@@ -1058,25 +1072,25 @@ class OptimizedEngine(QueryEngine):
                                 + 2 * self._path_latency((sender_id, processor))
                                 + batch[3]
                             )
-                for i, (key, cluster) in enumerate(group):
-                    carrier, at = (first, arrival) if i == 0 else (batch, batch_arrival)
-                    # A span points at the node that will actually process
-                    # the cluster: when the destination crashed mid-batch
-                    # the batch's redelivery re-resolved to a new owner,
-                    # which need not be the probe's processor.
-                    span_node = lost_at if carrier is None else carrier[0]
-                    span = (
-                        trace.new_span(parent_span, span_node, cluster.level)
-                        if trace is not None else 0
-                    )
-                    if trace is not None and i == 0:
-                        trace.emit(
-                            span,
-                            MessageSent(
-                                sender_id, dest, kind,
-                                hops=len(route.path) - 1, path=route.path,
-                            ),
-                        )
+                # The probe carries the first cluster, the batch the rest.
+                carrier, at, probe = first, arrival, True
+                for key, cluster in group:
+                    span = 0
+                    if trace is not None:
+                        # A span points at the node that will actually
+                        # process the cluster: when the destination crashed
+                        # mid-batch the batch's redelivery re-resolved to a
+                        # new owner, which need not be the probe's processor.
+                        span_node = lost_at if carrier is None else carrier[0]
+                        span = trace.new_span(parent_span, span_node, cluster.level)
+                        if probe:
+                            trace.emit(
+                                span,
+                                MessageSent(
+                                    sender_id, dest, kind,
+                                    hops=len(route.path) - 1, path=route.path,
+                                ),
+                            )
                     if carrier is None:
                         self._abandon(run, curve, cluster, key, span, lost_at)
                     else:
@@ -1084,6 +1098,7 @@ class OptimizedEngine(QueryEngine):
                             (carrier[0], cluster, key, at, span,
                              carrier[1], carrier[2], sender_id)
                         )
+                    carrier, at, probe = batch, batch_arrival, False
                 if trace is not None and first is not None:
                     if reply:
                         trace.emit(

@@ -51,14 +51,15 @@ def expand(curve, cluster: Cluster, region, floor: int, depth: int, tree=None):
 
 def window(curve, cluster: Cluster, low: int, covered: int, pred: int):
     """What a visit arriving at key ``low`` scans for the node ``covered``
-    (whose predecessor is ``pred``): ``(scan, high, owned)``.
+    (whose predecessor is ``pred``): ``(lo, hi, owned)``.
 
     The visit is responsible for the cluster from ``low`` up to ``high``:
     the covered identifier, or the end of the index space when the delivery
     wrapped around the ring (a first-node visit for the tail segment) or the
     node is alone on it (its arc is the whole space, above its identifier
     too).  Windowing keeps a chain's scans disjoint even when it wraps past
-    0.  ``scan`` is :func:`clip` of that window, at most one range.
+    0.  ``[lo, hi]`` is :func:`clip` of that window, empty when ``lo > hi``;
+    :func:`pieces` over ``[low, hi]`` equals it over ``[low, high]``.
 
     ``owned`` is the paper's pruning: the covered node owns the cluster's
     whole remaining range, i.e. its last index is within the window.  The
@@ -70,7 +71,9 @@ def window(curve, cluster: Cluster, low: int, covered: int, pred: int):
     linear index of the cluster.
     """
     high = covered if low <= covered and pred != covered else curve.size - 1
-    return clip(curve, cluster, low, high), high, cluster.max_index(curve) <= high
+    top = cluster.max_index(curve)  # the cluster's bounds, computed once
+    bottom = cluster.min_index(curve)
+    return bottom if bottom > low else low, top if top < high else high, top <= high
 
 
 def clip(curve, cluster: Cluster, low: int, high: int) -> list[tuple[int, int]]:
@@ -104,17 +107,23 @@ def group(
     along the ring.  Returns ``{owner(key): [(key, cluster), ...]}`` with
     destinations in order of their first key and each list in key order
     (the sort is stable on the key alone).
+
+    ``owner`` is the ring's successor function, so it is asked once per
+    destination: a key at or below the last key's owner has that owner too.
     """
+    if len(clusters) == 1:  # a lone remainder needs no sort
+        key = max(clusters[0].min_index(curve), floor)
+        return {owner(key): [(key, clusters[0])]}
     keyed = sorted(
         ((max(c.min_index(curve), floor), c) for c in clusters), key=itemgetter(0)
     )
     groups: dict[int, list[tuple[int, Cluster]]] = {}
+    dest = -1
     for pair in keyed:
-        dest = owner(pair[0])
-        if dest in groups:
-            groups[dest].append(pair)
-        else:
-            groups[dest] = [pair]
+        if pair[0] > dest:  # past the last owner (or wrapped): ask the ring
+            dest = owner(pair[0])
+            pairs = groups.setdefault(dest, [])
+        pairs.append(pair)
     return groups
 
 

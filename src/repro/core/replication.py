@@ -157,7 +157,7 @@ class ReplicationManager:
             overlay.nodes[pred_id].successor = (
                 succ_id if succ_id != node_id else pred_id
             )
-        self.system.stores.pop(node_id)
+        self.system._drop_store(node_id)
         self.system._invalidate_segments(lost_segments)
         crashed_replicas = self.replicas.pop(node_id)
 

@@ -513,7 +513,7 @@ class SquidSystem:
         """
         successor = self.overlay.successor_id(node_id)
         cost = self.overlay.leave(node_id)
-        departing = self.stores.pop(node_id)
+        departing = self.stores[node_id]
         moved = 0
         target_id = node_id
         if self.overlay.node_ids():
@@ -525,10 +525,7 @@ class SquidSystem:
             cost += 1 if departing.element_count else 0
         elif self.result_cache is not None:
             self.result_cache.invalidate_all()
-        # A store on a shared file keeps its rows past close(): a later join
-        # under the same identifier would adopt them again.
-        departing.clear()
-        departing.close()
+        self._drop_store(node_id)
         if self.tracer is not None:
             self.tracer.record(NodeLeft(node_id))
             if moved:
@@ -584,12 +581,21 @@ class SquidSystem:
         """
         lost_segments = self._owned_segments(node_id)
         self.overlay.fail(node_id)
-        self.stores.pop(node_id, None)
+        self._drop_store(node_id)
         self._invalidate_segments(lost_segments)
         reg = obs_metrics.active()
         if reg is not None:
             reg.counter("system.nodes_crashed").inc()
             reg.gauge("system.nodes").set(len(self.overlay))
+
+    def _drop_store(self, node_id: int) -> None:
+        """Pop, clear and close a departed or crashed node's store.  A store
+        on a shared file keeps its rows past ``close()``, so without the
+        clear a later join under the same identifier would adopt them."""
+        store = self.stores.pop(node_id, None)
+        if store is not None:
+            store.clear()
+            store.close()
 
     def _transfer_range_from(self, source_id: int, new_node_id: int) -> int:
         """Move the keys that ``new_node_id`` now owns out of ``source_id``."""

@@ -246,7 +246,7 @@ class ChordRing(Overlay):
             if cached is not None:
                 if reg is not None:
                     reg.counter("overlay.route_cache.hits").inc()
-                return self._route_done(key, list(cached))
+                return self._route_done(key, cached)
             if reg is not None:
                 reg.counter("overlay.route_cache.misses").inc()
         path = self._walk_route(source, key)
@@ -283,7 +283,7 @@ class ChordRing(Overlay):
             current = self.nodes[nxt]
 
     @staticmethod
-    def _route_done(key: int, path: list[int]) -> RouteResult:
+    def _route_done(key: int, path: list[int] | tuple[int, ...]) -> RouteResult:
         reg = obs_metrics.active()
         if reg is not None:
             reg.counter("overlay.routes").inc()

@@ -60,6 +60,11 @@ CREATE TABLE IF NOT EXISTS elements (
 CREATE INDEX IF NOT EXISTS ix_elements_node_idx ON elements (node, idx);
 """
 
+#: Every lookup by ``node`` and ``idx`` names the (node, idx) index: without
+#: table statistics SQLite plans ``node=? AND idx=?`` as a search of the
+#: primary key on ``node`` alone — a scan of the node's whole table per call.
+_BY_IDX = "elements INDEXED BY ix_elements_node_idx"
+
 
 class SQLiteStore(NodeStore):
     """Disk-backed node store with batched inserts and indexed range scans."""
@@ -132,11 +137,11 @@ class SQLiteStore(NodeStore):
         if moved:
             cur = self._cursor()
             seqs = cur.execute(
-                "SELECT seq FROM elements WHERE node=? AND idx BETWEEN ? AND ?",
+                f"SELECT seq FROM {_BY_IDX} WHERE node=? AND idx BETWEEN ? AND ?",
                 (self._node, low, high),
             ).fetchall()
             cur.execute(
-                "DELETE FROM elements WHERE node=? AND idx BETWEEN ? AND ?",
+                f"DELETE FROM {_BY_IDX} WHERE node=? AND idx BETWEEN ? AND ?",
                 (self._node, low, high),
             )
             self._conn.commit()
@@ -173,7 +178,7 @@ class SQLiteStore(NodeStore):
             return False
         self._flush()
         row = self._cursor().execute(
-            "SELECT 1 FROM elements WHERE node=? AND idx BETWEEN ? AND ? LIMIT 1",
+            f"SELECT 1 FROM {_BY_IDX} WHERE node=? AND idx BETWEEN ? AND ? LIMIT 1",
             (self._node, low, high),
         ).fetchone()
         return row is not None
@@ -193,7 +198,7 @@ class SQLiteStore(NodeStore):
     def key_count_at(self, index: int) -> int:
         self._flush()
         rows = self._cursor().execute(
-            "SELECT key FROM elements WHERE node=? AND idx=?", (self._node, index)
+            f"SELECT key FROM {_BY_IDX} WHERE node=? AND idx=?", (self._node, index)
         ).fetchall()
         if len(rows) <= 1:
             return len(rows)
@@ -299,7 +304,7 @@ class SQLiteStore(NodeStore):
     def _pair_on_disk(self, pair: tuple[int, tuple]) -> bool:
         index, key = pair
         rows = self._cursor().execute(
-            "SELECT key FROM elements WHERE node=? AND idx=?", (self._node, index)
+            f"SELECT key FROM {_BY_IDX} WHERE node=? AND idx=?", (self._node, index)
         ).fetchall()
         return any(pickle.loads(r[0]) == key for r in rows)
 
@@ -357,7 +362,7 @@ class SQLiteStore(NodeStore):
             ).fetchall()
         else:
             rows = cur.execute(
-                "SELECT seq, idx, key, payload FROM elements WHERE node=? "
+                f"SELECT seq, idx, key, payload FROM {_BY_IDX} WHERE node=? "
                 "AND idx BETWEEN ? AND ? ORDER BY idx, seq",
                 (self._node, low, high),
             ).fetchall()

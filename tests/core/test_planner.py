@@ -50,7 +50,13 @@ def walk(curve, region, ids, depth):
     while work:
         node, cluster, low, visits = work.pop()
         assert visits <= len(ids) + 1
-        scan, high, owned = planner.window(curve, cluster, low, node, pred(node))
+        lo, hi, owned = planner.window(curve, cluster, low, node, pred(node))
+        high = node if low <= node and pred(node) != node else end
+        scan = planner.clip(curve, cluster, low, high)
+        assert scan == ([(lo, hi)] if lo <= hi else [])
+        assert planner.pieces(curve, cluster, low, hi) == planner.pieces(
+            curve, cluster, low, high
+        )
         scans += scan
         if owned:
             continue

@@ -176,3 +176,23 @@ class TestHandoffRoundTrip:
                 system.change_node_id(new_id, old)
                 assert _contents(system) == before, (old, new_id)
         assert moves >= 4
+
+
+class TestCrashForgets:
+    """A crash loses the node's elements for good, on every backend: a node
+    that rejoins under the crashed identifier starts empty instead of
+    adopting the rows a shared ``sqlite`` file kept."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_rejoin_under_a_crashed_id_does_not_restore_its_elements(
+        self, tmp_path, backend
+    ):
+        system = _handoff_system(backend, tmp_path)
+        victim = max(system.stores, key=lambda nid: system.stores[nid].element_count)
+        assert system.stores[victim].element_count == 80
+        assert system.total_elements() == 300
+        system.fail_node(victim)
+        assert system.total_elements() == 220
+        system.add_node(victim)
+        assert system.total_elements() == 220
+        assert system.stores[victim].element_count == 0
