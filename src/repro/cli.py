@@ -506,12 +506,14 @@ def _cmd_chaos(args) -> int:
     )
 
     queries = [str(q) for q in q1_queries(workload, count=args.queries, rng=args.seed + 3)]
-    ids = system.overlay.node_ids()
     recalls = []
     completes = []
     with collecting() as registry:
         for query in queries:
             want = {id(e) for e in system.brute_force_matches(query)}
+            # The fault plane crashes nodes as the run goes, so each origin
+            # is drawn from the ring as it is now.
+            ids = system.overlay.node_ids()
             origin = ids[int(gen.integers(0, len(ids)))]
             res = engine.execute(system, query, origin=origin, rng=gen)
             got = {id(e) for e in res.matches}

@@ -21,6 +21,7 @@ Conventions
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cached_property
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -157,6 +158,13 @@ class SpaceFillingCurve(ABC):
         rank along the curve, i.e. it contributes the next ``dims`` bits of
         the curve index.
         """
+
+    @cached_property
+    def refine_table(self) -> dict:
+        """The refinement kernel's memo, filled on first use: what a cell's
+        children become, per ``(state, overlap mask, full mask)``.  Per
+        instance, because states of different curves can compare equal."""
+        return {}
 
     # ------------------------------------------------------------------
     # Derived helpers

@@ -28,7 +28,6 @@ cluster semantics (maximal contiguous intersecting runs) are unchanged.
 from __future__ import annotations
 
 from functools import cache
-from operator import add
 from time import perf_counter
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -236,14 +235,13 @@ def refine_cluster(
 
 
 @cache
-def _label_tables(
-    dims: int,
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+def _label_tables(dims: int) -> tuple[tuple[tuple[int, int], ...], tuple]:
     """Per-dimensionality tables over the ``2**dims`` child labels.
 
     ``halves[j]`` is a pair of bitmasks over labels (bit ``label`` set)
     selecting the children in the lower / upper half of dimension ``j``;
-    ``bits[label]`` is the label's per-dimension bit tuple.
+    ``coords_of[label]`` maps a cell's coordinates to that child's (one
+    compiled tuple expression: a quarter of the cost of a ``map``).
     """
     labels = range(1 << dims)
     every = (1 << (1 << dims)) - 1
@@ -251,8 +249,36 @@ def _label_tables(
     for j in range(dims):
         upper = sum(1 << label for label in labels if (label >> j) & 1)
         halves.append((every ^ upper, upper))
-    bits = tuple(tuple((label >> j) & 1 for j in range(dims)) for label in labels)
-    return tuple(halves), bits
+    coords_of = tuple(
+        eval(f"lambda c: ({''.join(f'2 * c[{j}] + {label >> j & 1}, ' for j in range(dims))})")
+        for label in labels
+    )
+    return tuple(halves), coords_of
+
+
+def _actions(children: tuple, overlap: int, full: int, coords_of: tuple) -> tuple:
+    """What the children of a cell in one state become, in rank order, given
+    the child labels the region meets (``overlap``) and covers (``full``).
+
+    Returns the actions and, per rank, the index of the action holding it.
+    An action is ``None`` for a gap (missed children, consecutive ones as
+    one), ``(first_rank, last_rank, None)`` for a run of covered children,
+    or ``(rank, coords_of[label], child_state)`` for a partial child.
+    """
+    acts: list = []
+    at = []
+    for rank, (label, child_state) in enumerate(children):
+        if (full >> label) & 1:
+            if acts and acts[-1] is not None and acts[-1][2] is None:
+                acts[-1] = (acts[-1][0], rank, None)
+            else:
+                acts.append((rank, rank, None))
+        elif (overlap >> label) & 1:
+            acts.append((rank, coords_of[label], child_state))
+        elif not acts or acts[-1] is not None:
+            acts.append(None)
+        at.append(len(acts) - 1)
+    return tuple(acts), tuple(at)
 
 
 def _refine(
@@ -265,21 +291,30 @@ def _refine(
 
     Per partial cell the region test is done once per *dimension*, not per
     child: each box contributes two bitmasks over the ``2**dims`` child
-    labels (children it overlaps, children it contains), assembled from the
-    relation of the cell's lower and upper half to the box's interval in
-    every dimension.  A child's containment is then two bit tests.
+    labels (children it overlaps, children it contains).  An axis the box
+    spans adds nothing to either and costs one test; on an axis it cuts,
+    the cell's lower and upper half are compared with the box's interval.
+    The cell's ``(state, overlap, full)`` then fixes what its children
+    become, looked up once in ``curve.refine_table`` (:func:`_actions`).
+    Children entirely below ``min_index`` are a rank prefix, skipped first.
     """
     dims = curve.dims
     next_level = cluster.level + 1
-    # Coordinate / index bits below the child level.  Negative only for a
-    # cluster at the maximum order, which may hold FullRanges but no Cell.
-    shift = curve.order - next_level
-    span_bits = max(shift, 0) * dims
+    # Coordinate / index bits below the child level (none for a cluster at
+    # the maximum order, which may hold FullRanges but no Cell).  A cell
+    # spans ``2 << shift`` coordinates per axis; its upper half starts
+    # ``half`` above its lower bound.
+    shift = max(curve.order - next_level, 0)
+    span_bits = shift * dims
     span_mask = (1 << span_bits) - 1
-    half = 1 << max(shift, 0)
+    cell_bits = shift + 1
+    half = 1 << shift
+    edge = (2 << shift) - 1
     n_children = 1 << dims
+    every = (1 << n_children) - 1
     children = curve.children
-    halves, label_bits = _label_tables(dims)
+    table = curve.refine_table
+    halves, coords_of = _label_tables(dims)
     boxes = region.box_bounds
 
     runs: list[Cluster] = []
@@ -308,13 +343,13 @@ def _refine(
             else:
                 append_full(low if low > min_index else min_index, high)
             continue
-        if shift < 0:
+        if next_level > curve.order:
             raise SFCError("cannot refine a cell at maximum order")
         _, prefix, coords, state = piece
         base = prefix << dims
-        first = 0
         cell_low = base << span_bits
-        if min_index > cell_low:
+        clipped = min_index > cell_low
+        if clipped:
             # Children entirely below the window split the run; they are a
             # rank prefix, so skip them before touching any geometry.
             first = (min_index - cell_low) >> span_bits
@@ -325,12 +360,13 @@ def _refine(
                     continue
         overlap = full = 0
         for box in boxes:
-            box_overlap = box_full = -1
+            box_overlap = box_full = every
             for c, (box_low, box_high), (lower_j, upper_j) in zip(coords, box, halves):
-                # The cell spans [lo, hi] on this axis; its upper half starts at mid.
-                mid = ((c << 1) | 1) << shift
-                lo = mid - half
-                hi = mid + half - 1
+                lo = c << cell_bits
+                hi = lo | edge
+                if box_low <= lo and hi <= box_high:
+                    continue  # the box spans the cell on this axis
+                mid = lo | half
                 axis_overlap = axis_full = 0
                 if box_low < mid and lo <= box_high:
                     axis_overlap = lower_j
@@ -347,28 +383,34 @@ def _refine(
             else:
                 overlap |= box_overlap
                 full |= box_full
-        doubled = tuple(map(add, coords, coords))
-        for rank, (label, child_state) in enumerate(children(state)[first:], first):
-            if (full >> label) & 1:
-                child_low = (base | rank) << span_bits
-                append_full(
-                    child_low if child_low > min_index else min_index,
-                    child_low | span_mask,
-                )
-            elif (overlap >> label) & 1:
-                append(
-                    _new(
-                        Cell,
-                        (
-                            next_level,
-                            base | rank,
-                            tuple(map(add, doubled, label_bits[label])),
-                            child_state,
-                        ),
-                    )
-                )
-            elif current:
-                flush()
+        key = (state, overlap, full)
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = _actions(children(state), overlap, full, coords_of)
+        acts, at = entry
+        if clipped:
+            acts = acts[at[first]:]
+        head = acts[0]
+        if head is not None and head[2] is None:
+            # A leading covered run is the one that may start at the window
+            # or join a covered run before the cell; runs inside the actions
+            # are already maximal.
+            append_full(
+                min_index if clipped else cell_low,
+                ((base | head[1]) << span_bits) | span_mask,
+            )
+            acts = acts[1:]
+        for act in acts:
+            if act is None:
+                if current:
+                    flush()
+                continue
+            rank, other, child_state = act
+            if child_state is None:  # ``other`` is the run's last rank
+                high = ((base | other) << span_bits) | span_mask
+                append(_new(FullRange, ((base | rank) << span_bits, high)))
+            else:  # ``other`` maps the cell's coordinates to the child's
+                append(_new(Cell, (next_level, base | rank, other(coords), child_state)))
     if current:
         flush()
     return runs

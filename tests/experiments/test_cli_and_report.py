@@ -62,6 +62,16 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --result-cache 8" in capsys.readouterr().err
 
+    def test_chaos_draws_origins_from_the_live_ring(self, capsys):
+        # Nodes crash during the run; at this size and seed a query after a
+        # crash would otherwise start at a node that is gone.
+        argv = ["chaos", "--queries", "16", "--drop-rate", "0.1",
+                "--crash-rate", "0.05", "--seed", "1", "--assert-complete"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "mean recall 1.000, 16/16 complete" in out
+        assert "13 crashed" in out
+
     @pytest.mark.parametrize(
         "env,argv,expected",
         [

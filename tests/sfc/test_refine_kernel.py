@@ -1,4 +1,5 @@
-"""The refinement kernel ≡ the readable reference, and its value types.
+"""The refinement kernel ≡ the readable reference, its action table, and its
+value types.
 
 ``repro.sfc.clusters.refine_cluster`` is the only cluster-producing
 refinement path (and the only path at all for curves whose indices exceed
@@ -10,22 +11,27 @@ multi-box regions, and inputs that mix ``FullRange`` and ``Cell`` pieces.
 """
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import planner
+from repro.obs import collecting
 from repro.sfc import CURVES
+from repro.sfc import clusters as sfc_clusters
 from repro.sfc.clusters import (
     Cell,
     Cluster,
     FullRange,
+    count_clusters_per_level,
     refine_cluster,
     root_cluster,
 )
 from repro.sfc.hilbert import HilbertCurve
 from repro.sfc.regions import Box, Region
+from tests.core.test_plan_tree import _build as build_plan_tree_system
 from tests.sfc.reference_refine import reference_refine_cluster
 
 #: Orders per dimensionality; the last of each row has ``index_bits > 63``.
@@ -149,6 +155,108 @@ class TestKernelMatchesReference:
             assert refine_cluster(
                 curve, cluster, region, min_index=min_index
             ) == reference_refine_cluster(curve, cluster, region, min_index)
+
+
+def random_region(curve, rng: random.Random, n_boxes: int = 1) -> Region:
+    boxes = []
+    for _ in range(n_boxes):
+        bounds = []
+        for _ in range(curve.dims):
+            a, b = rng.randrange(curve.side), rng.randrange(curve.side)
+            bounds.append((min(a, b), max(a, b)))
+        boxes.append(Box.from_bounds(bounds))
+    return Region(tuple(boxes))
+
+
+class TestActionTable:
+    """``curve.refine_table`` memoizes what a cell's children become.  It
+    must be private to its curve and bounded by the curve, not the regions."""
+
+    def test_curves_whose_states_compare_equal_keep_apart(self):
+        # Hilbert 2-D and 3-D share the root state, a Hilbert state equals
+        # the onion state with the same fields, and one family at two orders
+        # walks the same states: a table keyed by state alone mixes them.
+        curves = [
+            CURVES["hilbert"](2, 5),
+            CURVES["hilbert"](3, 4),
+            CURVES["onion"](2, 5),
+            CURVES["onion"](3, 4),
+            CURVES["hilbert"](2, 7),
+            CURVES["gray"](2, 5),
+        ]
+        assert len({c.root_state() for c in curves[:4]}) == 1
+        rng = random.Random(5)
+        for _ in range(12):
+            fronts = []
+            for curve in curves:
+                region = random_region(curve, rng, rng.randint(1, 2))
+                fronts.append((curve, region, [root_cluster(curve, region)]))
+            for _ in range(4):  # one level on every curve in turn
+                for curve, region, front in fronts:
+                    step = []
+                    for cluster in front:
+                        min_index = rng.choice((0, cluster.min_index(curve) + 3))
+                        got = refine_cluster(curve, cluster, region, min_index)
+                        want = reference_refine_cluster(curve, cluster, region, min_index)
+                        assert got == want
+                        step.extend(c for c in got if not c.is_resolved)
+                    front[:] = step
+        assert all(curve.refine_table for curve in curves)
+
+    def test_size_does_not_grow_with_the_regions_refined(self):
+        curve = HilbertCurve(2, 6)
+        rng = random.Random(3)
+        sizes = []
+        for count in (128, 3 * 128):  # N regions, then 4N in all
+            for _ in range(count):
+                count_clusters_per_level(curve, random_region(curve, rng))
+            sizes.append(len(curve.refine_table))
+        # Four states, and per axis a box either spans the cell or meets
+        # one or both halves, covering any of the halves it meets.
+        assert sizes[0] == sizes[1] <= 4 * 8**2
+
+    @pytest.mark.parametrize("engine", ["optimized", "naive"])
+    @pytest.mark.parametrize("curve", ["hilbert", "onion"])
+    def test_engines_count_as_with_the_reference_kernel(
+        self, monkeypatch, engine, curve
+    ):
+        """Same answers, stats and counters — cells refined, plan-cache tree
+        replays — as a twin whose kernel is the reference."""
+
+        def passes(system):
+            origin = system.overlay.node_ids()[0]
+            out = []
+            for _ in range(3):  # plan, fill the plan cache's tree, replay it
+                with collecting() as registry:
+                    results = [
+                        system.query(query, origin=origin, engine=engine)
+                        for query in ("(comp*, *)", "(*, d*)", "(c*, d*)")
+                    ]
+                counters = registry.snapshot()["counters"]
+                out.append(
+                    (
+                        [sorted(e.payload for e in r.matches) for r in results],
+                        [r.stats.as_dict() for r in results],
+                        {
+                            name: value
+                            for name, value in counters.items()
+                            if name.startswith(("sfc.", "plan_cache."))
+                        },
+                    )
+                )
+            return out
+
+        system = build_plan_tree_system(curve)
+        got = passes(system)
+        monkeypatch.setattr(sfc_clusters, "_refine", reference_refine_cluster)
+        want = passes(build_plan_tree_system(curve))
+        assert got == want
+        if engine == "optimized":
+            assert got[2][2]["plan_cache.tree_hits"] > 0
+            assert got[2][2]["sfc.refine.scalar_cells"] == got[1][2]["sfc.refine.scalar_cells"]
+            assert system.curve.refine_table
+        else:
+            assert "sfc.refine.scalar_cells" not in got[0][2]
 
 
 class TestValueTypes:
