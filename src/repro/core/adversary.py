@@ -98,7 +98,7 @@ class AdversarialEngine(OptimizedEngine):
             run = EngineRun()
             q = run.query = system.space.as_query(query)
             run.origin_id = origin_id
-            run.stats.record_processing(origin_id, 0)
+            run.sink.visit(0, origin_id, 0)
             full_space = (0, system.curve.size - 1)
             run.early_result = QueryResult(
                 q, [], run.stats, complete=False, unresolved_ranges=(full_space,)

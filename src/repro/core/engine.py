@@ -52,16 +52,6 @@ from repro.errors import EngineError
 from repro.guard.plane import priority_rank
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
-from repro.obs.trace import (
-    Aggregated,
-    BranchLost,
-    BranchShed,
-    ClusterRefined,
-    LocalScan,
-    MessageSent,
-    Pruned,
-    QueryTrace,
-)
 from repro.sfc.clusters import Cluster, FullRange, resolve_clusters
 from repro.util.rng import RandomLike, as_generator
 
@@ -145,6 +135,9 @@ class EngineRun:
     :class:`repro.net.transport.AsyncioTransport` delivers the same entries
     through per-node asyncio inboxes.
 
+    ``sink`` receives every protocol event of the run, once: ``stats``
+    itself (the counting sink), or on a traced run the
+    :class:`~repro.obs.trace.QueryTrace`, which forwards to ``stats``.
     ``outbox`` collects the work entries posted by the last engine call;
     the transport drains it with :meth:`take_outbox` after every call.
     ``budget``/``used`` implement the routing hop budget (see
@@ -158,7 +151,7 @@ class EngineRun:
         "origin_id",
         "stats",
         "matches",
-        "trace",
+        "sink",
         "root_span",
         "limit",
         "plane",
@@ -181,9 +174,8 @@ class EngineRun:
         #: ``space.keeper(query)``: the data-node post-filter, bound once.
         self.keep = None
         self.origin_id = 0
-        self.stats = QueryStats()
+        self.stats = self.sink = QueryStats()
         self.matches: list = []
-        self.trace: QueryTrace | None = None
         self.root_span = 0
         self.limit: int | None = None
         self.plane = None
@@ -398,9 +390,9 @@ class QueryEngine(ABC):
             else default_hop_budget(len(system.overlay.nodes))
         )
         tracer = system.tracer
-        trace = run.trace = (
-            tracer.begin(str(q), origin_id) if tracer is not None else None
-        )
+        if tracer is not None:
+            run.sink = tracer.begin(str(q), origin_id, stats)
+        sink = run.sink
         # The initiator performs the first step of the query tree (paper
         # Figure 8) but holds none of the clusters itself yet.  Its plan is
         # pure geometry — a function of (curve, region, plan parameter)
@@ -409,10 +401,8 @@ class QueryEngine(ABC):
         # node's remainder step: a cached entry also keeps the query tree,
         # which only runs planned from the entry fill — most plans are never
         # asked for again, and their trees would only hold memory.
-        stats.record_processing(origin_id, 0)
-        root_span = run.root_span = (
-            trace.new_span(None, origin_id, 0) if trace is not None else 0
-        )
+        root_span = run.root_span = sink.open(None, origin_id, 0)
+        sink.visit(root_span, origin_id, 0)
         cache = system.plan_cache
         plan = None
         if cache is not None:
@@ -425,8 +415,7 @@ class QueryEngine(ABC):
             plan = tuple(self._plan(curve, region))
             if cache is not None:
                 cache.put(cache_key, (plan, {} if self.grows_tree else None))
-        if trace is not None:
-            trace.emit(root_span, ClusterRefined(origin_id, 0, len(plan)))
+        sink.refined(root_span, origin_id, 0, len(plan))
         self._start(system, run, plan)
         return run
 
@@ -475,7 +464,7 @@ class QueryEngine(ABC):
             run.query,
             run.matches,
             run.stats,
-            run.trace,
+            None if run.sink is run.stats else run.sink,
             complete=not resolved_gaps,
             unresolved_ranges=resolved_gaps,
             scanned_ranges=run.scanned or (),
@@ -538,8 +527,7 @@ class QueryEngine(ABC):
          covered, replica_of, sender_id) = entry
         curve = system.curve
         overlay = system.overlay
-        stats = run.stats
-        trace = run.trace
+        sink = run.sink
         # Each optional plane costs one check when the run does not carry it.
         if run.guard is not None and self._refused(run, node_id):
             # The node's load guard refused the work: the entry's remaining
@@ -570,24 +558,23 @@ class QueryEngine(ABC):
             else:
                 node_id, covered, replica_of, penalty = delivery
                 arrival_time += penalty
-                if trace is not None:
-                    trace.reassign(span, node_id)
+                sink.reassign(span, node_id)
         if lost:
             # The entry's remaining window is honestly abandoned; with no
             # new dispatches the queue drains and the query returns
             # ``complete=False`` instead of looping forever.
             self._abandon(run, curve, cluster, low, span, node_id)
             return _LOST, node_id, covered, arrival_time
-        stats.record_processing(node_id, cluster.level)
+        sink.visit(span, node_id, cluster.level)
         model = self.latency_model
+        done = None
         if model is not None:
             # Completion time of this processing event, results back at origin.
-            done_time = (
+            done = (
                 arrival_time
                 + self._local_delay(run, node_id)
                 + model.latency(node_id, run.origin_id)
             )
-            stats.record_completion(done_time)
         if covered == node_id:
             pred = overlay.nodes[node_id].predecessor
         else:
@@ -610,17 +597,9 @@ class QueryEngine(ABC):
                     found = found + served
                 else:
                     run.unresolved.append((lo, hi))
-        if trace is not None:
-            # The event has always carried the cluster's piece count in the
-            # window, not the number of ranges scanned (at most one);
-            # tests/core/engine_golden.json, recorded before, is the check.
-            pieces = planner.pieces(curve, cluster, low, hi)
-            trace.emit(span, LocalScan(node_id, pieces, len(found)))
+        sink.scanned(span, node_id, curve, cluster, low, hi, len(found), done)
         if found:
             run.matches.extend(found)
-            stats.record_data_node(node_id)
-            if model is not None:
-                stats.record_match_time(done_time)
             if run.limit is not None and len(run.matches) >= run.limit:
                 return _LIMIT, node_id, covered, arrival_time
         return (_OWNED if owned else _CONTINUE), node_id, covered, arrival_time
@@ -640,16 +619,8 @@ class QueryEngine(ABC):
         ``low`` on become unresolved and the span is tagged — *lost*
         (undeliverable, or over the hop budget) or *shed* (the load guard's
         deliberate decision), with the piece count of the abandoned window."""
-        end = curve.size - 1
-        run.unresolved += planner.clip(curve, cluster, low, end)
-        if shed:
-            run.stats.record_shed_branch()
-        else:
-            run.stats.record_lost_branch()
-        if run.trace is not None:
-            event = BranchShed if shed else BranchLost
-            count = planner.pieces(curve, cluster, low, end)
-            run.trace.emit(span, event(node_id, cluster.level, count))
+        run.unresolved += planner.clip(curve, cluster, low, curve.size - 1)
+        run.sink.abandoned(span, node_id, curve, cluster, low, shed)
 
     @staticmethod
     def _filter_scan(store, lo: int, hi: int, keep) -> list:
@@ -742,8 +713,7 @@ class QueryEngine(ABC):
         plane = run.plane
         policy = self.retry
         overlay = system.overlay
-        stats = run.stats
-        trace = run.trace
+        sink = run.sink
         penalty = 0.0
         total = 0
         if charge_route:
@@ -767,7 +737,7 @@ class QueryEngine(ABC):
                 # The destination died mid-delivery, taking the message with
                 # it.  Time out, then route to whoever owns the key now
                 # (with replication, the successor promoted the data).
-                stats.record_dropped()
+                sink.dropped()
                 if policy is None or total >= budget:
                     return None
                 penalty += policy.wait_for(attempts, plane.rng)
@@ -791,7 +761,7 @@ class QueryEngine(ABC):
                 attempts = 0
                 continue
             if outcome.dropped:
-                stats.record_dropped()
+                sink.dropped()
                 if policy is None or total >= budget:
                     return None
                 penalty += policy.wait_for(attempts, plane.rng)
@@ -799,28 +769,14 @@ class QueryEngine(ABC):
                     current
                 ):
                     # Retransmit to the same destination after backoff.
-                    stats.record_retry()
-                    stats.record_direct()
-                    if trace is not None:
-                        trace.emit(
-                            span,
-                            MessageSent(sender_id, current, "retry", hops=1),
-                        )
+                    sink.sent(span, sender_id, current, "retry")
                     continue
                 if not (allow_failover and policy.failover):
                     return None
                 backup = overlay.successor_id(current)
                 if backup == current or plane.always_drops(backup):
                     return None  # nowhere left to go: the branch dies
-                stats.record_failover()
-                stats.record_direct()
-                stats.routing_nodes.add(backup)
-                if trace is not None:
-                    trace.emit(
-                        span,
-                        MessageSent(sender_id, backup, "failover", hops=1,
-                                    path=(sender_id, backup)),
-                    )
+                sink.sent(span, sender_id, backup, "failover", (sender_id, backup))
                 current = backup
                 attempts = 0
                 continue
@@ -828,12 +784,7 @@ class QueryEngine(ABC):
             penalty += outcome.delay
             if outcome.duplicated:
                 # Receivers deduplicate; the spurious copy still cost a send.
-                stats.record_duplicate()
-                stats.record_direct()
-                if trace is not None:
-                    trace.emit(
-                        span, MessageSent(sender_id, current, "dup", hops=1)
-                    )
+                sink.sent(span, sender_id, current, "dup")
             replica_of = primary if current != primary else None
             return (current, primary, replica_of, penalty)
 
@@ -844,14 +795,7 @@ class QueryEngine(ABC):
         """A timed-out sender routes the message again, toward ``key``'s
         owner ``target``: one charged, traced retry.  Returns its latency."""
         route = system.overlay.route(sender_id, key)
-        run.stats.record_path(route.path)
-        run.stats.record_retry()
-        if run.trace is not None:
-            run.trace.emit(
-                span,
-                MessageSent(sender_id, target, "retry",
-                            hops=len(route.path) - 1, path=route.path),
-            )
+        run.sink.sent(span, sender_id, target, "retry", route.path)
         return self._path_latency(route.path)
 
 
@@ -946,16 +890,12 @@ class OptimizedEngine(QueryEngine):
         dispatch the remainder); False stops the run (discovery limit)."""
         outcome, node_id, covered, arrival_time = self._visit(system, run, entry)
         cluster, span = entry[1], entry[4]
-        trace = run.trace
         if outcome is _CONTINUE:
             remainder = planner.expand(
                 system.curve, cluster, run.region, covered + 1,
                 self.local_depth, run.tree,
             )
-            if trace is not None:
-                trace.emit(
-                    span, ClusterRefined(node_id, cluster.level, len(remainder))
-                )
+            run.sink.refined(span, node_id, cluster.level, len(remainder))
             if remainder:
                 if self.processing_delay:
                     arrival_time += self._local_delay(run, node_id)
@@ -975,9 +915,7 @@ class OptimizedEngine(QueryEngine):
             # dispatch messages are already (truthfully) counted; the
             # transport records how many were dropped in flight.
             return outcome is not _LIMIT
-        run.stats.record_pruned()
-        if trace is not None:
-            trace.emit(span, Pruned(node_id, cluster.level, reason))
+        run.sink.pruned(span, node_id, cluster.level, reason)
         return True
 
     def _dispatch(
@@ -995,10 +933,10 @@ class OptimizedEngine(QueryEngine):
         message.
         Without aggregation every cluster is a message group of its own.
 
-        When tracing, every dispatched cluster opens a child span of
-        ``parent_span``; the probe/reply/batch messages are recorded on the
-        spans that own them (probe on the first receiving span, reply and
-        batch on the sender's span).
+        Every dispatched cluster opens a child span of ``parent_span``; the
+        probe/reply/batch messages are reported on the spans that own them
+        (probe on the first receiving span; reply and batch on the sender's
+        span, after the batch's delivery).
 
         Each physical message has a *delivery outcome* ``(processor,
         covered, replica_of, penalty)``: the identity ``(dest, dest, None,
@@ -1014,8 +952,7 @@ class OptimizedEngine(QueryEngine):
             return
         curve = system.curve
         overlay = system.overlay
-        stats = run.stats
-        trace = run.trace
+        sink = run.sink
         work = run.outbox
         # Each optional plane costs one check per destination group when the
         # run does not carry it: without a fault plane every message has the
@@ -1029,10 +966,7 @@ class OptimizedEngine(QueryEngine):
             if dest == sender_id:
                 # Remainder that stays local (wrapped first node): no message.
                 for key, cluster in pairs:
-                    span = (
-                        trace.new_span(parent_span, dest, cluster.level)
-                        if trace is not None else 0
-                    )
+                    span = sink.open(parent_span, dest, cluster.level)
                     work.append(
                         (dest, cluster, key, now, span, dest, None, sender_id)
                     )
@@ -1040,7 +974,6 @@ class OptimizedEngine(QueryEngine):
             for group in (pairs,) if aggregate else [(pair,) for pair in pairs]:
                 first_key = group[0][0]
                 route = overlay.route(sender_id, first_key)
-                stats.record_path(route.path)
                 first = (dest, dest, None, 0.0)
                 if resilient:
                     first = self._deliver_resilient(
@@ -1053,11 +986,7 @@ class OptimizedEngine(QueryEngine):
                     lost_at = processor = first[0]
                     if timed:
                         arrival = now + self._path_latency(route.path) + first[3]
-                    if reply:
-                        stats.record_direct()  # identity reply enabling aggregation
                     if len(group) > 1:
-                        stats.record_direct()  # batched siblings, sent directly
-                        stats.record_aggregated_batch()
                         if resilient:
                             batch = self._deliver_resilient(
                                 system, run, sender_id, processor, first_key,
@@ -1075,22 +1004,16 @@ class OptimizedEngine(QueryEngine):
                 # The probe carries the first cluster, the batch the rest.
                 carrier, at, probe = first, arrival, True
                 for key, cluster in group:
-                    span = 0
-                    if trace is not None:
-                        # A span points at the node that will actually
-                        # process the cluster: when the destination crashed
-                        # mid-batch the batch's redelivery re-resolved to a
-                        # new owner, which need not be the probe's processor.
-                        span_node = lost_at if carrier is None else carrier[0]
-                        span = trace.new_span(parent_span, span_node, cluster.level)
-                        if probe:
-                            trace.emit(
-                                span,
-                                MessageSent(
-                                    sender_id, dest, kind,
-                                    hops=len(route.path) - 1, path=route.path,
-                                ),
-                            )
+                    # A span points at the node that will actually process
+                    # the cluster: when the destination crashed mid-batch the
+                    # batch's redelivery re-resolved to a new owner, which
+                    # need not be the probe's processor.
+                    span = sink.open(
+                        parent_span, lost_at if carrier is None else carrier[0],
+                        cluster.level,
+                    )
+                    if probe:
+                        sink.sent(span, sender_id, dest, kind, route.path)
                     if carrier is None:
                         self._abandon(run, curve, cluster, key, span, lost_at)
                     else:
@@ -1099,19 +1022,12 @@ class OptimizedEngine(QueryEngine):
                              carrier[1], carrier[2], sender_id)
                         )
                     carrier, at, probe = batch, batch_arrival, False
-                if trace is not None and first is not None:
-                    if reply:
-                        trace.emit(
-                            parent_span,
-                            MessageSent(processor, sender_id, "reply", hops=1),
-                        )
-                    if len(group) > 1:
-                        trace.emit(
-                            parent_span,
-                            MessageSent(sender_id, processor, "batch", hops=1),
-                        )
-                        trace.emit(
-                            parent_span, Aggregated(sender_id, processor, len(group))
+                if first is not None:
+                    if reply:  # the identity reply enabling aggregation
+                        sink.sent(parent_span, processor, sender_id, "reply")
+                    if len(group) > 1:  # the siblings, batched and sent directly
+                        sink.sent(
+                            parent_span, sender_id, processor, "batch", size=len(group)
                         )
 
 
@@ -1187,17 +1103,9 @@ class NaiveEngine(QueryEngine):
             # The cluster spans further nodes: walk the successor chain.
             position = node_id + 1
             next_id = system.overlay.owner(position)
-            run.stats.record_direct()  # hand the rest of the range onward
-            run.stats.routing_nodes.add(next_id)
-            if run.trace is not None:
-                span = run.trace.new_span(span, next_id, cluster.level)
-                run.trace.emit(
-                    span,
-                    MessageSent(
-                        node_id, next_id, "handoff",
-                        hops=1, path=(node_id, next_id),
-                    ),
-                )
+            span = run.sink.open(span, next_id, cluster.level)
+            # Hand the rest of the range onward, directly.
+            run.sink.sent(span, node_id, next_id, "handoff", (node_id, next_id))
             run.outbox.append((next_id, cluster, position, span, idx))
         else:
             run.outbox.append((run.origin_id, None, 0, run.root_span, idx + 1))
@@ -1210,14 +1118,14 @@ class NaiveEngine(QueryEngine):
         origin_id = run.origin_id
         if run.guard is not None and self._refused(run, origin_id):
             # The initiator itself is overloaded: the clusters not yet
-            # dispatched are shed wholesale (one accounting event).
+            # dispatched are shed wholesale: one branch, the root cluster's
+            # undispatched ranges.
             if idx < len(ranges):
                 run.unresolved.extend(ranges[idx:])
-                run.stats.record_shed_branch()
-                if run.trace is not None:
-                    run.trace.emit(
-                        run.root_span, BranchShed(origin_id, 0, len(ranges) - idx)
-                    )
+                rest = Cluster(0, tuple(FullRange(lo, hi) for lo, hi in ranges[idx:]))
+                run.sink.abandoned(
+                    run.root_span, origin_id, system.curve, rest, 0, shed=True
+                )
             return
         if idx >= len(ranges):
             return  # every cluster handled: the run drains out
@@ -1228,21 +1136,10 @@ class NaiveEngine(QueryEngine):
         low, high = ranges[idx]
         order = system.curve.order
         dest = system.overlay.owner(low)
-        trace = run.trace
-        span = run.root_span
-        if trace is not None:
-            span = trace.new_span(span, dest, order)
+        span = run.sink.open(run.root_span, dest, order)
         if dest != origin_id:
             route = system.overlay.route(origin_id, low)
-            run.stats.record_path(route.path)
-            if trace is not None:
-                trace.emit(
-                    span,
-                    MessageSent(
-                        origin_id, dest, "routed",
-                        hops=len(route.path) - 1, path=route.path,
-                    ),
-                )
+            run.sink.sent(span, origin_id, dest, "routed", route.path)
         cluster = Cluster(order, (FullRange(low, high),))
         run.outbox.append((dest, cluster, low, span, idx))
 

@@ -51,7 +51,8 @@ def merge_index_ranges(
 
 @dataclass
 class QueryStats:
-    """Mutable accumulator filled in while a query executes.
+    """Mutable accumulator filled in while a query executes: the always-on
+    counting sink of the engine's protocol events.
 
     The canonical read-out is :meth:`as_row` (the paper's five bar-chart
     columns) or :meth:`as_dict` (every field, flattened) — prefer these
@@ -112,58 +113,91 @@ class QueryStats:
     #: is configured or no guard tripped.
     shed_branches: int = 0
 
-    def record_completion(self, time: float) -> None:
-        if time > self.completion_time:
-            self.completion_time = time
+    # -- the counting sink: one method per protocol event -------------------
+    # The engine reports every event of a run to its sink exactly once; this
+    # always-on sink folds them into the counters above.  A traced run's sink
+    # is its :class:`~repro.obs.trace.QueryTrace`, which records the typed
+    # event on its span and forwards the same call here.  ``span`` is the
+    # trace's span id: this sink opens none, and every span is 0.
+    def open(self, parent: int | None, node_id: int, level: int) -> int:
+        """A (sub-)cluster at ``level`` is dispatched to ``node_id``."""
+        return 0
 
-    def record_match_time(self, time: float) -> None:
-        if self.time_to_first_match is None or time < self.time_to_first_match:
-            self.time_to_first_match = time
+    def reassign(self, span: int, node_id: int) -> None:
+        """A queued sub-query was redelivered to ``node_id``."""
 
-    def record_path(self, path: tuple[int, ...]) -> None:
-        """Charge one routed sub-query: one logical message, per-hop wire cost."""
-        self.routing_nodes.update(path)
+    def sent(
+        self, span: int, src: int, dest: int, kind: str,
+        path: tuple[int, ...] | None = None, size: int = 1,
+    ) -> None:
+        """One logical message of ``kind`` (see
+        :class:`~repro.obs.trace.MessageSent`) left ``src`` for ``dest``.
+
+        A routed message has its overlay ``path``: every peer on it is a
+        routing node, and it costs one hop per edge.  A direct message
+        (``path=None``) costs one hop.  A ``"batch"`` carries ``size``
+        sibling sub-clusters.
+        """
         self.messages += 1
-        self.hops += len(path) - 1
+        if path is None:
+            self.hops += 1
+        else:
+            self.routing_nodes.update(path)
+            self.hops += len(path) - 1
+        if kind == "batch":
+            self.aggregated_batches += 1
+        elif kind == "retry":
+            self.retries += 1
+        elif kind == "failover":
+            self.failovers += 1
+        elif kind == "dup":
+            self.messages_duplicated += 1
 
-    def record_direct(self, count: int = 1) -> None:
-        """Charge direct point-to-point messages (replies, batches)."""
-        self.messages += count
-        self.hops += count
-
-    def record_processing(self, node_id: int, level: int) -> None:
+    def visit(self, span: int, node_id: int, level: int) -> None:
+        """``node_id`` processes a cluster at ``level`` (it also routed it)."""
         self.processing_nodes.add(node_id)
         self.routing_nodes.add(node_id)
         self.clusters_processed += 1
         if level > self.max_refinement_level:
             self.max_refinement_level = level
 
-    def record_data_node(self, node_id: int) -> None:
-        self.data_nodes.add(node_id)
+    def scanned(
+        self, span: int, node_id: int, curve, cluster, low: int, high: int,
+        found: int, done: float | None = None,
+    ) -> None:
+        """``node_id`` searched its store over ``cluster``'s indices in
+        ``[low, high]`` and kept ``found`` matches; ``done`` is when its
+        results reached the origin (``None`` on an untimed run)."""
+        if found:
+            self.data_nodes.add(node_id)
+        if done is not None:
+            if done > self.completion_time:
+                self.completion_time = done
+            if found and (
+                self.time_to_first_match is None or done < self.time_to_first_match
+            ):
+                self.time_to_first_match = done
 
-    def record_pruned(self, count: int = 1) -> None:
-        self.pruned_branches += count
+    def refined(self, span: int, node_id: int, level: int, children: int) -> None:
+        """``node_id`` refined a cluster at ``level`` into ``children``."""
 
-    def record_aggregated_batch(self, count: int = 1) -> None:
-        self.aggregated_batches += count
+    def pruned(self, span: int, node_id: int, level: int, reason: str) -> None:
+        """The query tree ends at this branch (see :class:`~repro.obs.trace.Pruned`)."""
+        self.pruned_branches += 1
 
-    def record_retry(self, count: int = 1) -> None:
-        self.retries += count
+    def abandoned(
+        self, span: int, node_id: int, curve, cluster, low: int, shed: bool = False,
+    ) -> None:
+        """Nobody will resolve ``cluster``'s indices from ``low`` on: the
+        branch was lost at ``node_id``, or shed by its load guard."""
+        if shed:
+            self.shed_branches += 1
+        else:
+            self.lost_branches += 1
 
-    def record_failover(self, count: int = 1) -> None:
-        self.failovers += count
-
-    def record_dropped(self, count: int = 1) -> None:
-        self.messages_dropped += count
-
-    def record_duplicate(self, count: int = 1) -> None:
-        self.messages_duplicated += count
-
-    def record_lost_branch(self, count: int = 1) -> None:
-        self.lost_branches += count
-
-    def record_shed_branch(self, count: int = 1) -> None:
-        self.shed_branches += count
+    def dropped(self) -> None:
+        """The fault plane discarded a transmission (it was charged when sent)."""
+        self.messages_dropped += 1
 
     @property
     def routing_node_count(self) -> int:

@@ -9,7 +9,7 @@ linked to the span that dispatched it — each carrying typed events:
 
 * :class:`ClusterRefined` — a node expanded a cluster into sub-clusters;
 * :class:`MessageSent` — a routed sub-query, identity reply, aggregated
-  batch, or direct hand-off left a node;
+  batch, direct hand-off, or a retry, failover or duplicate left a node;
 * :class:`Pruned` — the query tree terminated at this span (the node owned
   the whole remainder, the remainder was empty, or discovery mode stopped);
 * :class:`Aggregated` — sibling sub-clusters travelled as one batch;
@@ -26,14 +26,19 @@ System-lifecycle events (:class:`KeyMoved`, :class:`NodeJoined`,
 :class:`NodeLeft`) are recorded on the :class:`Tracer` itself, outside any
 query trace.
 
-A trace reconstructs the full refinement tree (:meth:`QueryTrace.to_tree`,
-:meth:`QueryTrace.render`, :meth:`QueryTrace.to_json`) and its
-:meth:`QueryTrace.totals` agree *exactly* with the
-:class:`~repro.core.metrics.QueryStats` of the same execution — the
-benchmark numbers and the trace are two views of one accounting.
+The engines report each protocol event once, to the run's *event sink*:
+one method per event (``open``, ``reassign``, ``sent``, ``visit``,
+``scanned``, ``refined``, ``pruned``, ``abandoned``, ``dropped``).  There
+are two sinks.  :class:`~repro.core.metrics.QueryStats` is the always-on
+counting sink: it folds each event into the paper's counters, opens no span
+and allocates nothing.  When ``system.tracer`` is set, the run's sink is a
+:class:`QueryTrace` instead, which records the typed event on its span and
+forwards the same call to the run's ``QueryStats``.
 
-Tracing is opt-in: engines consult ``system.tracer`` and skip every trace
-call when it is ``None`` (the default), so untraced queries pay nothing.
+A trace reconstructs the full refinement tree (:meth:`QueryTrace.to_tree`,
+:meth:`QueryTrace.render`, :meth:`QueryTrace.to_json`), and its
+:meth:`QueryTrace.totals` agree *exactly* with the ``QueryStats`` of the
+same execution by construction: both saw the same calls.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator
+
+from repro.core import planner
 
 __all__ = [
     "ClusterRefined",
@@ -79,7 +86,10 @@ class MessageSent:
     ``"routed"`` (an unaggregated routed sub-query), ``"reply"`` (the
     destination's identity reply enabling aggregation), ``"batch"`` (the
     batched siblings, sent directly), ``"handoff"`` (naive engine's
-    successor-chain hand-off).
+    successor-chain hand-off), ``"retry"`` (a retransmission after a
+    timeout, direct or re-routed to a crashed destination's new owner),
+    ``"failover"`` (redirected to the ring successor) or ``"dup"`` (a
+    duplicate delivery the fault plane produced).
     ``hops`` is the wire-level hop count charged; ``path`` the overlay path
     for routed messages (``None`` for direct ones).
     """
@@ -216,26 +226,31 @@ class Span:
 
 
 class QueryTrace:
-    """The recorded refinement tree of a single query execution."""
+    """The recorded refinement tree of a single query execution.
 
-    def __init__(self, query: str, origin: int) -> None:
+    A traced run's event sink: each method records the event's span or
+    typed event, if it has one, and forwards the same call to the run's
+    counting sink ``stats`` (a :class:`~repro.core.metrics.QueryStats`).
+    Every count reaches both from one engine call, which is why
+    :meth:`totals` equals the stats.
+    """
+
+    def __init__(self, query: str, origin: int, stats) -> None:
         self.query = query
         self.origin = origin
+        self.stats = stats
         self.spans: list[Span] = []
         self._children: dict[int, list[int]] = {}
 
-    # -- recording (engine-facing) -------------------------------------
-    def new_span(self, parent_id: int | None, node_id: int, level: int) -> int:
+    # -- the event sink (engine-facing) --------------------------------
+    def open(self, parent: int | None, node_id: int, level: int) -> int:
         span_id = len(self.spans)
-        self.spans.append(Span(span_id, parent_id, node_id, level))
-        if parent_id is not None:
-            self._children.setdefault(parent_id, []).append(span_id)
+        self.spans.append(Span(span_id, parent, node_id, level))
+        if parent is not None:
+            self._children.setdefault(parent, []).append(span_id)
         return span_id
 
-    def emit(self, span_id: int, event: SpanEvent) -> None:
-        self.spans[span_id].events.append(event)
-
-    def reassign(self, span_id: int, node_id: int) -> None:
+    def reassign(self, span: int, node_id: int) -> None:
         """Repoint a span at a different processing node.
 
         Used by resilient execution when a queued sub-query's destination
@@ -243,7 +258,42 @@ class QueryTrace:
         new owner — the span was opened at dispatch time, before the crash
         was known.
         """
-        self.spans[span_id].node_id = node_id
+        self.spans[span].node_id = node_id
+
+    def sent(self, span, src, dest, kind, path=None, size=1) -> None:
+        events = self.spans[span].events
+        hops = 1 if path is None else len(path) - 1
+        events.append(MessageSent(src, dest, kind, hops, path))
+        if kind == "batch":
+            events.append(Aggregated(src, dest, size))
+        self.stats.sent(span, src, dest, kind, path, size)
+
+    def visit(self, span, node_id, level) -> None:
+        # Processing shows in the trace as the visit's LocalScan or
+        # ClusterRefined event.
+        self.stats.visit(span, node_id, level)
+
+    def scanned(self, span, node_id, curve, cluster, low, high, found, done=None) -> None:
+        count = planner.pieces(curve, cluster, low, high)
+        self.spans[span].events.append(LocalScan(node_id, count, found))
+        self.stats.scanned(span, node_id, curve, cluster, low, high, found, done)
+
+    def refined(self, span, node_id, level, children) -> None:
+        self.spans[span].events.append(ClusterRefined(node_id, level, children))
+        self.stats.refined(span, node_id, level, children)
+
+    def pruned(self, span, node_id, level, reason) -> None:
+        self.spans[span].events.append(Pruned(node_id, level, reason))
+        self.stats.pruned(span, node_id, level, reason)
+
+    def abandoned(self, span, node_id, curve, cluster, low, shed=False) -> None:
+        event = BranchShed if shed else BranchLost
+        count = planner.pieces(curve, cluster, low, curve.size - 1)
+        self.spans[span].events.append(event(node_id, cluster.level, count))
+        self.stats.abandoned(span, node_id, curve, cluster, low, shed)
+
+    def dropped(self) -> None:
+        self.stats.dropped()
 
     # -- reconstruction -------------------------------------------------
     @property
@@ -327,10 +377,11 @@ class QueryTrace:
         """Aggregate the trace back into ``QueryStats``-equivalent totals.
 
         ``messages``/``hops`` sum the :class:`MessageSent` events; the node
-        sets are derived from spans, scan hits, and message paths.  Tests
-        assert these equal the live :class:`~repro.core.metrics.QueryStats`
-        of the same run — the trace is a lossless decomposition of the
-        flat counters.
+        sets are derived from spans, scan hits, and message paths.  They
+        equal the :class:`~repro.core.metrics.QueryStats` of the same run by
+        construction (every event the trace recorded was forwarded to it),
+        and tests hold them to it: the trace is a lossless decomposition of
+        the flat counters.
         """
         messages = 0
         hops = 0
@@ -404,9 +455,10 @@ class Tracer:
         self.traces: list[QueryTrace] = []
         self.system_events: list[SystemEvent] = []
 
-    def begin(self, query: str, origin: int) -> QueryTrace:
-        """Open a trace for one query execution (called by the engines)."""
-        trace = QueryTrace(query, origin)
+    def begin(self, query: str, origin: int, stats) -> QueryTrace:
+        """Open a trace for one query execution (called by the engines),
+        forwarding to the run's ``stats``."""
+        trace = QueryTrace(query, origin, stats)
         self.traces.append(trace)
         if self.keep is not None and len(self.traces) > self.keep:
             del self.traces[: len(self.traces) - self.keep]

@@ -12,7 +12,7 @@ Public surface:
   curve, the near-optimal-clustering fourth family.
 * :mod:`~repro.sfc.regions` — query regions (boxes / unions of boxes).
 * :mod:`~repro.sfc.clusters` — cluster generation and recursive refinement.
-* :mod:`~repro.sfc.analysis` — clustering/locality analytics.
+* :mod:`~repro.sfc.analysis` — clustering analytics.
 
 Curve families are selected **by name**, mirroring the store backends; what
 ``SquidSystem.create(...)`` uses when no ``curve=`` is given comes from
@@ -22,7 +22,7 @@ Curve families are selected **by name**, mirroring the store backends; what
 from __future__ import annotations
 
 from repro.errors import ConfigError
-from repro.sfc.analysis import ClusterStats, cluster_stats, locality_ratio
+from repro.sfc.analysis import ClusterStats, cluster_stats
 from repro.sfc.base import SpaceFillingCurve
 from repro.sfc.clusters import (
     Cell,
@@ -63,7 +63,6 @@ __all__ = [
     "count_clusters_per_level",
     "ClusterStats",
     "cluster_stats",
-    "locality_ratio",
     "CURVES",
     "make_curve",
 ]

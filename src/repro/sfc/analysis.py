@@ -4,7 +4,7 @@ The paper's central argument is that the Hilbert mapping keeps queries
 *clustered*: a query region maps to few curve segments, hence few peers.
 This module quantifies that claim — cluster counts per query (the metric of
 Moon, Jagadish, Faloutsos & Saltz's Hilbert clustering analysis, cited as
-[12]) and locality statistics — and backs the Hilbert-vs-Z-order ablation.
+[12]) — and backs the Hilbert-vs-Z-order ablation.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "cluster_stats",
     "random_box_region",
     "average_cluster_count",
-    "locality_ratio",
 ]
 
 
@@ -106,27 +105,4 @@ def average_cluster_count(
     for _ in range(samples):
         region = random_box_region(curve, extent, gen)
         total += cluster_stats(curve, region).cluster_count
-    return total / samples
-
-
-def locality_ratio(
-    curve: SpaceFillingCurve,
-    window: int = 16,
-    samples: int = 200,
-    rng: RandomLike = None,
-) -> float:
-    """Mean d-space L1 distance between indices ``window`` apart on the curve.
-
-    Lower is better (locality preservation); random placement (consistent
-    hashing) would give distances on the order of ``dims * side / 3``.
-    """
-    gen = as_generator(rng)
-    if curve.size <= window:
-        raise ValueError("curve too small for the requested window")
-    starts = gen.integers(0, curve.size - window, size=samples)
-    total = 0.0
-    for start in starts:
-        a = curve.decode(int(start))
-        b = curve.decode(int(start) + window)
-        total += sum(abs(x - y) for x, y in zip(a, b))
     return total / samples

@@ -53,6 +53,10 @@ class HilbertState(tuple):
     def __new__(cls, entry: int, direction: int) -> "HilbertState":
         return super().__new__(cls, (entry, direction))
 
+    def __getnewargs__(self) -> tuple[int, int]:
+        # Pickle rebuilds the pair through ``__new__``'s two arguments.
+        return tuple(self)
+
     @property
     def entry(self) -> int:
         return self[0]

@@ -53,6 +53,10 @@ class OnionState(tuple):
     def __new__(cls, anchor: int, axis: int) -> "OnionState":
         return super().__new__(cls, (anchor, axis))
 
+    def __getnewargs__(self) -> tuple[int, int]:
+        # Pickle rebuilds the pair through ``__new__``'s two arguments.
+        return tuple(self)
+
     @property
     def anchor(self) -> int:
         return self[0]

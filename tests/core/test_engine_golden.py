@@ -13,6 +13,10 @@ trace tree (span creation order, per-span event order) and the fault
 plane's final counters — which pin how much of the plane's RNG stream
 resilient delivery consumed, and in which order.
 
+The recording is of traced runs.  Each case also runs untraced, with the
+run's counting sink alone: everything but the trace must reproduce the
+same digests.
+
 The matrix is curve x engine configuration x scenario; scenarios that need
 the optimized engine's constructor (latency model, fault plane, droppers)
 are skipped for the naive one.  Components are stored as digests to keep
@@ -84,7 +88,7 @@ def case_ids() -> list[str]:
     ]
 
 
-def _build_system(curve: str) -> SquidSystem:
+def _build_system(curve: str, traced: bool = True) -> SquidSystem:
     space = KeywordSpace([WordDimension("kw1"), WordDimension("kw2")], bits=8)
     system = SquidSystem.create(space, n_nodes=24, curve=curve, seed=31)
     rng = np.random.default_rng(12)
@@ -93,7 +97,8 @@ def _build_system(curve: str) -> SquidSystem:
         for _ in range(148)
     ]
     system.publish_many(keys, payloads=list(range(len(keys))))
-    system.attach_tracer()
+    if traced:
+        system.attach_tracer()
     return system
 
 
@@ -138,11 +143,11 @@ def _build_engine(system, cls, kwargs, scenario):
     return cls(**kwargs), plane, execute, rounds
 
 
-def run_case(case: str) -> dict:
+def run_case(case: str, traced: bool = True) -> dict:
     """The full (undigested) fingerprint of one case."""
     curve, engine_name, scenario = case.split("/")
     cls, kwargs = ENGINES[engine_name]
-    system = _build_system(curve)
+    system = _build_system(curve, traced)
     engine, plane, execute, rounds = _build_engine(system, cls, kwargs, scenario)
     rng = np.random.default_rng(14)
     records = []
@@ -207,6 +212,11 @@ def test_fingerprint_matches_parent(case, golden):
     want = golden[case]
     moved = [name for name in want if got[name] != want[name]]
     assert not moved, f"{case}: {moved} differ from the recorded run"
+    # The untraced twin: the counting sink alone gives the same run.
+    plain = run_case(case, traced=False)
+    untraced = ("matches", "stats", "complete", "unresolved", "plane")
+    moved = [name for name in untraced if _digest(plain[name]) != want[name]]
+    assert not moved, f"{case}: untraced {moved} differ from the recorded run"
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """A node visit pays only for what its run carries.
 
 * A plain run — no fault plane, latency model or tracer — never enters
-  resilient delivery, latency arithmetic or span bookkeeping: with those
-  entry points made to raise it still returns the same answer.
+  resilient delivery, latency arithmetic or the trace: with those entry
+  points (every method of the trace's event sink among them) made to
+  raise, and no span or trace event constructible, it still returns the
+  same answer.
 * A visit whose window holds no element is answered by one probe of the
   store's sorted index: the window reaches neither ``scan_ranges`` nor the
   post-filter, yet it is part of ``QueryResult.scanned_ranges``, so a later
@@ -11,11 +13,15 @@
 
 from __future__ import annotations
 
+import typing
+
 import numpy as np
 import pytest
 
 from repro import KeywordSpace, NumericDimension, SquidSystem, WordDimension
 from repro.core.engine import QueryEngine
+from repro.core.metrics import QueryStats
+from repro.obs import trace as obs_trace
 from repro.obs.trace import QueryTrace
 from tests.core.conftest import WORDS
 
@@ -63,8 +69,17 @@ def test_a_plain_run_never_enters_an_absent_plane(monkeypatch, curve, engine):
     expected = [_answer(system.query(q, origin=origin, engine=engine)) for q in QUERIES]
     for name in ("_deliver_resilient", "_path_latency", "_local_delay"):
         monkeypatch.setattr(QueryEngine, name, _raise)
-    monkeypatch.setattr(QueryTrace, "new_span", _raise)
-    monkeypatch.setattr(QueryTrace, "emit", _raise)
+    # The trace's event sink is every method it shares with the counting
+    # sink; a plain run reports to the counting sink alone.
+    sink = [
+        name for name, value in vars(QueryTrace).items()
+        if callable(value) and not name.startswith("_") and hasattr(QueryStats, name)
+    ]
+    assert {"open", "sent", "visit", "scanned"} <= set(sink)
+    for name in sink:
+        monkeypatch.setattr(QueryTrace, name, _raise)
+    for cls in (obs_trace.Span, *typing.get_args(obs_trace.SpanEvent)):
+        monkeypatch.setattr(obs_trace, cls.__name__, _raise)
     got = [_answer(system.query(q, origin=origin, engine=engine)) for q in QUERIES]
     assert got == expected
     assert any(payloads for payloads, *_ in got)

@@ -8,7 +8,6 @@ from repro.sfc import CURVES, GrayCurve, HilbertCurve, MortonCurve, Region, make
 from repro.sfc.analysis import (
     average_cluster_count,
     cluster_stats,
-    locality_ratio,
     random_box_region,
 )
 
@@ -109,18 +108,6 @@ class TestHilbertVsMorton:
         m_count = average_cluster_count(m, extent=8, samples=40, rng=1)
         assert h_count < m_count
         assert h_count <= g_count <= m_count
-
-    def test_hilbert_better_locality(self):
-        h = HilbertCurve(2, 6)
-        m = MortonCurve(2, 6)
-        assert locality_ratio(h, window=4, samples=200, rng=2) < locality_ratio(
-            m, window=4, samples=200, rng=2
-        )
-
-    def test_locality_window_too_large(self):
-        with pytest.raises(ValueError):
-            locality_ratio(HilbertCurve(2, 2), window=100)
-
 
 class TestMakeCurve:
     def test_registry(self):

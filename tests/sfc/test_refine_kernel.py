@@ -29,7 +29,8 @@ from repro.sfc.clusters import (
     refine_cluster,
     root_cluster,
 )
-from repro.sfc.hilbert import HilbertCurve
+from repro.sfc.hilbert import HilbertCurve, HilbertState
+from repro.sfc.onioncurve import OnionState
 from repro.sfc.regions import Box, Region
 from tests.core.test_plan_tree import _build as build_plan_tree_system
 from tests.sfc.reference_refine import reference_refine_cluster
@@ -263,6 +264,8 @@ class TestValueTypes:
     CELL = Cell(level=1, prefix=2, coords=(1, 0), state=(0, 1))
     FULL = FullRange(3, 9)
     CLUSTER = Cluster(level=1, pieces=(FULL, CELL))
+    HILBERT_CELL = Cell(level=1, prefix=2, coords=(1, 0), state=HilbertState(1, 2))
+    ONION_CELL = Cell(level=1, prefix=2, coords=(1, 0), state=OnionState(1, 2))
 
     @pytest.mark.parametrize("value", [CELL, FULL, CLUSTER])
     def test_immutable(self, value):
@@ -284,12 +287,14 @@ class TestValueTypes:
         assert twin != Cluster(level=2, pieces=twin.pieces)
         assert FullRange(3, 9) != FullRange(3, 10)
 
-    @pytest.mark.parametrize("value", [CELL, FULL, CLUSTER])
+    @pytest.mark.parametrize("value", [CELL, FULL, CLUSTER, HILBERT_CELL, ONION_CELL])
     def test_pickle_round_trip(self, value):
         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
             clone = pickle.loads(pickle.dumps(value, protocol))
             assert clone == value
             assert type(clone) is type(value)
+            if isinstance(value, Cell):
+                assert type(clone.state) is type(value.state)
         pieces = pickle.loads(pickle.dumps(self.CLUSTER)).pieces
         assert [type(p) for p in pieces] == [FullRange, Cell]
 

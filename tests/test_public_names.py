@@ -39,12 +39,8 @@ ALLOWED = {
     "clusters_at_level": "oracle for the paper's Figs. 5–7 cluster counts",
     "count_clusters_per_level": "oracle for the paper's Figs. 5–7 cluster counts",
     "average_cluster_count": "sampled clustering number the curve-family tests compare",
-    "locality_ratio": _NEXT_SLICE,
     "full_region": _NEXT_SLICE,
     "extract_keywords": _NEXT_SLICE,
-    "summarize": _NEXT_SLICE,
-    "imbalance_ratio": _NEXT_SLICE,
-    "histogram_counts": _NEXT_SLICE,
 }
 
 

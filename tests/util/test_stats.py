@@ -6,39 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.stats import (
-    Summary,
     coefficient_of_variation,
     gini_coefficient,
-    histogram_counts,
-    imbalance_ratio,
     percentiles,
-    summarize,
 )
-
-
-class TestSummarize:
-    def test_empty(self):
-        s = summarize([])
-        assert s.count == 0
-        assert s.total == 0.0
-
-    def test_single_value(self):
-        s = summarize([5.0])
-        assert s.count == 1
-        assert s.mean == 5.0
-        assert s.minimum == 5.0
-        assert s.maximum == 5.0
-
-    def test_known_values(self):
-        s = summarize([1, 2, 3, 4])
-        assert s.total == 10.0
-        assert s.mean == 2.5
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-
-    def test_as_row_keys(self):
-        row = summarize([1, 2]).as_row()
-        assert set(row) == {"count", "total", "mean", "std", "min", "p50", "p90", "p99", "max"}
 
 
 class TestGini:
@@ -73,18 +44,6 @@ class TestGini:
         assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
-class TestImbalance:
-    def test_even(self):
-        assert imbalance_ratio([3, 3, 3]) == 1.0
-
-    def test_uneven(self):
-        assert imbalance_ratio([1, 1, 4]) == pytest.approx(2.0)
-
-    def test_empty_and_zero(self):
-        assert imbalance_ratio([]) == 1.0
-        assert imbalance_ratio([0, 0]) == 1.0
-
-
 class TestCoV:
     def test_even_is_zero(self):
         assert coefficient_of_variation([2, 2, 2]) == 0.0
@@ -94,24 +53,6 @@ class TestCoV:
 
     def test_known(self):
         assert coefficient_of_variation([0, 2]) == pytest.approx(1.0)
-
-
-class TestHistogram:
-    def test_counts_sum(self):
-        counts = histogram_counts([0.5, 1.5, 2.5], bins=3, low=0, high=3)
-        assert counts.tolist() == [1, 1, 1]
-
-    def test_out_of_range_dropped(self):
-        counts = histogram_counts([-1, 0.5, 10], bins=2, low=0, high=2)
-        assert counts.sum() == 1
-
-    def test_rejects_bad_bins(self):
-        with pytest.raises(ValueError):
-            histogram_counts([1], bins=0, low=0, high=1)
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            histogram_counts([1], bins=2, low=1, high=1)
 
 
 class TestPercentiles:
