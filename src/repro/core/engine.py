@@ -26,8 +26,9 @@ generated and hence in cost:
 The geometry of those steps — the plan, a node's window and ownership
 test, its refined remainder, the grouping by destination — is the pure
 functions of :mod:`repro.core.planner`; this module is the accounting
-around them: messages, hops, the fault plane, the load guard, the hop
-budget, traces and latency.
+around them: messages, hops, the load guard, the hop budget, traces and
+latency.  How one message survives the fault plane — retry, failover, the
+re-route after a crash — is :func:`repro.faults.delivery.deliver`.
 
 Correctness argument (tested exhaustively against a brute-force oracle): the
 covering region contains the coordinates of every matching key; clusters
@@ -49,6 +50,7 @@ from repro.core import planner
 from repro.core.metrics import QueryResult, QueryStats, merge_index_ranges
 from repro.core.plancache import plan_key
 from repro.errors import EngineError
+from repro.faults import delivery
 from repro.guard.plane import priority_rank
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
@@ -113,14 +115,10 @@ def _report_query_metrics(engine_name: str, stats: QueryStats) -> None:
     # Resilience counters appear only once a fault actually bit: fault-free
     # runs (and inert fault planes) leave the registry byte-identical to a
     # plain engine's, which the zero-fault identity tests rely on.
-    if stats.retries:
-        reg.counter("query.retries.total").inc(stats.retries)
-    if stats.failovers:
-        reg.counter("query.failovers.total").inc(stats.failovers)
-    if stats.lost_branches:
-        reg.counter("query.lost_branches.total").inc(stats.lost_branches)
-    if stats.shed_branches:
-        reg.counter("query.shed_branches.total").inc(stats.shed_branches)
+    for name in ("retries", "failovers", "lost_branches", "shed_branches"):
+        count = getattr(stats, name)
+        if count:
+            reg.counter(f"query.{name}.total").inc(count)
 
 
 class EngineRun:
@@ -155,6 +153,10 @@ class EngineRun:
         "root_span",
         "limit",
         "plane",
+        "retry",
+        "replication",
+        "latency_model",
+        "processing_delay",
         "guard",
         "priority",
         "unresolved",
@@ -178,7 +180,11 @@ class EngineRun:
         self.matches: list = []
         self.root_span = 0
         self.limit: int | None = None
-        self.plane = None
+        #: The optimized engine's active fault plane, retry policy and
+        #: replica manager, which :func:`repro.faults.delivery.deliver` and a
+        #: failover visit read, and its latency model and processing delay.
+        self.plane = self.retry = self.replication = self.latency_model = None
+        self.processing_delay = 0.0
         #: The engine's :class:`~repro.guard.GuardPlane` when it is active,
         #: else ``None`` — mirroring ``plane``, an inert guard is bypassed
         #: entirely so unguarded runs stay on the exact same code path.
@@ -208,19 +214,6 @@ class EngineRun:
         out = self.outbox
         self.outbox = []
         return out
-
-    def _exhaust(self) -> None:
-        """The hop budget is spent (``used == budget``): latch ``exhausted``.
-
-        The first exhaustion is counted in the active metrics registry —
-        like the resilience counters, the metric appears only when the
-        budget actually bites, keeping fault-free registries byte-identical.
-        """
-        if not self.exhausted:
-            self.exhausted = True
-            reg = obs_metrics.active()
-            if reg is not None:
-                reg.counter("query.hop_budget_exhausted.total").inc()
 
 
 def drive_sync(engine: "QueryEngine", system: "SquidSystem", run: EngineRun) -> QueryResult:
@@ -268,23 +261,19 @@ class QueryEngine(ABC):
     """One query-resolution core; the engines are two strategies over it.
 
     The core is what every engine does the same way: open a run
-    (:meth:`begin_run`), handle one node visit (:meth:`_visit`), fight the
-    fault plane for one message (:meth:`_deliver_resilient`), seal the
+    (:meth:`begin_run`), handle one node visit (:meth:`_visit`), seal the
     result (:meth:`finish_run`).  An engine supplies *plan* (:meth:`_plan`:
     what the initiator resolves before the first message) and *continue*
     (:meth:`_start`, :meth:`process_message`: where a visit's unresolved
     remainder goes, and what a shed, lost or limit-stopped visit means).
+    It reads a plane or latency model only as the run carries it; one
+    message's fight with the fault plane is :func:`repro.faults.delivery.deliver`.
     """
 
     name: str = "abstract"
     #: Whether the engine's nodes refine remainders a plan-cache entry can
     #: keep as its query tree (the naive initiator resolves everything).
     grows_tree = False
-
-    # Switched on only by OptimizedEngine's constructor (documented there);
-    # the shared visit and delivery code reads them from the instance.
-    latency_model = retry = replication = None
-    processing_delay = 0.0
 
     def __init__(self, hop_budget: int | None = None, guard: "GuardPlane | None" = None) -> None:
         #: Per-query cap on node visits; ``None`` derives
@@ -380,7 +369,12 @@ class QueryEngine(ABC):
         run.guard = guard if guard is not None and guard.active else None
         if system.result_cache is not None:
             run.scanned = []
-        q, region = self._bind_query(system, run, query)
+        # Bind the query to the system's space once for the whole run: the
+        # type-checked AST, its covering region, and the post-filter.
+        bound = system.space.bind(query)
+        q = run.query = bound.query
+        region = run.region = bound.region
+        run.keep = system.space.keeper(bound)
         curve = system.curve
         stats = run.stats
         origin_id = run.origin_id = self._pick_origin(system, origin, rng)
@@ -453,11 +447,7 @@ class QueryEngine(ABC):
             # abandoned run may have collected the same stored elements
             # repeatedly; restore set semantics (stores hand out stable
             # object identities) while keeping first-seen order.
-            seen: set[int] = set()
-            run.matches = [
-                m for m in run.matches
-                if id(m) not in seen and not seen.add(id(m))
-            ]
+            run.matches = list({id(m): m for m in run.matches}.values())
         _report_query_metrics(self.name, run.stats)
         resolved_gaps = merge_index_ranges(run.unresolved)
         return QueryResult(
@@ -492,16 +482,6 @@ class QueryEngine(ABC):
         gen = as_generator(rng)
         return ids[int(gen.integers(0, len(ids)))]
 
-    @staticmethod
-    def _bind_query(system: "SquidSystem", run: EngineRun, query):
-        """Bind ``query`` to the system's space once for the whole run:
-        the type-checked AST, its covering region, and the post-filter."""
-        bound = system.space.bind(query)
-        run.query = bound.query
-        run.region = bound.region
-        run.keep = system.space.keeper(bound)
-        return bound.query, bound.region
-
     # ------------------------------------------------------------------
     # The node visit (shared by both engines)
     # ------------------------------------------------------------------
@@ -529,7 +509,7 @@ class QueryEngine(ABC):
         overlay = system.overlay
         sink = run.sink
         # Each optional plane costs one check when the run does not carry it.
-        if run.guard is not None and self._refused(run, node_id):
+        if run.guard is not None and not run.guard.admit(node_id, run.priority):
             # The node's load guard refused the work: the entry's remaining
             # window is shed — deliberately and honestly — into
             # ``unresolved_ranges``.  Shedding a branch is cheap by design:
@@ -540,23 +520,28 @@ class QueryEngine(ABC):
         # budget is exhausted: a routing cycle (or a pathological plan)
         # regenerated work beyond any healthy query's size …
         lost = run.used >= run.budget
-        if lost:
-            run._exhaust()
-        else:
+        if not lost:
             run.used += 1
+        elif not run.exhausted:
+            # The first exhaustion latches ``exhausted`` and is counted in the
+            # active metrics registry: like the resilience counters, only
+            # once the budget bites, keeping fault-free registries identical.
+            run.exhausted = True
+            reg = obs_metrics.active()
+            if reg is not None:
+                reg.counter("query.hop_budget_exhausted.total").inc()
         if not lost and run.plane is not None and node_id not in overlay.nodes:
             # … or the processor crashed (a fault on some other branch)
             # after this sub-query was sent but before it was handled.  The
             # sender times out and re-routes to whoever owns the key now;
             # without a retry policy the branch is simply lost.
-            src = sender_id if sender_id in overlay.nodes else run.origin_id
-            delivery = self._deliver_resilient(
-                system, run, src, node_id, low, span, charge_route=True
+            redelivery = delivery.deliver(
+                run, overlay, sender_id, node_id, low, span, charge_route=True
             )
-            if delivery is None:
+            if redelivery is None:
                 lost = True
             else:
-                node_id, covered, replica_of, penalty = delivery
+                node_id, covered, replica_of, penalty = redelivery
                 arrival_time += penalty
                 sink.reassign(span, node_id)
         if lost:
@@ -566,13 +551,13 @@ class QueryEngine(ABC):
             self._abandon(run, curve, cluster, low, span, node_id)
             return _LOST, node_id, covered, arrival_time
         sink.visit(span, node_id, cluster.level)
-        model = self.latency_model
+        model = run.latency_model
         done = None
         if model is not None:
             # Completion time of this processing event, results back at origin.
             done = (
                 arrival_time
-                + self._local_delay(run, node_id)
+                + delivery.local_delay(run, node_id)
                 + model.latency(node_id, run.origin_id)
             )
         if covered == node_id:
@@ -592,23 +577,18 @@ class QueryEngine(ABC):
                 # peer.  Its replica store restores the peer's share of the
                 # data; without replication that share is truthfully
                 # reported as unresolved (the fan-out continues regardless).
-                served, ok = self._scan_replicas(node_id, lo, hi, run.keep)
-                if ok:
-                    found = found + served
-                else:
+                manager = run.replication
+                replicas = None if manager is None else manager.replicas.get(node_id)
+                if replicas is None:
                     run.unresolved.append((lo, hi))
+                else:
+                    found = found + self._filter_scan(replicas, lo, hi, run.keep)
         sink.scanned(span, node_id, curve, cluster, low, hi, len(found), done)
         if found:
             run.matches.extend(found)
             if run.limit is not None and len(run.matches) >= run.limit:
                 return _LIMIT, node_id, covered, arrival_time
         return (_OWNED if owned else _CONTINUE), node_id, covered, arrival_time
-
-    @staticmethod
-    def _refused(run: EngineRun, node_id: int) -> bool:
-        """True when ``node_id``'s (armed) load guard sheds the entry it is
-        about to handle; asked exactly once per delivered entry."""
-        return not run.guard.admit(node_id, run.priority)
 
     @staticmethod
     def _abandon(
@@ -652,151 +632,6 @@ class QueryEngine(ABC):
         if prof is not None:
             prof.record("engine.scan", perf_counter() - start)
         return found
-
-    def _scan_replicas(self, node_id: int, lo: int, hi: int, keep) -> tuple[list, bool]:
-        """Serve an unreachable peer's share from this node's replica store.
-
-        Returns ``(matches, served)``; ``served`` is False when no replica
-        store is available (no manager attached, or the node holds none) —
-        the caller then records the window as unresolved.
-        """
-        manager = self.replication
-        if manager is None:
-            return [], False
-        store = manager.replicas.get(node_id)
-        if store is None:
-            return [], False
-        return self._filter_scan(store, lo, hi, keep), True
-
-    def _local_delay(self, run: EngineRun, node_id: int) -> float:
-        """Local processing time at ``node_id`` (the plane's slow peers take longer)."""
-        delay = self.processing_delay
-        if delay and run.plane is not None:
-            delay *= run.plane.slow_factor(node_id)
-        return delay
-
-    def _path_latency(self, path: tuple[int, ...]) -> float:
-        if self.latency_model is None:
-            return 0.0
-        return self.latency_model.path_latency(path)
-
-    # ------------------------------------------------------------------
-    # Resilient delivery (runs that carry an active fault plane only)
-    # ------------------------------------------------------------------
-    def _deliver_resilient(
-        self,
-        system: "SquidSystem",
-        run: EngineRun,
-        sender_id: int,
-        dest: int,
-        key: int,
-        span: int,
-        allow_failover: bool = True,
-        charge_route: bool = False,
-    ) -> tuple[int, int, int | None, float] | None:
-        """Push one physical message through the fault plane, fighting back
-        per the retry policy.
-
-        Returns the *delivery outcome* ``(processor, covered, replica_of,
-        time_penalty)`` — ``covered`` being the identifier whose range the
-        visit resolves and ``replica_of`` its id when the processor is a
-        failover stand-in — or ``None`` when the message is definitively
-        lost.  (A run without a plane has the identity outcome
-        ``(dest, dest, None, 0.0)`` for every message and never gets here.)
-
-        The *first* transmission must already be charged by the caller (the
-        routed probe or the direct batch); retries, failovers, and crash
-        re-routes are charged here.  With ``charge_route`` the message
-        starts from a timed-out crashed destination: the sender re-resolves
-        the owner and the (charged) re-route happens here too.
-        """
-        plane = run.plane
-        policy = self.retry
-        overlay = system.overlay
-        sink = run.sink
-        penalty = 0.0
-        total = 0
-        if charge_route:
-            if policy is None:
-                return None
-            penalty += policy.wait_for(1, plane.rng)
-            dest = overlay.owner(key)
-            if dest == sender_id:
-                # The sender itself owns the key now: local hand-off.
-                return (dest, dest, None, penalty)
-            penalty += self._reroute(system, run, sender_id, dest, key, span)
-        primary = dest
-        current = dest
-        attempts = 0
-        budget = policy.budget if policy is not None else 1
-        while True:
-            total += 1
-            attempts += 1
-            outcome = plane.transmit(sender_id, current)
-            if outcome.crashed:
-                # The destination died mid-delivery, taking the message with
-                # it.  Time out, then route to whoever owns the key now
-                # (with replication, the successor promoted the data).
-                sink.dropped()
-                if policy is None or total >= budget:
-                    return None
-                penalty += policy.wait_for(attempts, plane.rng)
-                if current == primary:
-                    primary = overlay.owner(key)
-                    nxt = primary
-                elif primary in overlay.nodes:
-                    # A failover stand-in died while the primary is still
-                    # unreachable-but-alive: try the next ring successor.
-                    nxt = overlay.successor_id(primary)
-                    if nxt == primary:
-                        return None
-                else:  # pragma: no cover - defensive
-                    primary = overlay.owner(key)
-                    nxt = primary
-                if nxt == sender_id:
-                    return (nxt, primary, None if nxt == primary else primary,
-                            penalty)
-                penalty += self._reroute(system, run, sender_id, nxt, nxt, span)
-                current = nxt
-                attempts = 0
-                continue
-            if outcome.dropped:
-                sink.dropped()
-                if policy is None or total >= budget:
-                    return None
-                penalty += policy.wait_for(attempts, plane.rng)
-                if attempts < policy.max_attempts and not plane.always_drops(
-                    current
-                ):
-                    # Retransmit to the same destination after backoff.
-                    sink.sent(span, sender_id, current, "retry")
-                    continue
-                if not (allow_failover and policy.failover):
-                    return None
-                backup = overlay.successor_id(current)
-                if backup == current or plane.always_drops(backup):
-                    return None  # nowhere left to go: the branch dies
-                sink.sent(span, sender_id, backup, "failover", (sender_id, backup))
-                current = backup
-                attempts = 0
-                continue
-            # Delivered (possibly delayed and/or duplicated).
-            penalty += outcome.delay
-            if outcome.duplicated:
-                # Receivers deduplicate; the spurious copy still cost a send.
-                sink.sent(span, sender_id, current, "dup")
-            replica_of = primary if current != primary else None
-            return (current, primary, replica_of, penalty)
-
-    def _reroute(
-        self, system: "SquidSystem", run: EngineRun, sender_id: int,
-        target: int, key: int, span: int,
-    ) -> float:
-        """A timed-out sender routes the message again, toward ``key``'s
-        owner ``target``: one charged, traced retry.  Returns its latency."""
-        route = system.overlay.route(sender_id, key)
-        run.sink.sent(span, sender_id, target, "retry", route.path)
-        return self._path_latency(route.path)
 
 
 class OptimizedEngine(QueryEngine):
@@ -876,9 +711,13 @@ class OptimizedEngine(QueryEngine):
 
     def _start(self, system: "SquidSystem", run: EngineRun, plan: tuple) -> None:
         """Dispatch the level-1 clusters from the initiator."""
+        run.latency_model = self.latency_model
+        run.processing_delay = self.processing_delay
         plane = self.fault_plane
         if plane is not None and plane.active:  # see begin_run: inertness
             run.plane = plane
+            run.retry = self.retry
+            run.replication = self.replication
             plane.begin_query(run.origin_id)
         self._dispatch(
             system, run, run.origin_id, plan, floor=0, now=0.0,
@@ -898,7 +737,7 @@ class OptimizedEngine(QueryEngine):
             run.sink.refined(span, node_id, cluster.level, len(remainder))
             if remainder:
                 if self.processing_delay:
-                    arrival_time += self._local_delay(run, node_id)
+                    arrival_time += delivery.local_delay(run, node_id)
                 self._dispatch(
                     system, run, node_id, remainder, covered + 1, arrival_time, span
                 )
@@ -938,15 +777,11 @@ class OptimizedEngine(QueryEngine):
         (probe on the first receiving span; reply and batch on the sender's
         span, after the batch's delivery).
 
-        Each physical message has a *delivery outcome* ``(processor,
-        covered, replica_of, penalty)``: the identity ``(dest, dest, None,
-        0.0)`` on a run without a fault plane, else whatever
-        :meth:`_deliver_resilient` (retry/backoff/failover per the engine's
-        policy) achieves — ``None`` when the message stays undeliverable,
-        and then the clusters it carried are recorded as lost.  The sibling
-        batch is its own physical message: it can be faulted independently
-        of the probe, but never fails over (the probe/reply handshake
-        already fixed its destination).
+        A message's delivery outcome is the identity ``(dest, dest, None,
+        0.0)`` without a fault plane, else :func:`repro.faults.delivery.deliver`'s;
+        the clusters of a lost message are recorded as lost.  The sibling
+        batch is faulted independently of the probe but never fails over:
+        the probe/reply handshake already fixed its destination.
         """
         if not clusters:
             return
@@ -958,7 +793,8 @@ class OptimizedEngine(QueryEngine):
         # run does not carry it: without a fault plane every message has the
         # identity outcome, and without one or a latency model nothing is late.
         resilient = run.plane is not None
-        timed = resilient or self.latency_model is not None
+        model = run.latency_model
+        timed = resilient or model is not None
         aggregate = self.aggregate
         kind = "probe" if aggregate else "routed"
         reply = aggregate and len(clusters) > 1
@@ -976,8 +812,8 @@ class OptimizedEngine(QueryEngine):
                 route = overlay.route(sender_id, first_key)
                 first = (dest, dest, None, 0.0)
                 if resilient:
-                    first = self._deliver_resilient(
-                        system, run, sender_id, dest, first_key, parent_span
+                    first = delivery.deliver(
+                        run, overlay, sender_id, dest, first_key, parent_span
                     )
                 batch = first
                 lost_at = dest
@@ -985,11 +821,11 @@ class OptimizedEngine(QueryEngine):
                 if first is not None:
                     lost_at = processor = first[0]
                     if timed:
-                        arrival = now + self._path_latency(route.path) + first[3]
+                        arrival = now + delivery.path_latency(model, route.path) + first[3]
                     if len(group) > 1:
                         if resilient:
-                            batch = self._deliver_resilient(
-                                system, run, sender_id, processor, first_key,
+                            batch = delivery.deliver(
+                                run, overlay, sender_id, processor, first_key,
                                 parent_span, allow_failover=False,
                             )
                         if timed and batch is not None:
@@ -998,7 +834,7 @@ class OptimizedEngine(QueryEngine):
                             # (reply + batch).
                             batch_arrival = (
                                 arrival
-                                + 2 * self._path_latency((sender_id, processor))
+                                + 2 * delivery.path_latency(model, (sender_id, processor))
                                 + batch[3]
                             )
                 # The probe carries the first cluster, the batch the rest.
@@ -1116,7 +952,7 @@ class NaiveEngine(QueryEngine):
         end — one message per cluster — unless the run is over."""
         ranges = run.ranges
         origin_id = run.origin_id
-        if run.guard is not None and self._refused(run, origin_id):
+        if run.guard is not None and not run.guard.admit(origin_id, run.priority):
             # The initiator itself is overloaded: the clusters not yet
             # dispatched are shed wholesale: one branch, the root cluster's
             # undispatched ranges.

@@ -1,8 +1,9 @@
 """Retry, backoff, and failover policy for resilient query execution.
 
-A :class:`RetryPolicy` tells the resilient
-:class:`~repro.core.engine.OptimizedEngine` how hard to fight the
-:class:`~repro.faults.plane.FaultPlane` for each physical message:
+A :class:`RetryPolicy` tells :func:`repro.faults.delivery.deliver` — the
+one place a query's messages meet the
+:class:`~repro.faults.plane.FaultPlane` — how hard to fight the plane for
+each physical message:
 
 * up to ``max_attempts`` transmissions to the *same* destination, separated
   by per-hop timeouts growing exponentially (``timeout * backoff**n``) with

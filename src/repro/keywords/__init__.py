@@ -6,7 +6,6 @@ from repro.keywords.dimensions import (
     NumericDimension,
     WordDimension,
 )
-from repro.keywords.extract import STOPWORDS, extract_keywords, tokenize
 from repro.keywords.query import (
     Exact,
     NumericRange,
@@ -33,7 +32,4 @@ __all__ = [
     "KeywordSpace",
     "BoundQuery",
     "Key",
-    "extract_keywords",
-    "tokenize",
-    "STOPWORDS",
 ]

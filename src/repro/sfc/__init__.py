@@ -38,7 +38,7 @@ from repro.sfc.clusters import (
 from repro.sfc.graycurve import GrayCurve
 from repro.sfc.hilbert import HilbertCurve
 from repro.sfc.onioncurve import OnionCurve
-from repro.sfc.regions import Box, Containment, Interval, Region, full_region
+from repro.sfc.regions import Box, Containment, Interval, Region
 from repro.sfc.zorder import MortonCurve
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "Containment",
     "Interval",
     "Region",
-    "full_region",
     "Cell",
     "Cluster",
     "FullRange",

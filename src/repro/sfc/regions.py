@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import DimensionMismatchError
 
-__all__ = ["Containment", "Interval", "Box", "Region", "full_region"]
+__all__ = ["Containment", "Interval", "Box", "Region"]
 
 
 class Containment(enum.Enum):
@@ -201,9 +201,3 @@ class Region:
     def volume_upper_bound(self) -> int:
         """Sum of box volumes (exact when boxes are disjoint)."""
         return sum(box.volume for box in self.boxes)
-
-
-def full_region(dims: int, order: int) -> Region:
-    """The region covering the entire ``[0, 2**order)**dims`` space."""
-    side = 1 << order
-    return Region.from_bounds([(0, side - 1)] * dims)

@@ -1,10 +1,10 @@
 """A node visit pays only for what its run carries.
 
 * A plain run — no fault plane, latency model or tracer — never enters
-  resilient delivery, latency arithmetic or the trace: with those entry
-  points (every method of the trace's event sink among them) made to
-  raise, and no span or trace event constructible, it still returns the
-  same answer.
+  delivery under faults, latency arithmetic or the trace: with those entry
+  points (the functions of :mod:`repro.faults.delivery` and every method of
+  the trace's event sink) made to raise, and no span or trace event
+  constructible, it still returns the same answer.
 * A visit whose window holds no element is answered by one probe of the
   store's sorted index: the window reaches neither ``scan_ranges`` nor the
   post-filter, yet it is part of ``QueryResult.scanned_ranges``, so a later
@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from repro import KeywordSpace, NumericDimension, SquidSystem, WordDimension
-from repro.core.engine import QueryEngine
 from repro.core.metrics import QueryStats
+from repro.faults import delivery
 from repro.obs import trace as obs_trace
 from repro.obs.trace import QueryTrace
 from tests.core.conftest import WORDS
@@ -67,8 +67,8 @@ def test_a_plain_run_never_enters_an_absent_plane(monkeypatch, curve, engine):
     system = _system(curve)
     origin = system.overlay.node_ids()[0]
     expected = [_answer(system.query(q, origin=origin, engine=engine)) for q in QUERIES]
-    for name in ("_deliver_resilient", "_path_latency", "_local_delay"):
-        monkeypatch.setattr(QueryEngine, name, _raise)
+    for name in delivery.__all__:
+        monkeypatch.setattr(delivery, name, _raise)
     # The trace's event sink is every method it shares with the counting
     # sink; a plain run reports to the counting sink alone.
     sink = [

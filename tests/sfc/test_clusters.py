@@ -23,8 +23,14 @@ from repro.sfc.clusters import (
     root_cluster,
 )
 from repro.sfc.hilbert import HilbertCurve
-from repro.sfc.regions import Region, full_region
+from repro.sfc.regions import Region
 from repro.sfc.zorder import MortonCurve
+
+
+def full_region(dims: int, order: int) -> Region:
+    """The region covering the entire ``[0, 2**order)**dims`` space."""
+    side = 1 << order
+    return Region.from_bounds([(0, side - 1)] * dims)
 
 
 def brute_clusters(curve, region):

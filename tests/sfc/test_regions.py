@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import DimensionMismatchError
-from repro.sfc.regions import Box, Containment, Interval, Region, full_region
+from repro.sfc.regions import Box, Containment, Interval, Region
 
 
 class TestInterval:
@@ -112,11 +112,6 @@ class TestRegion:
         """A cell covered only jointly by two boxes is PARTIAL (refined, not dropped)."""
         region = Region((Box.from_bounds([(0, 3)]), Box.from_bounds([(4, 7)])))
         assert region.classify_cell((0,), (7,)) is Containment.PARTIAL
-
-    def test_full_region(self):
-        region = full_region(2, 3)
-        assert region.classify_cell((0, 0), (7, 7)) is Containment.FULL
-        assert region.contains_point((7, 0))
 
     def test_volume_upper_bound(self):
         region = Region(

@@ -26,7 +26,6 @@ CALLER_TREES = ("src/repro", "perf", "examples")
 CI_FILE = REPO_ROOT / ".github" / "workflows" / "ci.yml"
 
 _ITEM_12 = "ROADMAP item 12: an extI figure or deletion"
-_NEXT_SLICE = "dead: next item-9 slice, over the removed-test-id budget"
 
 #: Exported names with no caller outside the tests, and why each stays.
 ALLOWED = {
@@ -39,8 +38,6 @@ ALLOWED = {
     "clusters_at_level": "oracle for the paper's Figs. 5–7 cluster counts",
     "count_clusters_per_level": "oracle for the paper's Figs. 5–7 cluster counts",
     "average_cluster_count": "sampled clustering number the curve-family tests compare",
-    "full_region": _NEXT_SLICE,
-    "extract_keywords": _NEXT_SLICE,
 }
 
 
