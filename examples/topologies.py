@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Overlay topologies compared: Chord, Pastry, CAN — and proximity fingers.
+"""Overlay topologies compared: Chord against CAN — and proximity fingers.
 
 The paper builds Squid on Chord and lists "other network topologies" and
 "maintenance of geographical locality" as future work.  This example runs
-the same lookup workload over all three overlay families and then shows
-proximity neighbor selection (PNS) cutting real query latency end-to-end.
+the same lookup workload over Chord and CAN, the overlay under the iSFC-CAN
+baseline, and then shows proximity neighbor selection (PNS) cutting real
+query latency end-to-end.
 
 Run:  python examples/topologies.py
 """
@@ -19,7 +20,7 @@ from repro import (
     SquidSystem,
     WordDimension,
 )
-from repro.overlay import CanOverlay, ChordRing, PastryOverlay
+from repro.overlay import CanOverlay, ChordRing
 from repro.workloads.documents import DocumentWorkload
 
 N_NODES = 256
@@ -43,7 +44,6 @@ def main() -> None:
     print(f"routing {LOOKUPS} random lookups over {N_NODES}-node overlays\n")
 
     chord = ChordRing.with_random_ids(BITS, N_NODES, rng=0)
-    pastry = PastryOverlay.with_random_ids(BITS, N_NODES, rng=1)
     can = CanOverlay(BITS, can_dims=2)
     can_rng = np.random.default_rng(2)
     for _ in range(N_NODES):
@@ -51,7 +51,6 @@ def main() -> None:
 
     rows = [
         ("Chord (binary fingers)", mean_hops(chord, np.random.default_rng(3)), "O(log N)"),
-        ("Pastry (base-16 prefixes)", mean_hops(pastry, np.random.default_rng(4)), "O(log16 N)"),
         ("CAN (2-D zones)", mean_hops(can, np.random.default_rng(5)), "O(sqrt N)"),
     ]
     print(f"{'overlay':28s} {'mean hops':>9s}   asymptotic")

@@ -8,7 +8,6 @@ from repro.overlay.base import (
 )
 from repro.overlay.can import CanOverlay, Zone
 from repro.overlay.chord import ChordNode, ChordRing
-from repro.overlay.pastry import PastryNode, PastryOverlay
 from repro.overlay.proximity import LatencyModel, ProximityChordRing
 
 __all__ = [
@@ -20,8 +19,6 @@ __all__ = [
     "ChordRing",
     "CanOverlay",
     "Zone",
-    "PastryOverlay",
-    "PastryNode",
     "LatencyModel",
     "ProximityChordRing",
 ]

@@ -43,20 +43,6 @@ def _rotate_right(values: np.ndarray, counts: np.ndarray, width: int) -> np.ndar
     return _rotate_left(values, width - (counts % width), width)
 
 
-def _trailing_set_bits_table(width: int) -> np.ndarray:
-    """Lookup table of trailing-set-bit counts for values in [0, 2**width)."""
-    size = 1 << width
-    table = np.zeros(size, dtype=np.int64)
-    for value in range(size):
-        count = 0
-        v = value
-        while v & 1:
-            count += 1
-            v >>= 1
-        table[value] = count
-    return table
-
-
 def _entry_point_table(width: int) -> np.ndarray:
     """Lookup table of subcube entry vertices e(rank) for rank in [0, 2**width)."""
     size = 1 << width

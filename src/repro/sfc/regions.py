@@ -125,10 +125,6 @@ class Region:
                 raise DimensionMismatchError(dims, box.dims)
 
     @classmethod
-    def from_box(cls, box: Box) -> "Region":
-        return cls((box,))
-
-    @classmethod
     def from_bounds(cls, bounds: Iterable[tuple[int, int]]) -> "Region":
         return cls((Box.from_bounds(bounds),))
 

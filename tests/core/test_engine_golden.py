@@ -15,9 +15,9 @@ resilient delivery consumed, and in which order.
 
 The recording is of traced runs.  Each case also runs untraced, with the
 run's counting sink alone: everything but the trace must reproduce the
-same digests.  The cases whose runs go through delivery under faults or
-timing are replayed once more under another ``PYTHONHASHSEED``: a set or
-dict walked in hash order on that path would move their digests.
+same digests.  The whole matrix is replayed once more under another
+``PYTHONHASHSEED``: a set or dict walked in hash order anywhere on an
+engine path would move some case's digests.
 
 The matrix is curve x engine configuration x scenario; scenarios that need
 the optimized engine's constructor (latency model, fault plane, droppers)
@@ -75,14 +75,6 @@ SCENARIOS = {
     "hop-budget-3": True,
     "limit-2": True,
 }
-#: The default configuration's runs through delivery under faults or
-#: timing (``repro.faults.delivery``): 3 curves x 5 scenarios.
-DELIVERY_CASES = [
-    f"{curve}/opt-agg-d1/{scenario}"
-    for curve in CURVES
-    for scenario in SCENARIOS
-    if scenario == "timed" or scenario.startswith(("faults", "droppers"))
-]
 FAULTS = dict(
     drop_rate=0.2, crash_rate=0.04, duplicate_rate=0.1, delay_rate=0.2,
     slow_fraction=0.3, seed=5,
@@ -231,13 +223,14 @@ def test_fingerprint_matches_parent(case, golden):
     assert not moved, f"{case}: untraced {moved} differ from the recorded run"
 
 
-def test_delivery_cases_do_not_depend_on_the_hash_seed(golden):
-    """The suite runs under one fixed hash seed; replay the delivery cases
-    in one fresh interpreter under another and compare every digest."""
+def test_golden_does_not_depend_on_the_hash_seed(golden):
+    """Replay every case in one fresh interpreter under a hash seed other
+    than the suite's own and compare every digest."""
     root = GOLDEN.resolve().parents[2]
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     env = dict(
         os.environ,
-        PYTHONHASHSEED="1",
+        PYTHONHASHSEED=seed,
         PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
     )
     code = (
@@ -246,13 +239,13 @@ def test_delivery_cases_do_not_depend_on_the_hash_seed(golden):
         "print(json.dumps({case: fingerprint(case) for case in sys.argv[1:]}))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code, *DELIVERY_CASES],
+        [sys.executable, "-c", code, *case_ids()],
         cwd=root, env=env, capture_output=True, text=True, check=True,
     )
     got = json.loads(done.stdout)
-    assert len(got) == 15
-    moved = [case for case in DELIVERY_CASES if got[case] != golden[case]]
-    assert not moved, f"under PYTHONHASHSEED=1 these differ from the recorded run: {moved}"
+    assert len(got) == len(golden) == 132
+    moved = [case for case in golden if got[case] != golden[case]]
+    assert not moved, f"under PYTHONHASHSEED={seed} these differ from the recorded run: {moved}"
 
 
 if __name__ == "__main__":

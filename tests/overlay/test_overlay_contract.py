@@ -2,8 +2,8 @@
 
 The query engine and baselines are written against
 :class:`repro.overlay.base.Overlay`; this suite runs one identical battery
-over Chord, PNS-Chord, Pastry, and CAN so a regression in any family's
-owner/route agreement is caught in one place.
+over Chord, PNS-Chord and CAN so a regression in any family's owner/route
+agreement is caught in one place.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from repro.overlay import (
     CanOverlay,
     ChordRing,
     LatencyModel,
-    PastryOverlay,
     ProximityChordRing,
 )
 
@@ -33,10 +32,6 @@ def make_pns():
     )
 
 
-def make_pastry():
-    return PastryOverlay.with_random_ids(BITS, N_NODES, digit_bits=2, rng=4)
-
-
 def make_can():
     can = CanOverlay(BITS, can_dims=2)
     rng = np.random.default_rng(5)
@@ -48,7 +43,6 @@ def make_can():
 FAMILIES = {
     "chord": make_chord,
     "pns": make_pns,
-    "pastry": make_pastry,
     "can": make_can,
 }
 
@@ -99,16 +93,21 @@ class TestOverlayContract:
 
     def test_route_to_owned_key_is_local(self, overlay):
         """Routing to a key a node owns must not leave that node."""
-        ids = overlay.node_ids()
-        for source in ids[:10]:
-            # Find a key this node owns (its own id maps to itself for the
-            # ring families; for CAN probe a few keys).
-            rng = np.random.default_rng(source % 1000)
-            for _ in range(50):
-                key = int(rng.integers(0, overlay.space))
-                if overlay.owner(key) == source:
-                    assert overlay.route(source, key).path == (source,)
-                    break
+        for source in overlay.node_ids()[:10]:
+            if isinstance(overlay, ChordRing):
+                key = source  # successor ownership: a ring node owns its own id
+            else:
+                # A CAN node id is not a key; draw keys until one lands in
+                # the node's zones (the smallest zone here is 1/256 of the space).
+                rng = np.random.default_rng(source)
+                key = next(
+                    (k for k in rng.integers(0, overlay.space, size=4096).tolist()
+                     if overlay.owner(k) == source),
+                    None,
+                )
+                assert key is not None, f"no key owned by {source} in 4096 draws"
+            assert overlay.owner(key) == source
+            assert overlay.route(source, key).path == (source,)
 
     def test_hops_bounded(self, overlay):
         rng = np.random.default_rng(14)
@@ -138,19 +137,14 @@ class TestRoutingEconomics:
             ]
         )
 
-    def test_pastry_beats_chord_beats_can(self):
-        """O(log_16 N) < O(log_2 N) < O(sqrt N) at N = 256."""
+    def test_chord_beats_can(self):
+        """O(log_2 N) < O(sqrt N) at N = 256."""
         can = CanOverlay(16, can_dims=2)
         rng = np.random.default_rng(5)
         for _ in range(256):
             can.join(rng)
         chord = ChordRing.with_random_ids(16, 256, rng=3)
-        pastry = PastryOverlay.with_random_ids(16, 256, rng=4)
-        assert (
-            self.mean_hops(pastry, 150, 6)
-            < self.mean_hops(chord, 150, 6)
-            < self.mean_hops(can, 150, 6)
-        )
+        assert self.mean_hops(chord, 150, 6) < self.mean_hops(can, 150, 6)
 
     def test_chord_hops_grow_with_log_n(self):
         """16x the nodes adds a constant number of hops, not a factor."""

@@ -5,6 +5,7 @@ docstring; the repo-level documents must exist and reference each other
 consistently.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -82,8 +83,10 @@ class TestRepoDocuments:
         own directory (``internals.md`` inside ``docs/``); so does every
         ``*.py`` path that names a directory, which may also start at
         ``src/`` or ``src/repro/`` (bare ``engine.py`` shorthand is exempt).
-        Every back-ticked dotted ``repro.…`` name is a module, or an
-        attribute reached from the longest importable prefix."""
+        A ``dir/file.py::Name[::name]`` reference names a class or function
+        that file defines (a ``[param]`` suffix is ignored).  Every
+        back-ticked dotted ``repro.…`` name is a module, or an attribute
+        reached from the longest importable prefix."""
         generated = {"perf/out/report.json"}  # written by perf/run.py
         documents = [
             REPO_ROOT / name
@@ -91,13 +94,29 @@ class TestRepoDocuments:
                          ".claude/skills/verify/SKILL.md")
         ] + sorted((REPO_ROOT / "docs").glob("*.md"))
 
-        def resolves(doc, ref):
+        def locate(doc, ref):
             roots = [REPO_ROOT, doc.parent]
             if ref.endswith(".py"):
-                if "/" not in ref:
-                    return True
                 roots += [REPO_ROOT / "src", REPO_ROOT / "src" / "repro"]
-            return any((root / ref).exists() for root in roots)
+            return next((root / ref for root in roots if (root / ref).exists()), None)
+
+        def resolves(doc, ref):
+            if ref.endswith(".py") and "/" not in ref:
+                return True
+            return locate(doc, ref) is not None
+
+        def defines(path, names):
+            scope = ast.parse(path.read_text(encoding="utf-8")).body
+            for name in names:
+                node = next((
+                    node for node in scope
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name == name
+                ), None)
+                if node is None:
+                    return False
+                scope = node.body
+            return True
 
         def names_something(dotted):
             parts = dotted.split(".")
@@ -127,6 +146,11 @@ class TestRepoDocuments:
                 for name in re.findall(r"`(repro(?:\.\w+)+)`", text)
                 if not names_something(name)
             ]
+            for ref, names in re.findall(r"`([\w.\-]+/[\w.\-/]+\.py)::([^`\s]+)`", text):
+                path = locate(doc, ref)
+                names = [re.sub(r"\[[^\]]*\]$", "", name) for name in names.split("::")]
+                if path is None or not defines(path, names):
+                    dangling.append(f"{where}: {ref}::{'::'.join(names)}")
         assert not dangling, dangling
 
     def test_design_covers_every_figure(self):

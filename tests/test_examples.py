@@ -61,7 +61,7 @@ class TestExamples:
         module.LOOKUPS = 40
         module.main()
         out = capsys.readouterr().out
-        assert "Chord" in out and "Pastry" in out and "CAN" in out
+        assert "Chord" in out and "CAN" in out
 
     def test_tracing_a_query(self, capsys):
         module = load_example("tracing_a_query")
