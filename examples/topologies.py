@@ -3,9 +3,9 @@
 
 The paper builds Squid on Chord and lists "other network topologies" and
 "maintenance of geographical locality" as future work.  This example runs
-the same lookup workload over Chord and CAN, the overlay under the iSFC-CAN
-baseline, and then shows proximity neighbor selection (PNS) cutting real
-query latency end-to-end.
+the same lookup workload over Chord and CAN, the overlay of Andrzejak & Xu's
+inverse-SFC range system (the paper's reference [1]), and then shows
+proximity neighbor selection (PNS) cutting real query latency end-to-end.
 
 Run:  python examples/topologies.py
 """

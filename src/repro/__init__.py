@@ -10,7 +10,7 @@ range queries with guarantees, built from
 * a distributed query engine with recursive refinement, pruning and
   aggregation (:mod:`repro.core`),
 * join-time and runtime load balancing (:mod:`repro.core.loadbalance`),
-* baselines (flooding, inverted index, inverse-SFC/CAN) and the paper's
+* baselines (flooding, inverted index) and the paper's
   full experiment suite (:mod:`repro.baselines`, :mod:`repro.experiments`).
 
 Quickstart

@@ -1,4 +1,4 @@
-"""Comparison systems: flooding, inverted index, inverse-SFC/CAN."""
+"""Comparison systems: flooding and the distributed inverted index."""
 
 from repro.baselines.flooding import FloodingNetwork, FloodingStats
 from repro.baselines.inverted import (
@@ -6,17 +6,11 @@ from repro.baselines.inverted import (
     InvertedIndexSystem,
     UnsupportedQueryError,
 )
-from repro.baselines.isfc_can import InverseSfcCanSystem, RangeQueryStats
-from repro.baselines.kss import KeywordSetStats, KeywordSetSystem
 
 __all__ = [
-    "KeywordSetSystem",
-    "KeywordSetStats",
     "FloodingNetwork",
     "FloodingStats",
     "InvertedIndexSystem",
     "InvertedIndexStats",
     "UnsupportedQueryError",
-    "InverseSfcCanSystem",
-    "RangeQueryStats",
 ]

@@ -261,14 +261,6 @@ class HotspotMonitor:
     def max_load(self) -> int:
         return max(self.processing_load.values(), default=0)
 
-    def total_load(self) -> int:
-        return sum(self.processing_load.values())
-
-    def hottest(self, count: int = 5) -> list[tuple[int, int]]:
-        """The ``count`` most loaded nodes as ``(node_id, load)`` pairs."""
-        ranked = sorted(self.processing_load.items(), key=lambda kv: -kv[1])
-        return ranked[:count]
-
 
 @dataclass
 class QueryResult:
@@ -307,7 +299,3 @@ class QueryResult:
     def unresolved_span(self) -> int:
         """Total number of curve indices covered by ``unresolved_ranges``."""
         return sum(high - low + 1 for low, high in self.unresolved_ranges)
-
-    def match_keys(self) -> set:
-        """Distinct keyword combinations among the matches."""
-        return {element.key for element in self.matches}

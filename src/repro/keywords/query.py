@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Sequence, Union
+from typing import Any, Union
 
 from repro.errors import KeywordError, QueryParseError
 
@@ -97,15 +97,6 @@ class Query:
     @property
     def dims(self) -> int:
         return len(self.terms)
-
-    @property
-    def is_fully_specified(self) -> bool:
-        """True when every term is Exact — the paper's point-lookup case."""
-        return all(isinstance(t, Exact) for t in self.terms)
-
-    @property
-    def wildcard_count(self) -> int:
-        return sum(1 for t in self.terms if isinstance(t, Wildcard))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(t) for t in self.terms) + ")"

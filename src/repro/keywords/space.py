@@ -182,11 +182,6 @@ class KeywordSpace:
         points = np.array([self.point(key) for key in normalized], dtype=np.int64)
         return normalized, points.reshape(len(keys), self.dims)
 
-    def coordinates_many(self, keys: Iterable[Sequence[Any]]) -> np.ndarray:
-        """Bulk :meth:`coordinates`: an ``(N, dims)`` int64 array, from
-        :meth:`normalize_many`'s column pass."""
-        return self.normalize_many(keys)[1]
-
     # ------------------------------------------------------------------
     # Query path
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Structured overlay networks: Chord (primary) and CAN (ablation/baseline)."""
+"""Structured overlay networks: Chord (primary) and CAN (the topology comparison)."""
 
 from repro.overlay.base import (
     Overlay,

@@ -2,10 +2,11 @@
 
 CAN partitions a d-dimensional coordinate space into rectangular *zones*, one
 owner per zone; messages are routed greedily through zone neighbors (zones
-sharing a (d-1)-face).  The paper uses Chord, but both the related-work
-baseline it discusses (Andrzejak & Xu's inverse-SFC range system, reference
+sharing a (d-1)-face).  The paper uses Chord, but both a related-work
+system it discusses (Andrzejak & Xu's inverse-SFC range system, reference
 [1]) and its future-work "other topologies" direction are CAN-based, so we
-implement CAN as a second overlay.
+implement CAN as a second overlay; ``examples/topologies.py`` compares its
+routing against Chord's.
 
 To present the same :class:`~repro.overlay.base.Overlay` interface as Chord
 (keys from the 1-d index space ``[0, 2**bits)``), a key is placed at the zone

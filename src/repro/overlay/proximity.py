@@ -150,7 +150,3 @@ class ProximityChordRing(ChordRing):
     # ------------------------------------------------------------------
     # Latency accounting
     # ------------------------------------------------------------------
-    def route_latency(self, source: int, key: int) -> tuple[float, int]:
-        """Route and return ``(total_latency, hops)``."""
-        result = self.route(source, key)
-        return self.model.path_latency(result.path), result.hops

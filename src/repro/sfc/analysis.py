@@ -36,12 +36,6 @@ class ClusterStats:
     largest_cluster: int
     smallest_cluster: int
 
-    @property
-    def mean_cluster_length(self) -> float:
-        if self.cluster_count == 0:
-            return 0.0
-        return self.covered_indices / self.cluster_count
-
 
 def cluster_stats(curve: SpaceFillingCurve, region: Region) -> ClusterStats:
     """Exact cluster statistics of ``region`` on ``curve``.

@@ -192,8 +192,3 @@ class Region:
                 for box in self.boxes
             )
         )
-
-    @property
-    def volume_upper_bound(self) -> int:
-        """Sum of box volumes (exact when boxes are disjoint)."""
-        return sum(box.volume for box in self.boxes)

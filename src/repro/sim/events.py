@@ -48,10 +48,6 @@ class Simulator:
         heapq.heappush(self._queue, event)
         return event
 
-    def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
-        """Schedule ``action`` at an absolute simulation time."""
-        return self.schedule(time - self.now, action)
-
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (lazy deletion)."""
         self._cancelled.add(event.seq)

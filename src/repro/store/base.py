@@ -158,7 +158,7 @@ class NodeStore(ABC):
 
     Subclasses implement the abstract primitives; the concrete methods here
     provide the shared semantics (range normalization, scan metrics,
-    snapshot/restore, stats) so backends cannot drift on the contract
+    snapshots, stats) so backends cannot drift on the contract
     documented in the module docstring.
     """
 
@@ -209,7 +209,7 @@ class NodeStore(ABC):
 
     @abstractmethod
     def clear(self) -> None:
-        """Drop all contents (counters included); used by :meth:`restore`."""
+        """Drop all contents (counters included)."""
 
     @abstractmethod
     def memory_bytes(self) -> int:
@@ -284,17 +284,10 @@ class NodeStore(ABC):
     def snapshot(self) -> list[StoredElement]:
         """The full contents in scan order, as a picklable list.
 
-        ``restore(snapshot())`` on any backend rebuilds a scan-identical
-        store: snapshots are backend-portable.
+        ``clear()`` then ``add_sorted_bulk(snapshot())`` on any backend
+        rebuilds a scan-identical store: snapshots are backend-portable.
         """
         return list(self.all_elements())
-
-    def restore(self, elements: Iterable[StoredElement]) -> None:
-        """Replace the contents with ``elements`` (a :meth:`snapshot`)."""
-        self.clear()
-        elements = list(elements)
-        if elements:
-            self.add_sorted_bulk(elements)
 
     def stats(self) -> StoreStats:
         """Size/footprint snapshot (uniform across backends)."""

@@ -164,10 +164,6 @@ class Vocabulary:
         picks = gen.choice(len(self.words), size=count, p=self.weights)
         return [self.words[i] for i in picks]
 
-    def popular(self, count: int) -> list[str]:
-        """The ``count`` most popular words (lowest ranks)."""
-        return self.words[:count]
-
     def rank_of(self, word: str) -> int:
         """Popularity rank of ``word`` (0 = most popular)."""
         try:

@@ -75,10 +75,6 @@ class DocumentWorkload:
                 )
         return cls(space=space, vocabulary=vocab, keys=keys)
 
-    def popular_word(self, rank: int = 0) -> str:
-        """A word by popularity rank — useful for picking Q1 query targets."""
-        return self.vocabulary.popular(rank + 1)[rank]
-
     def count_matching(self, query) -> int:
         """Oracle count of keys matching a query (workload-side, no system)."""
         match = self.space.matcher(query)

@@ -17,7 +17,7 @@ in process and reports per-operation outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import WorkloadError
 from repro.keywords.query import Query
@@ -65,23 +65,6 @@ class Trace:
 
     def __iter__(self):
         return iter(self.ops)
-
-    @classmethod
-    def from_queries(cls, queries: Iterable[Query]) -> "Trace":
-        """A pure-query trace (no updates), in the given order."""
-        return cls([TraceOp("query", query=q) for q in queries])
-
-    @property
-    def query_count(self) -> int:
-        return sum(1 for op in self.ops if op.kind == "query")
-
-    @property
-    def update_count(self) -> int:
-        return len(self.ops) - self.query_count
-
-    def distinct_queries(self) -> int:
-        """Number of distinct query strings among the query ops."""
-        return len({str(op.query) for op in self.ops if op.kind == "query"})
 
 
 # ----------------------------------------------------------------------

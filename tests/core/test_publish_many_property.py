@@ -234,4 +234,4 @@ def test_invalid_batch_raises_what_the_per_key_loop_raises(good, bad):
     assert _raised(lambda: bulk.publish_many(keys, payloads=range(len(keys)))) == expected
     assert bulk.total_elements() == 0  # nothing is stored before the batch is checked
     space = _mixed_space()
-    assert _raised(lambda: space.coordinates_many(keys)) == expected
+    assert _raised(lambda: space.normalize_many(keys)[1]) == expected

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -59,6 +61,38 @@ def test_every_figure_is_recorded():
 @pytest.mark.parametrize("figure", sorted([*FIGURES, *EXTENSIONS]))
 def test_figure_matches_golden(figure):
     assert fingerprint(figure) == json.loads(GOLDEN.read_text())["figures"][figure]
+
+
+def test_golden_does_not_depend_on_the_hash_seed():
+    """Replay every figure but ``extH`` in one fresh interpreter under a hash
+    seed other than the suite's own and compare every fingerprint.
+
+    ``extH`` is left out for time: nearly all of its ~27 s is
+    ``cluster_stats``' full resolution, which ``test_figure_matches_golden``
+    already runs once.
+    """
+    root = GOLDEN.resolve().parents[2]
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=seed,
+        PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+    )
+    figures = sorted(figure for figure in [*FIGURES, *EXTENSIONS] if figure != "extH")
+    code = (
+        "import json, sys\n"
+        "from tests.experiments.test_figures_golden import fingerprint\n"
+        "print(json.dumps({figure: fingerprint(figure) for figure in sys.argv[1:]}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *figures],
+        cwd=root, env=env, capture_output=True, text=True, check=True,
+    )
+    got = json.loads(done.stdout)
+    golden = json.loads(GOLDEN.read_text())["figures"]
+    assert sorted(got) == figures and len(figures) == len(golden) - 1
+    moved = [figure for figure in figures if got[figure] != golden[figure]]
+    assert not moved, f"under PYTHONHASHSEED={seed} these differ from the recorded run: {moved}"
 
 
 if __name__ == "__main__":

@@ -95,14 +95,6 @@ class TestQuery:
         with pytest.raises(KeywordError):
             Query(())
 
-    def test_fully_specified(self):
-        assert Query((Exact("a"), Exact("b"))).is_fully_specified
-        assert not Query((Exact("a"), Wildcard())).is_fully_specified
-
-    def test_wildcard_count(self):
-        q = Query((Wildcard(), Exact("a"), Wildcard()))
-        assert q.wildcard_count == 2
-
     def test_str_roundtrip(self):
         q = parse_terms("(comp*, network, 256-*)")
         assert parse_terms(str(q)) == q

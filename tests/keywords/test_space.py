@@ -73,14 +73,15 @@ class TestCoordinates:
         space = storage_space()
         assert space.validate_key(("Computer", "NETWORK")) == ("computer", "network")
 
+    # The bulk form of ``coordinates`` is ``normalize_many(keys)[1]``.
     def test_coordinates_many(self):
         space = storage_space()
-        arr = space.coordinates_many([("a", "b"), ("c", "d")])
+        arr = space.normalize_many([("a", "b"), ("c", "d")])[1]
         assert arr.shape == (2, 2)
         assert tuple(arr[0]) == space.coordinates(("a", "b"))
 
     def test_coordinates_many_empty(self):
-        assert storage_space().coordinates_many([]).shape == (0, 2)
+        assert storage_space().normalize_many([])[1].shape == (0, 2)
 
     def test_coordinates_many_is_coordinates_per_key(self):
         """The bulk form encodes a repeated word once; the rows must not show it."""
@@ -97,7 +98,7 @@ class TestCoordinates:
             ("network", 1, "a"),
         ]
         assert space.coordinates(("a", 0, "a")) == (0, 0, 0)
-        rows = space.coordinates_many(iter(keys))
+        rows = space.normalize_many(iter(keys))[1]
         assert [tuple(row) for row in rows] == [space.coordinates(key) for key in keys]
 
     @pytest.mark.parametrize("bad", [5, None, ["net"], b"net", "net work", ""])
@@ -107,9 +108,9 @@ class TestCoordinates:
             with pytest.raises(KeywordError):
                 space.coordinates(key)
             with pytest.raises(KeywordError):
-                space.coordinates_many([("net", "net"), key])
+                space.normalize_many([("net", "net"), key])[1]
         with pytest.raises(DimensionMismatchError):
-            space.coordinates_many([("net", "net"), ("net",)])
+            space.normalize_many([("net", "net"), ("net",)])[1]
 
 
 class TestRegion:

@@ -100,13 +100,6 @@ class TestProximityRing:
             pns_lat += model.path_latency(pns.route(source, key).path)
         assert pns_lat < 0.9 * plain_lat  # a saving worth the extra hops
 
-    def test_route_latency_helper(self):
-        _, pns, model = build_pair(n_nodes=50, seed=9)
-        ids = pns.node_ids()
-        latency, hops = pns.route_latency(ids[0], 12345)
-        assert latency >= 0
-        assert hops >= 0
-
     def test_more_candidates_no_worse(self):
         """A larger candidate pool can only improve expected finger latency."""
         plain, pns1, model = build_pair(n_nodes=200, seed=10, candidates=2)

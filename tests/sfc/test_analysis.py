@@ -20,7 +20,6 @@ class TestClusterStats:
         assert stats.cluster_count == 1
         assert stats.covered_indices == 64
         assert stats.largest_cluster == 64
-        assert stats.mean_cluster_length == 64.0
 
     def test_column_region(self):
         curve = HilbertCurve(2, 3)
@@ -29,11 +28,6 @@ class TestClusterStats:
         assert stats.covered_indices == 8
         assert stats.cluster_count >= 2
         assert stats.smallest_cluster >= 1
-
-    def test_mean_length_of_empty(self):
-        from repro.sfc.analysis import ClusterStats
-
-        assert ClusterStats(0, 0, 0, 0).mean_cluster_length == 0.0
 
     def test_point_region(self):
         """Degenerate zero-width box: exactly one single-cell cluster."""

@@ -113,12 +113,6 @@ class TestRegion:
         region = Region((Box.from_bounds([(0, 3)]), Box.from_bounds([(4, 7)])))
         assert region.classify_cell((0,), (7,)) is Containment.PARTIAL
 
-    def test_volume_upper_bound(self):
-        region = Region(
-            (Box.from_bounds([(0, 1), (0, 1)]), Box.from_bounds([(2, 3), (2, 3)]))
-        )
-        assert region.volume_upper_bound == 8
-
 
 class TestClassificationConsistency:
     @given(st.data())

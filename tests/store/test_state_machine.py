@@ -88,7 +88,8 @@ class StoreMachine(RuleBasedStateMachine):
         for name, store in self.stores.items():
             snapshot = store.snapshot()
             assert same_objects(snapshot, self.model.all_elements()), name
-            store.restore(snapshot)
+            store.clear()
+            store.add_sorted_bulk(snapshot)
         self.check(ranges)
 
     @rule(ranges=probes)

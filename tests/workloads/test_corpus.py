@@ -60,10 +60,6 @@ class TestVocabulary:
         top = max(counts.values())
         assert top > 5000 / 500 * 5  # far above uniform expectation
 
-    def test_popular(self):
-        vocab = Vocabulary(size=100, rng=5)
-        assert vocab.popular(3) == vocab.words[:3]
-
     def test_rank_of(self):
         vocab = Vocabulary(size=100, rng=6)
         assert vocab.rank_of(vocab.words[7]) == 7

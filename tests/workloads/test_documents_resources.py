@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.keywords.query import Exact, Prefix, Query, Wildcard
+from repro.keywords.query import Exact, Query, Wildcard
 from repro.workloads.documents import DocumentWorkload, storage_space
 from repro.workloads.resources import GRID_ATTRIBUTES, ResourceWorkload, grid_space
 
@@ -56,10 +56,6 @@ class TestDocumentWorkload:
         count = wl.count_matching(q)
         assert count >= 1
         assert count == sum(1 for k in wl.keys if k[0] == word)
-
-    def test_popular_word(self):
-        wl = DocumentWorkload.generate(2, 100, rng=5)
-        assert wl.popular_word(0) == wl.vocabulary.words[0]
 
 
 class TestGridSpace:
